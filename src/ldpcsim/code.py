@@ -33,9 +33,11 @@ class ParityCheckMatrix:
         col_adj: per variable node, tuple of adjacent check indices
             (ascending, derived from row_adj).
         edges: total number of 1-entries.
-        edge_index: dict mapping (check, var) -> edge id.
         row_ptr / edge_var: CSR-style arrays; edges of check c occupy
             edge ids row_ptr[c]:row_ptr[c+1], edge_var[e] is the variable.
+        col_ptr / col_edge: CSC view; the edges of variable v are
+            col_edge[col_ptr[v]:col_ptr[v+1]], in ascending check order
+            (a stable sort of edge ids by variable).
     """
 
     def __init__(self, row_adj: Sequence[Sequence[int]], n: int):
@@ -44,8 +46,6 @@ class ParityCheckMatrix:
             raise MalformedAlist(f"matrix must be at least 1x1, got {m}x{n}")
         rows = []
         col_lists: list[list[int]] = [[] for _ in range(n)]
-        edge_index: dict[tuple[int, int], int] = {}
-        e = 0
         for c, vs in enumerate(row_adj):
             vs = tuple(int(v) for v in vs)
             if len(vs) == 0:
@@ -58,8 +58,6 @@ class ParityCheckMatrix:
                     raise MalformedAlist(f"duplicate edge ({c}, {v})")
                 seen.add(v)
                 col_lists[v].append(c)
-                edge_index[(c, v)] = e
-                e += 1
             rows.append(vs)
         for v, cs in enumerate(col_lists):
             if not cs:
@@ -69,22 +67,16 @@ class ParityCheckMatrix:
         self.n = n
         self.row_adj = tuple(rows)
         self.col_adj = tuple(tuple(cs) for cs in col_lists)
-        self.edges = e
-        self.edge_index = edge_index
 
         degs = np.fromiter((len(r) for r in rows), dtype=np.int64, count=m)
         self.row_ptr = np.concatenate(([0], np.cumsum(degs)))
+        self.edges = int(self.row_ptr[-1])
         self.edge_var = np.fromiter(
-            (v for vs in rows for v in vs), dtype=np.int64, count=e
+            (v for vs in rows for v in vs), dtype=np.int64, count=self.edges
         )
-        # CSC view: edge ids grouped by variable, checks ascending within.
         cdegs = np.fromiter((len(c) for c in self.col_adj), dtype=np.int64, count=n)
         self.col_ptr = np.concatenate(([0], np.cumsum(cdegs)))
-        self.col_edge = np.fromiter(
-            (edge_index[(c, v)] for v in range(n) for c in self.col_adj[v]),
-            dtype=np.int64,
-            count=e,
-        )
+        self.col_edge = np.argsort(self.edge_var, kind="stable")
 
     def row_degrees(self) -> np.ndarray:
         return np.diff(self.row_ptr)

@@ -37,7 +37,8 @@ from ..decoder import (
     worst_case_config,
 )
 from ..errors import DegenerateCostModel, NoFeasiblePoint
-from ..partition import Partition, attach_edge_counts, make_partition, plan_messages
+from ..partition import Partition, make_partition, plan_messages
+from ..partition import attach_edge_counts  # noqa: F401  (bench/tracer.py wraps it here)
 
 
 @dataclass(frozen=True)
@@ -241,6 +242,23 @@ def parallel_iteration_cost(
     )
 
 
+def _scenario_geometry(
+    H: ParityCheckMatrix, p: Partition, placement: MeshPlacement | None = None
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(edges, packets, hops) per slave: the cost-free part of a scenario,
+    i.e. the trailing arguments of parallel_iteration_cost.  The edge counts
+    come from the one message plan; the placement defaults to the star of
+    p.num_slaves + 1 PEs."""
+    plan = plan_messages(H, p)
+    placement = placement or MeshPlacement.star(p.num_slaves + 1)
+    if len(placement.slave_xy) != p.num_slaves:
+        raise ValueError(
+            f"placement has {len(placement.slave_xy)} slaves, partition {p.num_slaves}"
+        )
+    edges = tuple(b // plan.word_bytes for b in plan.to_slave_bytes)
+    return edges, plan.to_slave_packets, placement.hops
+
+
 def _report(
     processors: int,
     iterations: int,
@@ -300,22 +318,15 @@ def simulate_parallel(
     master's variable update, so equivalence with the sequential path is
     an executed property, not an assumption.
     """
-    p = attach_edge_counts(p, H)
-    if placement is None:
-        placement = MeshPlacement.star(p.num_slaves + 1)
-    if len(placement.slave_xy) != p.num_slaves:
-        raise ValueError(
-            f"placement has {len(placement.slave_xy)} slaves, partition {p.num_slaves}"
-        )
+    geometry = _scenario_geometry(H, p, placement)
     eff = worst_case_config(cfg) if worst_case else cfg
 
     state = init_state(H, prior, eff)
     bits = hard_decision(state)
     converged = False
     iterations = 0
-    bounds = p.group_bounds
     for j in range(1, eff.max_iter + 1):
-        for lo, hi in bounds:
+        for lo, hi in p.group_bounds:
             check_node_update_block(state, H, eff, lo, hi)
         variable_node_update(state, H, eff)
         iterations = j
@@ -325,10 +336,7 @@ def simulate_parallel(
             break
     result = DecodeResult(bits=bits, converged=converged, iterations_used=iterations)
 
-    plan = plan_messages(H, p)
-    cost = parallel_iteration_cost(
-        H.edges, p.edge_counts, plan.to_slave_packets, placement.hops, cm
-    )
+    cost = parallel_iteration_cost(H.edges, *geometry, cm)
     breakdown = {
         "compute_master": iterations * cost.master,
         "slave_stall": iterations * cost.slave_stall,
@@ -365,21 +373,18 @@ def scale_sweep(
     return reports
 
 
+def _speedups(edges: int, geometries: list[tuple], cm: CostModel) -> list[float]:
+    """Closed-form speedup of each scenario geometry under cm."""
+    seq = sequential_iteration_cycles(edges, cm)
+    return [seq / parallel_iteration_cost(edges, *g, cm).total for g in geometries]
+
+
 def modeled_speedups(
     H: ParityCheckMatrix, cm: CostModel, slave_counts: list[int]
 ) -> dict[int, float]:
     """Closed-form speedup per scenario (iteration counts cancel)."""
-    seq = sequential_iteration_cycles(H.edges, cm)
-    out = {}
-    for s in slave_counts:
-        p = attach_edge_counts(make_partition(H.m, s), H)
-        plan = plan_messages(H, p)
-        placement = MeshPlacement.star(s + 1)
-        cost = parallel_iteration_cost(
-            H.edges, p.edge_counts, plan.to_slave_packets, placement.hops, cm
-        )
-        out[s + 1] = seq / cost.total
-    return out
+    geometries = [_scenario_geometry(H, make_partition(H.m, s)) for s in slave_counts]
+    return dict(zip([s + 1 for s in slave_counts], _speedups(H.edges, geometries, cm)))
 
 
 class CalibrationWarning(UserWarning):
@@ -401,17 +406,17 @@ def calibrate(
     """
     slave_counts = [procs - 1 for procs in sorted(targets)]
     goal = np.array([targets[s + 1] for s in slave_counts])
+    # The geometry does not depend on the fitted costs: build it once.
+    geometries = [_scenario_geometry(H, make_partition(H.m, s)) for s in slave_counts]
+
+    def at(point) -> CostModel:
+        pf, hop, fixed = point
+        return replace(
+            cm, cycles_packet_fixed=pf, cycles_per_hop=hop, cycles_iter_fixed=fixed
+        )
 
     def error(point: tuple[float, float, float]) -> float:
-        pf, hop, fixed = point
-        trial = replace(
-            cm,
-            cycles_packet_fixed=pf,
-            cycles_per_hop=hop,
-            cycles_iter_fixed=fixed,
-        )
-        got = modeled_speedups(H, trial, slave_counts)
-        diff = np.array([got[s + 1] for s in slave_counts]) - goal
+        diff = np.array(_speedups(H.edges, geometries, at(point))) - goal
         return float(diff @ diff)
 
     scale = cm.cycles_per_check_edge
@@ -444,12 +449,7 @@ def calibrate(
                         improved = True
             if not improved:
                 break
-    fitted = replace(
-        cm,
-        cycles_packet_fixed=point[0],
-        cycles_per_hop=point[1],
-        cycles_iter_fixed=point[2],
-    )
+    fitted = at(point)
     if point[0] == 0.0 and point[1] == 0.0:
         warnings.warn(
             "calibration drove all communication costs to zero",

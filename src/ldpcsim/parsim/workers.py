@@ -35,13 +35,14 @@ from ..partition import (
     PACKET_BYTES,
     Partition,
     attach_edge_counts,
-    edge_slices,
     pack_llrs,
     unpack_llrs,
 )
 from .model import SimReport
 
 WORKER_CAP_ENV = "LDPC_PARSIM_THREADS"
+# Bounded wait, in seconds, for a worker's message or acknowledgement.
+_WAIT_SECONDS = 120.0
 _ACK = b"k"
 # Frames are typed by their first byte so a failure is recognizable in
 # any protocol state: D = difference block, R = result block, Q = quit,
@@ -183,7 +184,8 @@ def _split_packets(payload: bytes) -> list[bytes]:
 
 class _Channel:
     """Rendezvous over a duplex pipe: send returns only after the peer has
-    taken the frame and acknowledged it.  Failure frames raise on sight."""
+    taken the frame and acknowledged it within _WAIT_SECONDS.  Failure
+    frames raise on sight."""
 
     def __init__(self, conn):
         self.conn = conn
@@ -191,6 +193,8 @@ class _Channel:
     def send(self, frame: bytes) -> None:
         try:
             self.conn.send_bytes(frame)
+            if not self.conn.poll(_WAIT_SECONDS):
+                raise WorkerError("timed out waiting for a worker acknowledgement")
             ack = self.conn.recv_bytes()
         except (BrokenPipeError, EOFError) as exc:
             raise WorkerError(f"worker hung up mid-send: {exc}") from exc
@@ -199,7 +203,7 @@ class _Channel:
         if ack != _ACK:
             raise WorkerError(f"unexpected acknowledgement {ack!r}")
 
-    def recv(self, timeout: float = 120.0) -> bytes:
+    def recv(self, timeout: float = _WAIT_SECONDS) -> bytes:
         if not self.conn.poll(timeout):
             raise WorkerError("timed out waiting for a worker message")
         frame = self.conn.recv_bytes()
@@ -321,8 +325,8 @@ def run_parallel_workers(
     word_bytes, wire_qf = _wire_format(eff)
     g = _Graph.of(H)
     pr = [float(x) for x in eff.saturate(np.asarray(prior, dtype=np.float64))]
-    slices = edge_slices(H, p)
-    block_degs = [[g.row_degs[c] for c in group] for group in p.groups]
+    slices = list(zip(p.edge_bounds, p.edge_bounds[1:]))
+    block_degs = [g.row_degs[lo:hi] for lo, hi in p.group_bounds]
 
     ctx = mp.get_context("fork")
     chans: list[_Channel] = []

@@ -11,7 +11,7 @@ model prices per-packet overhead instead).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .code import ParityCheckMatrix
 from .decoder import QFormat
@@ -22,16 +22,26 @@ PACKET_BYTES = 128
 
 @dataclass(frozen=True)
 class Partition:
-    """Contiguous equal-size check blocks; slave s owns groups[s]."""
+    """Contiguous check blocks: slave s owns checks check_bounds[s]:check_bounds[s+1].
+    make_partition leaves edge_bounds empty; attach_edge_counts binds them to H
+    once, after which slave s owns edge ids edge_bounds[s]:edge_bounds[s+1]."""
 
-    num_slaves: int
-    groups: tuple[tuple[int, ...], ...]
-    edge_counts: tuple[int, ...]
+    check_bounds: tuple[int, ...]
+    edge_bounds: tuple[int, ...] = ()
+
+    @property
+    def num_slaves(self) -> int:
+        return len(self.check_bounds) - 1
 
     @property
     def group_bounds(self) -> list[tuple[int, int]]:
         """[start, stop) check-index range per slave."""
-        return [(g[0], g[-1] + 1) for g in self.groups]
+        return list(zip(self.check_bounds, self.check_bounds[1:]))
+
+    @property
+    def edge_counts(self) -> tuple[int, ...]:
+        """Edges per slave block; empty until bound to a matrix."""
+        return tuple(hi - lo for lo, hi in zip(self.edge_bounds, self.edge_bounds[1:]))
 
 
 @dataclass(frozen=True)
@@ -50,33 +60,23 @@ class MessagePlan:
 
 
 def make_partition(m: int, num_slaves: int) -> Partition:
-    """Split m checks into num_slaves equal contiguous blocks."""
+    """Split m checks into num_slaves equal contiguous blocks (unbound)."""
     if num_slaves < 1:
         raise NotDivisible(f"need at least one slave, got {num_slaves}")
     if m % num_slaves != 0:
         raise NotDivisible(f"{m} check nodes not divisible by {num_slaves} slaves")
-    size = m // num_slaves
-    groups = tuple(
-        tuple(range(s * size, (s + 1) * size)) for s in range(num_slaves)
-    )
-    return Partition(num_slaves=num_slaves, groups=groups, edge_counts=())
+    return Partition(check_bounds=tuple(range(0, m + 1, m // num_slaves)))
 
 
 def attach_edge_counts(p: Partition, H: ParityCheckMatrix) -> Partition:
-    """Fill per-slave edge totals from the matrix row degrees."""
-    validate_partition(p, H)
-    counts = tuple(
-        int(H.row_ptr[g[-1] + 1] - H.row_ptr[g[0]]) for g in p.groups
-    )
-    return Partition(num_slaves=p.num_slaves, groups=p.groups, edge_counts=counts)
-
-
-def validate_partition(p: Partition, H: ParityCheckMatrix) -> None:
-    flat = [c for g in p.groups for c in g]
-    if flat != list(range(H.m)):
+    """Bind the check boundaries to H: check that they rise from 0 to H.m,
+    then gather the per-slave edge bounds from H.row_ptr in one step."""
+    b = p.check_bounds
+    if b[0] != 0 or b[-1] != H.m or any(lo >= hi for lo, hi in zip(b, b[1:])):
         raise PartitionMismatch(
-            f"partition covers {len(flat)} checks, matrix has {H.m}"
+            f"partition boundaries {b[0]}..{b[-1]} do not rise to the {H.m} checks of H"
         )
+    return replace(p, edge_bounds=tuple(H.row_ptr[list(b)].tolist()))
 
 
 def packet_count(payload_bytes: int) -> int:
@@ -90,9 +90,9 @@ def plan_messages(
 
     Each direction carries one word per edge of the slave's block: the
     differences going out, the refreshed check messages coming back.
+    The edge counts always come from binding p to this H.
     """
-    p = attach_edge_counts(p, H)
-    nbytes = tuple(e * word_bytes for e in p.edge_counts)
+    nbytes = tuple(e * word_bytes for e in attach_edge_counts(p, H).edge_counts)
     packets = tuple(packet_count(b) for b in nbytes)
     return MessagePlan(
         word_bytes=word_bytes,
@@ -152,8 +152,6 @@ def unpack_llrs(
 
 
 def edge_slices(H: ParityCheckMatrix, p: Partition) -> list[tuple[int, int]]:
-    """Per-slave [lo, hi) edge-id range of its contiguous check block."""
-    validate_partition(p, H)
-    return [
-        (int(H.row_ptr[g[0]]), int(H.row_ptr[g[-1] + 1])) for g in p.groups
-    ]
+    """Per-slave [lo, hi) edge-id range of its contiguous check block in H."""
+    b = attach_edge_counts(p, H).edge_bounds
+    return list(zip(b, b[1:]))

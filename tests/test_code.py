@@ -153,6 +153,25 @@ class TestGenerateRegular:
         assert len(via_rows) == H.edges
 
 
+@pytest.mark.parametrize(
+    "H",
+    [
+        ParityCheckMatrix([[2, 0], [0, 1], [1, 2]], 3),
+        generate_regular(96, 2, 4, seed=3),
+        generate_regular(36, 3, 6, seed=0),
+        generate_regular(504, 3, 6, seed=1),
+    ],
+    ids=repr,
+)
+def test_col_edge_lists_edges_in_ascending_check_order(H):
+    assert sorted(H.col_edge.tolist()) == list(range(H.edges))
+    for v in range(H.n):
+        edges = H.col_edge[H.col_ptr[v] : H.col_ptr[v + 1]]
+        checks = np.searchsorted(H.row_ptr, edges, side="right") - 1
+        assert (H.edge_var[edges] == v).all()
+        assert checks.tolist() == sorted(checks.tolist()) == list(H.col_adj[v])
+
+
 class TestSyndrome:
     def test_zero_word_always_valid(self, fixture252):
         assert syndrome_ok(fixture252, np.zeros(504, dtype=np.uint8))

@@ -234,6 +234,11 @@ class TestCalibrate:
         for procs, target in DEFAULT_SPEEDUP_TARGETS.items():
             assert abs(speedups[procs] - target) <= 0.10
 
+    def test_fitted_point_pinned(self, fixture252):
+        fitted = calibrate(CostModel(), DEFAULT_SPEEDUP_TARGETS, fixture252)
+        point = (fitted.cycles_packet_fixed, fitted.cycles_per_hop, fitted.cycles_iter_fixed)
+        assert point == (2859.75, 0.0, 3255.0)
+
     def test_idempotent(self, fixture252):
         once = calibrate(CostModel(), DEFAULT_SPEEDUP_TARGETS, fixture252)
         twice = calibrate(once, DEFAULT_SPEEDUP_TARGETS, fixture252)

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ldpcsim.code import ParityCheckMatrix, generate_regular
 from ldpcsim.decoder import QFormat
 from ldpcsim.errors import NotDivisible, PacketOverflow, PartitionMismatch
 from ldpcsim.partition import (
     PACKET_BYTES,
+    Partition,
     attach_edge_counts,
     edge_slices,
     make_partition,
@@ -12,16 +16,17 @@ from ldpcsim.partition import (
     packet_count,
     plan_messages,
     unpack_llrs,
-    validate_partition,
 )
+
+from conftest import SMALL_REGULAR_PARAMS
 
 
 class TestMakePartition:
     def test_fixture_four_slaves(self):
         p = make_partition(252, 4)
-        assert all(len(g) == 63 for g in p.groups)
-        assert p.groups[1][0] == 63
-        assert p.groups[3][-1] == 251
+        assert all(hi - lo == 63 for lo, hi in p.group_bounds)
+        assert p.group_bounds[1][0] == 63
+        assert p.group_bounds[3][1] - 1 == 251
 
     def test_not_divisible(self):
         with pytest.raises(NotDivisible):
@@ -29,7 +34,7 @@ class TestMakePartition:
 
     def test_two_groups_of_two(self):
         p = make_partition(4, 2)
-        assert p.groups == ((0, 1), (2, 3))
+        assert p.group_bounds == [(0, 2), (2, 4)]
 
     def test_zero_slaves_rejected(self):
         with pytest.raises(NotDivisible):
@@ -41,14 +46,16 @@ class TestMakePartition:
             if m % s != 0:
                 continue
             p = make_partition(m, s)
-            flat = [c for g in p.groups for c in g]
+            flat = [c for lo, hi in p.group_bounds for c in range(lo, hi)]
             assert flat == list(range(m))
-            assert len({len(g) for g in p.groups}) == 1
+            assert len({hi - lo for lo, hi in p.group_bounds}) == 1
 
     def test_validate_against_wrong_matrix(self, fixture252):
         p = make_partition(16, 2)
         with pytest.raises(PartitionMismatch):
-            validate_partition(p, fixture252)
+            attach_edge_counts(p, fixture252)
+        with pytest.raises(PartitionMismatch):
+            edge_slices(fixture252, p)
 
 
 class TestPlanMessages:
@@ -74,6 +81,42 @@ class TestPlanMessages:
         p = attach_edge_counts(make_partition(252, 6), fixture252)
         assert p.edge_counts == (252,) * 6
         assert edge_slices(fixture252, p)[1] == (252, 504)
+
+    def test_plans_from_the_matrix_given_not_a_stale_binding(self):
+        # Same m and E, different row degrees: (3,2,3,2) against (2,2,3,3).
+        H1 = ParityCheckMatrix([[0, 1, 2], [3, 4], [5, 6, 7], [0, 4]], 8)
+        H2 = ParityCheckMatrix([[0, 1], [2, 3], [4, 5, 6], [7, 0, 3]], 8)
+        assert (H1.m, H1.edges) == (H2.m, H2.edges)
+        bound = attach_edge_counts(make_partition(4, 2), H1)
+        assert bound.edge_bounds == (0, 5, 10)
+        hand_built = Partition(check_bounds=(0, 2, 4), edge_bounds=(0, 5, 10))
+        for p in (bound, hand_built):
+            assert edge_slices(H2, p) == [(0, 4), (4, 10)]
+            assert plan_messages(H2, p).to_slave_bytes == (16, 24)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    params=st.sampled_from(SMALL_REGULAR_PARAMS),
+    seed=st.integers(0, 2**16),
+    word_bytes=st.sampled_from([4, 8]),
+)
+def test_edge_geometry_agrees_for_every_divisor(params, seed, word_bytes):
+    n, wc, wr = params
+    H = generate_regular(n, wc, wr, seed=seed)
+    for s in (d for d in range(1, H.m + 1) if H.m % d == 0):
+        p = make_partition(H.m, s)
+        slices = edge_slices(H, p)
+        assert slices[0][0] == 0 and slices[-1][1] == H.edges
+        assert all(a[1] == b[0] for a, b in zip(slices, slices[1:]))
+        counts = attach_edge_counts(p, H).edge_counts
+        assert counts == tuple(hi - lo for lo, hi in slices)
+        plan = plan_messages(H, p, word_bytes=word_bytes)
+        assert plan.total_bytes == 2 * H.edges * word_bytes
+        assert plan.to_slave_bytes == tuple(c * word_bytes for c in counts)
+        assert plan.to_slave_packets == tuple(
+            -(-b // PACKET_BYTES) for b in plan.to_slave_bytes
+        )
 
 
 class TestPackUnpack:

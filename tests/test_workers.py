@@ -202,3 +202,21 @@ class TestParallelWorkers:
         assert sum(report.breakdown.values()) == pytest.approx(
             report.extras["total_seconds"], rel=1e-9
         )
+
+
+def test_send_without_acknowledgement_times_out(monkeypatch):
+    # The far end takes the frame but never acknowledges it, like a worker
+    # that is alive but stuck; no worker process is started.
+    import multiprocessing as mp
+
+    import ldpcsim.parsim.workers as workers_mod
+
+    monkeypatch.setattr(workers_mod, "_WAIT_SECONDS", 0.2)
+    near, far = mp.Pipe(duplex=True)
+    try:
+        with pytest.raises(WorkerError, match="acknowledgement"):
+            workers_mod._Channel(near).send(b"D1234")
+        assert far.recv_bytes() == b"D1234"
+    finally:
+        near.close()
+        far.close()
