@@ -44,11 +44,13 @@ def transmit(
     """Add white Gaussian noise of variance cfg.sigma2.
 
     A fresh PCG64 generator is seeded from cfg.seed unless an existing
-    stream is passed in (used by sweeps that draw many words).
+    stream is passed in (used by sweeps that draw many words).  Noise is
+    drawn in the shape of `symbols` in C order, so a (k, n) batch takes
+    the same draws as k successive words of n symbols.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    return symbols + rng.normal(0.0, np.sqrt(cfg.sigma2), size=len(symbols))
+    return symbols + rng.normal(0.0, np.sqrt(cfg.sigma2), size=np.shape(symbols))
 
 
 def llr_init(y: np.ndarray, cfg: ChannelConfig) -> np.ndarray:

@@ -138,6 +138,23 @@ def uncoded_bpsk_ber(ebno_db: float) -> float:
     return 0.5 * math.erfc(math.sqrt(10.0 ** (ebno_db / 10.0)))
 
 
+# Most words per `decode` call in `ber_sweep`.  A batch shares numpy's
+# per-call cost over its words.  On the 504-bit (3,6) code a 2-point,
+# 100k-bit sweep ran 2.5x faster than one word at a time with 8 words
+# (+1.0 MB peak RSS), 3.4x with 16 (+1.7 MB) and 4.1x with 32 (+3.1 MB);
+# 16 keeps the growth under 5% of the 40 MB process.  The workspace grows
+# with the words times H's padded row slots (`H.slots`, 1,512 on that code),
+# so `ber_batch_width` gives larger codes fewer words, the same memory.
+BER_BATCH = 16
+_BATCH_SLOTS = BER_BATCH * 1512
+
+
+def ber_batch_width(H: ParityCheckMatrix) -> int:
+    """Words per `decode` call of `ber_sweep` on H: BER_BATCH, scaled down
+    on codes with more than 1,512 row slots, and at least one."""
+    return max(1, min(BER_BATCH, _BATCH_SLOTS // H.slots.var.size))
+
+
 def ber_sweep(
     H: ParityCheckMatrix,
     ebno_list: list[float],
@@ -145,26 +162,31 @@ def ber_sweep(
     seed: int,
     cfg: DecoderConfig | None = None,
 ) -> list[dict]:
-    """Monte-Carlo BER rows, all-zero codeword, one rng substream per point."""
+    """Monte-Carlo BER rows, all-zero codeword, one rng substream per point.
+
+    Each point decodes ceil(min_bits / n) words, `ber_batch_width(H)` at
+    a time.
+    frame_errors counts the words with at least one wrong bit.
+    """
     cfg = cfg or DecoderConfig()
     rate = CodeInfo.from_matrix(H).rate
     rows = []
-    zero = np.zeros(H.n, dtype=np.uint8)
-    symbols = modulate(zero)
+    symbols = modulate(np.zeros(H.n, dtype=np.uint8))
+    words = -(-min_bits // H.n)
+    width = ber_batch_width(H)
     for idx, ebno in enumerate(ebno_list):
         ch = ChannelConfig(ebno_db=ebno, rate=rate, seed=seed)
         rng = np.random.default_rng([seed, idx])
-        bits = 0
         errors = 0
+        frame_errors = 0
         iters = 0
-        words = 0
-        while bits < min_bits:
-            prior = llr_init(transmit(symbols, ch, rng=rng), ch)
-            result = decode(H, prior, cfg)
-            bits += H.n
+        for first in range(0, words, width):
+            batch = np.broadcast_to(symbols, (min(width, words - first), H.n))
+            result = decode(H, llr_init(transmit(batch, ch, rng=rng), ch), cfg)
             errors += int(result.bits.sum())
+            frame_errors += int(result.bits.any(axis=1).sum())
             iters += result.iterations_used
-            words += 1
+        bits = words * H.n
         rows.append(
             {
                 "ebno_db": ebno,
@@ -172,6 +194,7 @@ def ber_sweep(
                 "errors": errors,
                 "ber": errors / bits,
                 "avg_iters": iters / words,
+                "frame_errors": frame_errors,
             }
         )
     return rows
@@ -183,10 +206,11 @@ def cmd_ber(args) -> int:
     H = _read_matrix(args)
     ebno_list = [float(x) for x in args.ebno.split(",")]
     rows = ber_sweep(H, ebno_list, args.min_bits, args.seed, _decoder_config(args))
-    lines = ["ebno_db,bits,errors,ber,avg_iters"]
+    lines = ["ebno_db,bits,errors,ber,avg_iters,frame_errors"]
     for r in rows:
         lines.append(
-            f"{r['ebno_db']:g},{r['bits']},{r['errors']},{r['ber']:.6g},{r['avg_iters']:.3f}"
+            f"{r['ebno_db']:g},{r['bits']},{r['errors']},{r['ber']:.6g},"
+            f"{r['avg_iters']:.3f},{r['frame_errors']}"
         )
     _emit("\n".join(lines) + "\n", args.out)
     return 0

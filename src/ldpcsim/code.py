@@ -8,6 +8,7 @@ state is indexed by these ids.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -35,6 +36,8 @@ class ParityCheckMatrix:
         edges: total number of 1-entries.
         row_ptr / edge_var: CSR-style arrays; edges of check c occupy
             edge ids row_ptr[c]:row_ptr[c+1], edge_var[e] is the variable.
+        slots: the rows in the slot-major padded layout (`RowSlots`), built
+            on first use.
         col_ptr / col_edge: CSC view; the edges of variable v are
             col_edge[col_ptr[v]:col_ptr[v+1]], in ascending check order
             (a stable sort of edge ids by variable).
@@ -78,6 +81,20 @@ class ParityCheckMatrix:
         self.col_ptr = np.concatenate(([0], np.cumsum(cdegs)))
         self.col_edge = np.argsort(self.edge_var, kind="stable")
 
+    @functools.cached_property
+    def slots(self) -> "RowSlots":
+        degs = self.row_degrees()
+        edge_row = np.repeat(np.arange(self.m), degs)
+        edge_slot = (np.arange(self.edges) - self.row_ptr[edge_row]) * self.m + edge_row
+        edge = np.repeat(self.row_ptr[None, :-1], degs.max(), axis=0)
+        edge.flat[edge_slot] = np.arange(self.edges)
+        return RowSlots(
+            edge=edge,
+            var=self.edge_var[edge],
+            pad=np.arange(degs.max())[:, None] >= degs[None, :],
+            edge_slot=edge_slot,
+        )
+
     def row_degrees(self) -> np.ndarray:
         return np.diff(self.row_ptr)
 
@@ -86,6 +103,22 @@ class ParityCheckMatrix:
 
     def __repr__(self) -> str:
         return f"ParityCheckMatrix(m={self.m}, n={self.n}, edges={self.edges})"
+
+
+@dataclass(frozen=True)
+class RowSlots:
+    """The rows of H padded to the largest row degree, stored slot-major.
+
+    Slot (k, c) holds the k-th edge of check c, so slot k of a run of rows
+    is one contiguous run and a per-row reduction over the slots is one
+    elementwise ufunc per slot.  Arrays are (max row degree, m) unless
+    noted.
+    """
+
+    edge: np.ndarray  # edge id; a padding slot repeats its row's first edge
+    var: np.ndarray  # variable of that edge
+    pad: np.ndarray  # bool, True at padding slots (none when rows are regular)
+    edge_slot: np.ndarray  # (E,) flat slot k * m + c of each edge
 
 
 @dataclass(frozen=True)
@@ -231,12 +264,25 @@ def generate_regular(
     )
 
 
-def syndrome_ok(H: ParityCheckMatrix, bits: np.ndarray) -> bool:
-    """True iff H . x^T = 0 over GF(2), i.e. every check has even parity."""
+def syndrome_ok(
+    H: ParityCheckMatrix, bits: np.ndarray, scratch: np.ndarray | None = None
+) -> bool | np.ndarray:
+    """True iff H . x^T = 0 over GF(2), i.e. every check has even parity.
+
+    `bits` is one word, shaped (n,), or a batch of words, shaped (B, n);
+    a batch gets one verdict per word, a (B,) bool array.  `scratch`, a
+    uint8 array shaped (max row degree + 1, m) plus the batch's word axis,
+    takes the per-slot bits and the row parities instead of new arrays.
+    """
     bits = np.asarray(bits)
-    if bits.shape != (H.n,):
-        raise LengthMismatch(f"codeword length {bits.shape} != n={H.n}")
-    parities = np.bitwise_xor.reduceat(
-        bits.astype(np.uint8)[H.edge_var], H.row_ptr[:-1]
-    )
-    return not parities.any()
+    if bits.ndim not in (1, 2) or bits.shape[-1] != H.n:
+        raise LengthMismatch(f"codeword shape {bits.shape} is not (n,) or (B, n), n={H.n}")
+    if scratch is None:
+        scratch = np.empty((H.slots.var.shape[0] + 1, H.m) + bits.shape[:-1], dtype=np.uint8)
+    # Word axis trailing, so each slot gathers one contiguous row of words.
+    parity, per_slot = scratch[0], scratch[1:]
+    bits = bits.T.astype(np.uint8, copy=False)
+    np.take(bits, H.slots.var, axis=0, out=per_slot, mode="clip")
+    per_slot[H.slots.pad] = 0
+    odd = np.bitwise_xor.reduce(per_slot, axis=0, out=parity).max(axis=0)
+    return not odd if parity.ndim == 1 else odd == 0

@@ -10,9 +10,22 @@ difference d = total - check_msg.  One iteration is:
     2. every variable node v: total = prior + sum of incoming messages
     3. hard decision (total >= 0 -> bit 0) and syndrome check
 
-`decode` runs a flooding schedule with this state layout; the classic
-min-sum decoder with explicit variable-to-check messages is kept as
-`decode_minsum_reference`, an independent cross-check.
+`decode` runs a flooding schedule with this state layout on one word,
+priors shaped (n,), or a batch of words, (B, n), through one iteration
+loop.  A batch keeps the word axis last (totals (n, B), messages (E, B)),
+so every gather copies one contiguous row of words; one word is the same
+code with that axis absent.  Under early exit a word whose syndrome
+passes leaves the batch: its column is dropped from the state.  State and
+scratch live in one workspace allocated per `decode` call and written with
+out= ufuncs (the syndrome check included), so the only arrays an iteration
+allocates in proportion to the code and the batch are `np.bincount`'s
+result and, once words finish, the copy of their bits into the result.
+The check-node update works on the code's rows padded to the largest row
+degree and stored slot-major (`ParityCheckMatrix.slots`), where each
+per-row reduction is one elementwise ufunc per slot.
+
+The classic min-sum decoder with explicit variable-to-check messages is
+kept as `decode_minsum_reference`, an independent cross-check.
 
 Arithmetic is float64 with a configurable saturating clamp, or a
 saturating Q-format fixed-point grid for platforms without an FPU.
@@ -20,6 +33,7 @@ saturating Q-format fixed-point grid for platforms without an FPU.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Union
 
@@ -50,10 +64,14 @@ class QFormat:
     def max_value(self) -> float:
         return (2 ** (self.total_bits - 1) - 1) / 2**self.frac_bits
 
-    def quantize(self, x: np.ndarray) -> np.ndarray:
+    def quantize(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         scale = float(2**self.frac_bits)
-        return np.clip(np.round(x * scale), -(2 ** (self.total_bits - 1) - 1),
-                       2 ** (self.total_bits - 1) - 1) / scale
+        top = float(2 ** (self.total_bits - 1) - 1)
+        out = np.multiply(x, scale, out=out)
+        np.rint(out, out=out)
+        np.maximum(out, -top, out=out)
+        np.minimum(out, top, out=out)
+        return np.divide(out, scale, out=out)
 
 
 Arithmetic = Union[str, QFormat]
@@ -78,38 +96,161 @@ class DecoderConfig:
             return self.arithmetic.max_value
         return self.clamp
 
-    def saturate(self, x: np.ndarray) -> np.ndarray:
-        """Clamp (and, in fixed-point mode, grid-quantize) an array."""
+    def saturate(self, x: np.ndarray, in_place: bool = False) -> np.ndarray:
+        """Clamp (and, in fixed-point mode, grid-quantize) an array, into
+        `x` itself when in_place.  Without a clamp `x` is returned as is."""
+        out = x if in_place else None
         if isinstance(self.arithmetic, QFormat):
-            return self.arithmetic.quantize(x)
+            return self.arithmetic.quantize(x, out)
         if self.clamp is None:
             return x
-        return np.clip(x, -self.clamp, self.clamp)
+        out = np.maximum(x, -self.clamp, out=out)
+        return np.minimum(out, self.clamp, out=out)
 
 
 @dataclass
 class DecoderState:
-    """Per-variable totals plus per-edge check-to-variable messages."""
+    """Per-variable totals plus per-edge check-to-variable messages.
+
+    One word keeps 1-D arrays: total and prior (n,), check_msg (E,).  A
+    batch of B words adds a trailing word axis: (n, B) and (E, B).
+    `workspace` holds the decode's buffers, which every kernel writes
+    into; `init_state` sets it.
+    """
 
     total: np.ndarray
     check_msg: np.ndarray
     prior: np.ndarray
     iteration: int = 0
+    workspace: "_Workspace | None" = field(default=None, repr=False, compare=False)
 
 
 @dataclass
 class DecodeResult:
+    """Outcome of a decode.
+
+    For one word, bits is (n,), converged a bool, iterations_used an int
+    and word_iterations the same count as a numpy scalar.  For a batch of
+    B words, bits is (B, n) uint8, converged (B,) and word_iterations (B,),
+    with iterations_used their int sum.
+    """
+
     bits: np.ndarray
-    converged: bool
+    converged: bool | np.ndarray
     iterations_used: int
     final_state: DecoderState | None = None
     message_trace: list = field(default_factory=list)
+    word_iterations: np.ndarray | None = None
+
+
+# Leading shape (as a function of H) and dtype of every buffer a decode
+# uses; each also has the word axis last when it decodes a batch.  The
+# slot buffers hold one row block at a time, in its own slot-major layout.
+_BUFFERS = (
+    ("total", lambda H: (H.n,), np.float64),
+    ("prior", lambda H: (H.n,), np.float64),
+    ("check_msg", lambda H: (H.edges,), np.float64),
+    ("bits", lambda H: (H.n,), np.uint8),
+    ("var_index", lambda H: (H.edges,), np.intp),
+    ("diff", lambda H: H.slots.var.shape, np.float64),
+    ("mag", lambda H: H.slots.var.shape, np.float64),
+    ("neg", lambda H: H.slots.var.shape, np.bool_),
+    ("is_min", lambda H: H.slots.var.shape, np.bool_),
+    ("min1", lambda H: (H.m,), np.float64),
+    ("min2", lambda H: (H.m,), np.float64),
+    ("spare", lambda H: (H.m,), np.float64),
+    ("parity", lambda H: (H.m,), np.bool_),
+    ("syndrome", lambda H: (H.slots.var.shape[0] + 1, H.m), np.uint8),
+)
+_SLOT_BUFFERS = ("diff", "mag", "neg", "is_min")
+_ROW_BUFFERS = ("min1", "min2", "spare", "parity")
+
+
+class _Workspace:
+    """Every state and scratch array of one decode, in one allocation.
+
+    One block holds all buffers, so the allocator reuses the same pages
+    from one decode call to the next.  The arrays handed out are views of
+    each buffer's leading entries, shaped (*lead, width) for a batch or
+    (*lead,) for one word (width None), so a batch that drops words keeps
+    its memory; every kernel writes into these views with out= ufuncs.
+    """
+
+    def __init__(self, H: ParityCheckMatrix, width: int | None):
+        self.H = H
+        sizes = [
+            0 if width is None and name == "var_index"
+            else math.prod(lead(H)) * (width or 1) * np.dtype(dt).itemsize
+            for name, lead, dt in _BUFFERS
+        ]
+        spans = [-(-size // 64) * 64 for size in sizes]
+        block = np.empty(sum(spans), dtype=np.uint8)
+        offsets = np.cumsum([0] + spans)
+        self._flat = {
+            name: block[off : off + size].view(dt)
+            for (name, _, dt), off, size in zip(_BUFFERS, offsets, sizes)
+        }
+        self.resize(width)
+
+    def resize(self, width: int | None) -> None:
+        """Re-view every buffer for `width` words (None: one word)."""
+        H = self.H
+        self.words = () if width is None else (width,)
+        self._blocks: dict[tuple[int, int], _RowBlock] = {}
+        for name, lead, _ in _BUFFERS:
+            if name not in _SLOT_BUFFERS and name != "var_index":
+                self._view(name, lead(H))
+        if width is None:
+            self.var_index = H.edge_var
+        else:
+            # bincount bin of (edge e, word b) is edge_var[e] * width + b, so
+            # each bin still sums its edges in ascending edge order.
+            index = self._view("var_index", (H.edges,))
+            np.multiply(H.edge_var[:, None], width, out=index)
+            index += np.arange(width)
+            self.var_index = index.reshape(-1)
+
+    def _view(self, name: str, lead: tuple) -> np.ndarray:
+        shape = lead + self.words
+        view = self._flat[name][: math.prod(shape)].reshape(shape)
+        setattr(self, name, view)
+        return view
+
+    def block(self, c_lo: int, c_hi: int) -> "_RowBlock":
+        """Views and indices for check rows [c_lo, c_hi), built once per width."""
+        blk = self._blocks.get((c_lo, c_hi))
+        if blk is None:
+            blk = self._blocks[(c_lo, c_hi)] = _RowBlock(self, c_lo, c_hi)
+        return blk
+
+
+class _RowBlock:
+    """Check rows [c_lo, c_hi) in their own contiguous slot-major layout:
+    slot (k, r) of the block is the k-th edge of check c_lo + r."""
+
+    def __init__(self, ws: _Workspace, c_lo: int, c_hi: int):
+        H, slots = ws.H, ws.H.slots
+        rows, nrows = slice(c_lo, c_hi), c_hi - c_lo
+        self.edges = slice(int(H.row_ptr[c_lo]), int(H.row_ptr[c_hi]))
+        self.var, self.edge = slots.var[:, rows], slots.edge[:, rows]
+        self.pads = np.flatnonzero(slots.pad[:, rows])
+        # block slot of each edge of the block
+        k, c = np.divmod(slots.edge_slot[self.edges], H.m)
+        self.back = k * nrows + (c - c_lo)
+        shape = (slots.var.shape[0], nrows) + ws.words
+        for name in _SLOT_BUFFERS:
+            setattr(self, name, ws._flat[name][: math.prod(shape)].reshape(shape))
+        self.mag_flat = self.mag.reshape((-1,) + ws.words)
+        self.diff_flat = self.diff.reshape(self.mag_flat.shape)
+        self.diff_slots = list(self.diff)
+        for name in _ROW_BUFFERS:
+            setattr(self, name, getattr(ws, name)[:nrows])
 
 
 def _validate(H: ParityCheckMatrix, prior: np.ndarray) -> np.ndarray:
     prior = np.asarray(prior, dtype=np.float64)
-    if prior.shape != (H.n,):
-        raise LengthMismatch(f"prior length {prior.shape} != n={H.n}")
+    if prior.ndim not in (1, 2) or prior.shape[-1] != H.n or prior.size == 0:
+        raise LengthMismatch(f"prior shape {prior.shape} is not (n,) or (B, n), n={H.n}")
     if not np.isfinite(prior).all():
         raise ValueError("priors must be finite")
     min_deg = int(H.row_degrees().min())
@@ -121,14 +262,34 @@ def _validate(H: ParityCheckMatrix, prior: np.ndarray) -> np.ndarray:
 
 
 def init_state(H: ParityCheckMatrix, prior: np.ndarray, cfg: DecoderConfig) -> DecoderState:
-    """Totals start at the (saturated) priors; all check messages at zero."""
-    prior = cfg.saturate(_validate(H, prior))
+    """Totals start at the (saturated) priors; all check messages at zero.
+
+    `prior` is one word (n,) or a batch (B, n); the state of a batch holds
+    the word axis last.
+    """
+    prior = _validate(H, prior)
+    ws = _Workspace(H, prior.shape[0] if prior.ndim == 2 else None)
+    ws.prior[...] = prior.T
+    cfg.saturate(ws.prior, in_place=True)
+    ws.total[...] = ws.prior
+    ws.check_msg.fill(0.0)
     return DecoderState(
-        total=prior.copy(),
-        check_msg=np.zeros(H.edges, dtype=np.float64),
-        prior=prior,
-        iteration=0,
+        total=ws.total, check_msg=ws.check_msg, prior=ws.prior, workspace=ws
     )
+
+
+def _drop_words(state: DecoderState, keep: np.ndarray) -> None:
+    """Remove the words not in `keep` from a batch state, in its buffers."""
+    ws = state.workspace
+    kept = np.flatnonzero(keep)
+    for name in ("total", "prior", "check_msg"):
+        old = getattr(state, name)
+        shape = (old.shape[0], len(kept))
+        moved = ws._flat["diff"][: shape[0] * shape[1]].reshape(shape)
+        np.take(old, kept, axis=1, out=moved)
+        ws._flat[name][: moved.size].reshape(shape)[...] = moved
+    ws.resize(len(kept))
+    state.total, state.prior, state.check_msg = ws.total, ws.prior, ws.check_msg
 
 
 def check_node_update(
@@ -187,27 +348,9 @@ def check_node_update_bruteforce(
     return cfg.saturate(out)
 
 
-def _block_check_messages(d: np.ndarray, starts: np.ndarray, degs: np.ndarray) -> np.ndarray:
-    """Vectorized two-minimum update over contiguous rows.
-
-    d holds the per-edge differences for the block, starts/degs index its
-    rows (starts[0] == 0).  Pure selection arithmetic: results match the
-    scalar scan bit for bit.
-    """
-    abs_d = np.abs(d)
-    sgn = np.where(d < 0.0, -1.0, 1.0)
-    min1 = np.minimum.reduceat(abs_d, starts)
-    pos = np.arange(len(d)) - np.repeat(starts, degs)
-    cand = np.where(abs_d == np.repeat(min1, degs), pos, len(d))
-    first_min = np.minimum.reduceat(cand, starts)
-    amin = starts + first_min
-    shadowed = abs_d.copy()
-    shadowed[amin] = np.inf
-    min2 = np.minimum.reduceat(shadowed, starts)
-    sign_row = np.multiply.reduceat(sgn, starts)
-    mag = np.repeat(min1, degs)
-    mag[amin] = min2
-    return np.repeat(sign_row, degs) * sgn * mag
+# Magnitude that fills the padding slots of short rows: no real |d| exceeds
+# it, so a row's two smallest magnitudes always come from its own edges.
+_PAD = np.finfo(np.float64).max
 
 
 def check_node_update_block(
@@ -217,29 +360,66 @@ def check_node_update_block(
     c_lo: int = 0,
     c_hi: int | None = None,
 ) -> None:
-    """Update all check nodes in [c_lo, c_hi) from the previous totals."""
-    if c_hi is None:
-        c_hi = H.m
-    e_lo, e_hi = int(H.row_ptr[c_lo]), int(H.row_ptr[c_hi])
-    d = state.total[H.edge_var[e_lo:e_hi]] - state.check_msg[e_lo:e_hi]
-    starts = (H.row_ptr[c_lo:c_hi] - e_lo).astype(np.int64)
-    degs = np.diff(H.row_ptr[c_lo : c_hi + 1])
-    state.check_msg[e_lo:e_hi] = cfg.saturate(
-        _block_check_messages(d, starts, degs)
-    )
+    """Update all check nodes in [c_lo, c_hi) from the previous totals.
+
+    Vectorized two-minimum update, for one word or every word of a batch,
+    on H's padded slot-major row layout: the k-th edges of all rows form
+    one contiguous slice, so each step over the rows is one elementwise
+    ufunc.  Pure selection arithmetic on finite values: results match the
+    scalar scan bit for bit.
+    """
+    b = state.workspace.block(c_lo, H.m if c_hi is None else c_hi)
+    d, mag, min1, min2 = b.diff, b.mag, b.min1, b.min2
+    np.take(state.total, b.var, axis=0, out=d, mode="clip")
+    np.take(state.check_msg, b.edge, axis=0, out=mag, mode="clip")
+    np.subtract(d, mag, out=d)
+    b.diff_flat[b.pads] = _PAD
+    np.less(d, 0.0, out=b.neg)
+    np.absolute(d, out=d)
+    # The two smallest magnitudes per row, counted with multiplicity: a
+    # repeated minimum is also the second minimum.
+    first, second, *rest = b.diff_slots
+    np.minimum(first, second, out=min1)
+    np.maximum(first, second, out=min2)
+    for slot in rest:
+        np.maximum(min1, slot, out=b.spare)
+        np.minimum(min2, b.spare, out=min2)
+        np.minimum(min1, slot, out=min1)
+    # A slot at the row minimum gets the second minimum, every other slot
+    # the minimum: max(min1, [|d| == min1] * min2), exact as min2 >= min1 >= 0.
+    np.equal(d, min1, out=b.is_min)
+    np.multiply(b.is_min, min2, out=mag)
+    np.maximum(mag, min1, out=mag)
+    # Sign: negative when the row's other slots hold an odd number of
+    # negative differences.
+    np.bitwise_xor.reduce(b.neg, axis=0, out=b.parity)
+    np.not_equal(b.neg, b.parity, out=b.neg)
+    np.multiply(b.neg, -2.0, out=d)
+    np.add(d, 1.0, out=d)
+    np.multiply(mag, d, out=mag)
+    msg = state.check_msg[b.edges]
+    np.take(b.mag_flat, b.back, axis=0, out=msg, mode="clip")
+    cfg.saturate(msg, in_place=True)
 
 
 def variable_node_update(
     state: DecoderState, H: ParityCheckMatrix, cfg: DecoderConfig
 ) -> None:
     """total_v = prior_v + sum of incoming check messages, saturated."""
-    incoming = np.bincount(H.edge_var, weights=state.check_msg, minlength=H.n)
-    state.total = cfg.saturate(state.prior + incoming)
+    incoming = np.bincount(
+        state.workspace.var_index, weights=state.check_msg.ravel(), minlength=state.total.size
+    )
+    np.add(state.prior, incoming.reshape(state.total.shape), out=state.total)
+    cfg.saturate(state.total, in_place=True)
 
 
 def hard_decision(state: DecoderState) -> np.ndarray:
-    """total >= 0 decides bit 0; negative totals decide bit 1."""
-    return (state.total < 0.0).astype(np.uint8)
+    """total >= 0 decides bit 0; negative totals decide bit 1.
+
+    Returns the state's bit buffer (shaped like total), which the next
+    call overwrites.
+    """
+    return np.less(state.total, 0.0, out=state.workspace.bits)
 
 
 def decode(
@@ -251,32 +431,57 @@ def decode(
 ) -> DecodeResult:
     """Flooding-schedule decode: all check nodes, all variables, decision.
 
-    Stops at the first valid syndrome when early_exit is set, else after
-    max_iter iterations.  Deterministic for identical inputs.
+    `prior` is one word (n,) or a batch (B, n); both run this one loop.
+    Stops a word at its first valid syndrome when early_exit is set (the
+    word leaves the batch), else after max_iter iterations.  Deterministic
+    for identical inputs, and each word of a batch decodes exactly as it
+    would alone.  record_messages and keep_state take one word.
     """
     cfg = cfg or DecoderConfig()
     state = init_state(H, prior, cfg)
+    batch = state.total.ndim == 2
+    if batch and (record_messages or keep_state):
+        raise ConfigurationError("record_messages and keep_state need one word, not a batch")
+    count = state.total.shape[1] if batch else 1
+    bits_out = np.zeros((count, H.n), dtype=np.uint8)
+    converged = np.zeros(count, dtype=bool)
+    word_iterations = np.zeros(count, dtype=np.int64)
+    active = np.arange(count)
     trace: list = []
-    bits = hard_decision(state)
-    converged = False
-    iterations = 0
     for j in range(1, cfg.max_iter + 1):
         check_node_update_block(state, H, cfg)
         if record_messages:
             trace.append(state.check_msg.copy())
         variable_node_update(state, H, cfg)
         state.iteration = j
-        iterations = j
         bits = hard_decision(state)
-        converged = syndrome_ok(H, bits)
-        if cfg.early_exit and converged:
-            break
+        ok = np.atleast_1d(syndrome_ok(H, bits.T, state.workspace.syndrome))
+        done = ok if cfg.early_exit else np.zeros_like(ok)
+        if j == cfg.max_iter:
+            done = np.ones_like(ok)
+        if done.any():
+            finished = active[done]
+            bits_out[finished] = bits.reshape(H.n, -1).T[done]
+            converged[finished] = ok[done]
+            word_iterations[finished] = j
+            if done.all():
+                break
+            active = active[~done]
+            _drop_words(state, ~done)
+    if batch:
+        return DecodeResult(
+            bits=bits_out,
+            converged=converged,
+            iterations_used=int(word_iterations.sum()),
+            word_iterations=word_iterations,
+        )
     return DecodeResult(
-        bits=bits,
-        converged=converged,
-        iterations_used=iterations,
+        bits=bits_out[0],
+        converged=bool(converged[0]),
+        iterations_used=int(word_iterations[0]),
         final_state=state if keep_state else None,
         message_trace=trace,
+        word_iterations=word_iterations[0],
     )
 
 
@@ -295,7 +500,10 @@ def decode_minsum_reference(
     clamping is off.
     """
     cfg = cfg or DecoderConfig()
-    prior = cfg.saturate(_validate(H, prior)).copy()
+    prior = _validate(H, prior)
+    if prior.ndim != 1:
+        raise LengthMismatch(f"the reference decodes one word, got shape {prior.shape}")
+    prior = cfg.saturate(prior).copy()
     E = H.edges
     q = prior[H.edge_var].copy()
     r = np.zeros(E, dtype=np.float64)

@@ -36,7 +36,7 @@ from ..decoder import (
     variable_node_update,
     worst_case_config,
 )
-from ..errors import DegenerateCostModel, NoFeasiblePoint
+from ..errors import DegenerateCostModel, LengthMismatch, NoFeasiblePoint
 from ..partition import Partition, make_partition, plan_messages
 from ..partition import attach_edge_counts  # noqa: F401  (bench/tracer.py wraps it here)
 
@@ -283,6 +283,12 @@ def _report(
     )
 
 
+def _require_one_word(prior: np.ndarray) -> None:
+    # The reports price one word's iterations against H.n bits.
+    if np.ndim(prior) != 1:
+        raise LengthMismatch(f"the simulators decode one word, got shape {np.shape(prior)}")
+
+
 def simulate_sequential(
     H: ParityCheckMatrix,
     prior: np.ndarray,
@@ -290,7 +296,9 @@ def simulate_sequential(
     cm: CostModel,
     worst_case: bool = False,
 ) -> tuple[DecodeResult, SimReport]:
-    """Single-PE run: decode as usual and price every executed iteration."""
+    """Single-PE run: decode one word as usual and price every executed
+    iteration."""
+    _require_one_word(prior)
     eff = worst_case_config(cfg) if worst_case else cfg
     result = decode(H, prior, eff)
     per_iter = sequential_iteration_cycles(H.edges, cm)
@@ -316,8 +324,9 @@ def simulate_parallel(
 
     The decode genuinely iterates per-slave check blocks before the
     master's variable update, so equivalence with the sequential path is
-    an executed property, not an assumption.
+    an executed property, not an assumption.  Decodes one word.
     """
+    _require_one_word(prior)
     geometry = _scenario_geometry(H, p, placement)
     eff = worst_case_config(cfg) if worst_case else cfg
 

@@ -38,6 +38,17 @@ class TestTransmit:
         s = modulate(np.zeros(100, dtype=np.uint8))
         assert np.array_equal(transmit(s, cfg), transmit(s, cfg))
 
+    def test_batch_draw_equals_successive_words(self):
+        # ber_sweep's batches must consume the stream exactly as words
+        # drawn one at a time, so its BER rows do not depend on batching.
+        cfg = ChannelConfig(ebno_db=1.0, rate=0.5)
+        s = modulate(np.zeros(50, dtype=np.uint8))
+        batch = transmit(np.broadcast_to(s, (7, 50)), cfg, rng=np.random.default_rng([3, 1]))
+        rng = np.random.default_rng([3, 1])
+        one_by_one = np.stack([transmit(s, cfg, rng=rng) for _ in range(7)])
+        assert batch.shape == (7, 50)
+        assert np.array_equal(batch, one_by_one)
+
     def test_different_seeds_differ(self):
         s = modulate(np.zeros(100, dtype=np.uint8))
         a = transmit(s, ChannelConfig(ebno_db=2.0, rate=0.5, seed=1))

@@ -5,7 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from ldpcsim.cli import main, uncoded_bpsk_ber
+import numpy as np
+
+from ldpcsim.channel import ChannelConfig, llr_init, modulate, transmit
+from ldpcsim.cli import BER_BATCH, ber_batch_width, ber_sweep, main, uncoded_bpsk_ber
+from ldpcsim.code import CodeInfo, ParityCheckMatrix, generate_regular
+from ldpcsim.decoder import DecoderConfig, decode
 from ldpcsim.code import load_alist
 
 from conftest import DATA
@@ -113,11 +118,14 @@ class TestBer:
                    "--min-bits", "10000", "--seed", "2"])
         assert rc == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "ebno_db,bits,errors,ber,avg_iters"
+        assert lines[0] == "ebno_db,bits,errors,ber,avg_iters,frame_errors"
         rows = [line.split(",") for line in lines[1:]]
         assert len(rows) == 2
         assert all(int(r[1]) >= 10000 for r in rows)
         assert float(rows[1][3]) < float(rows[0][3])
+        # a word with errors has at least one: frames <= bit errors, <= words
+        assert all(int(r[5]) <= min(int(r[2]), int(r[1]) // 504) for r in rows)
+        assert int(rows[0][5]) > 0
 
     def test_uncoded_reference_value(self):
         # Q(sqrt(2*Eb/N0)) at 3 dB, from the closed form.
@@ -130,6 +138,89 @@ class TestBer:
                          "--min-bits", "10000", "--seed", "9"]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+
+def ber_rows_one_word_at_a_time(H, ebno_list, min_bits, seed, cfg):
+    """ber_sweep's rows as a loop decoding one word per `decode` call."""
+    rows = []
+    symbols = modulate(np.zeros(H.n, dtype=np.uint8))
+    for idx, ebno in enumerate(ebno_list):
+        ch = ChannelConfig(ebno_db=ebno, rate=CodeInfo.from_matrix(H).rate, seed=seed)
+        rng = np.random.default_rng([seed, idx])
+        bits = errors = frames = iters = words = 0
+        while bits < min_bits:
+            result = decode(H, llr_init(transmit(symbols, ch, rng=rng), ch), cfg)
+            bits += H.n
+            errors += int(result.bits.sum())
+            frames += int(result.bits.any())
+            iters += result.iterations_used
+            words += 1
+        rows.append({"ebno_db": ebno, "bits": bits, "errors": errors,
+                     "ber": errors / bits, "avg_iters": iters / words,
+                     "frame_errors": frames})
+    return rows
+
+
+class TestBerSweep:
+    def test_stream_pinned_to_golden_rows(self, fixture252):
+        # The rows bench/golden.json holds for seed 1: any change to the
+        # rng stream, the batching or the decoder's arithmetic shows here.
+        rows = ber_sweep(fixture252, [1.0, 2.0], 100_000, seed=1)
+        assert [(r["bits"], r["errors"], r["avg_iters"]) for r in rows] == [
+            (100296, 10479, 28.160804020100503),
+            (100296, 1791, 15.291457286432161),
+        ]
+
+    @pytest.mark.parametrize(
+        "min_bits",
+        [
+            (2 * BER_BATCH + 1) * 504 - 7,  # ceil gives 2 full batches + 1 word
+            2_000,  # 4 words: a single batch shorter than BER_BATCH
+        ],
+    )
+    def test_batches_match_one_word_at_a_time(self, fixture252, monkeypatch, min_bits):
+        cfg = DecoderConfig(max_iter=12)
+        expected = ber_rows_one_word_at_a_time(fixture252, [1.5, 3.0], min_bits, 4, cfg)
+        decoded = []
+
+        def counting_decode(H, prior, cfg):
+            decoded.append(len(prior))
+            return decode(H, prior, cfg)
+
+        monkeypatch.setattr("ldpcsim.cli.decode", counting_decode)
+        rows = ber_sweep(fixture252, [1.5, 3.0], min_bits, 4, cfg)
+        words = -(-min_bits // 504)
+        assert rows == expected
+        assert sum(decoded) == 2 * words
+        assert max(decoded) <= BER_BATCH
+        assert all(r["bits"] == words * 504 for r in rows)
+
+    @pytest.mark.parametrize("m,degree,width", [
+        (252, 6, BER_BATCH),  # the 504-bit (3,6) code's 1,512 slots
+        (504, 6, 8),  # twice the slots, half the words
+        (4032, 6, 1),  # 24,192 slots: one word at a time
+        (10080, 6, 1),  # the 20160-bit (3,6) code
+    ])
+    def test_batch_width_scales_with_row_slots(self, m, degree, width):
+        H = ParityCheckMatrix(
+            [list(range(degree * c, degree * (c + 1))) for c in range(m)], degree * m
+        )
+        assert H.slots.var.size == m * degree
+        assert ber_batch_width(H) == width
+
+    def test_longer_code_decodes_narrower_batches(self, monkeypatch):
+        H = generate_regular(1008, 3, 6, seed=2)
+        cfg = DecoderConfig(max_iter=8)
+        expected = ber_rows_one_word_at_a_time(H, [2.5], 20 * 1008, 5, cfg)
+        decoded = []
+
+        def counting_decode(H, prior, cfg):
+            decoded.append(len(prior))
+            return decode(H, prior, cfg)
+
+        monkeypatch.setattr("ldpcsim.cli.decode", counting_decode)
+        assert ber_sweep(H, [2.5], 20 * 1008, 5, cfg) == expected
+        assert decoded == [8, 8, 4]
 
 
 class TestScale:

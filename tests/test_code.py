@@ -206,6 +206,40 @@ class TestSyndrome:
             for b in hamming_codewords:
                 assert syndrome_ok(hamming74, np.bitwise_xor(a, b))
 
+    def test_batch_gives_one_verdict_per_word(self, hamming74):
+        # All 128 words of length 7 in one batch, against each word alone.
+        words = np.array(list(itertools.product((0, 1), repeat=7)), dtype=np.uint8)
+        verdicts = syndrome_ok(hamming74, words)
+        assert verdicts.shape == (128,)
+        assert verdicts.tolist() == [syndrome_ok(hamming74, w) for w in words]
+        assert verdicts.sum() == 16
+
+    def test_rows_of_unequal_degree(self):
+        # Short rows are padded to the longest; padding must not count.
+        H = ParityCheckMatrix([[0, 1], [1, 2, 3, 4], [0, 4, 2]], 5)
+        words = np.array(list(itertools.product((0, 1), repeat=5)), dtype=np.uint8)
+        expected = [
+            all(sum(int(w[v]) for v in row) % 2 == 0 for row in H.row_adj)
+            for w in words
+        ]
+        assert syndrome_ok(H, words).tolist() == expected
+        assert [syndrome_ok(H, w) for w in words] == expected
+
+    def test_scratch_gives_the_same_verdicts(self):
+        # A scratch left dirty by earlier use (padding slots included) must
+        # not change a verdict.
+        H = ParityCheckMatrix([[0, 1], [1, 2, 3, 4], [0, 4, 2]], 5)
+        words = np.array(list(itertools.product((0, 1), repeat=5)), dtype=np.uint8)
+        scratch = np.ones((5, 3, 32), dtype=np.uint8)
+        assert np.array_equal(syndrome_ok(H, words, scratch), syndrome_ok(H, words))
+        one = np.ones((5, 3), dtype=np.uint8)
+        assert [syndrome_ok(H, w, one) for w in words] == [syndrome_ok(H, w) for w in words]
+
+    @pytest.mark.parametrize("shape", [(3, 6), (3, 8), (2, 3, 7), (7, 3)])
+    def test_batch_of_wrong_shape(self, hamming74, shape):
+        with pytest.raises(LengthMismatch):
+            syndrome_ok(hamming74, np.zeros(shape, dtype=np.uint8))
+
 
 class TestCodeInfo:
     def test_rate_and_assumption_flag(self, fixture252):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ldpcsim.code import ParityCheckMatrix, generate_regular, syndrome_ok
 from ldpcsim.decoder import (
@@ -19,6 +21,16 @@ from ldpcsim.errors import ConfigurationError, LengthMismatch
 from conftest import SMALL_REGULAR_PARAMS, noisy_prior
 
 NO_CLAMP = DecoderConfig(clamp=None)
+
+
+def irregular_code(m, n, seed):
+    """Random code whose rows have unequal degrees (2 to 7)."""
+    rng = np.random.default_rng(seed)
+    rows = [rng.choice(n, size=int(rng.integers(2, 8)), replace=False) for _ in range(m)]
+    for v in set(range(n)) - {int(v) for r in rows for v in r}:
+        c = int(rng.integers(m))
+        rows[c] = np.append(rows[c], v)
+    return ParityCheckMatrix([sorted({int(v) for v in r}) for r in rows], n)
 
 
 def state_with_differences(values):
@@ -75,6 +87,29 @@ class TestCheckNodeUpdate:
         for c in range(H.m):
             check_node_update(s2, c, H, NO_CLAMP)
         assert s1.check_msg.tolist() == s2.check_msg.tolist()
+
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_block_kernel_on_rows_of_unequal_degree(self, seed):
+        # Short rows are padded to the longest one; the padding must never
+        # win a minimum or flip a sign, in the whole matrix or in a block.
+        rng = np.random.default_rng(200 + seed)
+        H = irregular_code(18, 30, seed)
+        assert len(set(H.row_degrees().tolist())) > 1
+        for cfg in (NO_CLAMP, DecoderConfig(clamp=2.0), DecoderConfig(arithmetic=QFormat(6, 2))):
+            prior = rng.normal(0, 3, H.n)
+            msgs = rng.normal(0, 1, H.edges)
+            msgs[::5] = 0.0  # ties and zero differences
+            whole, blocks, scalar = (init_state(H, prior, cfg) for _ in range(3))
+            for s in (whole, blocks, scalar):
+                s.check_msg[...] = msgs
+            check_node_update_block(whole, H, cfg)
+            for lo, hi in ((0, 5), (5, 6), (6, 18)):
+                check_node_update_block(blocks, H, cfg, lo, hi)
+            for c in range(H.m):
+                check_node_update(scalar, c, H, cfg)
+            assert whole.check_msg.tolist() == scalar.check_msg.tolist()
+            assert blocks.check_msg.tolist() == scalar.check_msg.tolist()
 
 
 class TestInitState:
@@ -206,6 +241,82 @@ class TestDecode:
             decode(H, np.zeros(2))
 
 
+# Arithmetic settings the batch property covers.
+BATCH_ARITHMETIC = [
+    {"clamp": 64.0},
+    {"clamp": None},
+    {"arithmetic": QFormat(8, 4)},
+    {"arithmetic": QFormat(5, 1)},
+]
+
+
+@pytest.fixture(scope="module")
+def batch_codes(fixture252):
+    codes = [generate_regular(n, wc, wr, seed=n + wc) for n, wc, wr in SMALL_REGULAR_PARAMS]
+    return codes + [irregular_code(10, 16, 1), fixture252]
+
+
+class TestBatchDecode:
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        code=st.integers(0, len(SMALL_REGULAR_PARAMS) + 1),
+        arithmetic=st.sampled_from(BATCH_ARITHMETIC),
+        early_exit=st.booleans(),
+        words=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_each_row_decodes_as_alone(self, batch_codes, code, arithmetic,
+                                       early_exit, words, seed):
+        H = batch_codes[code]
+        cfg = DecoderConfig(max_iter=20, early_exit=early_exit, **arithmetic)
+        rng = np.random.default_rng(seed)
+        # Per-word signal strength, so words converge at different iterations
+        # and leave the batch at different times.
+        strength = rng.uniform(0.2, 3.0, size=(words, 1))
+        prior = strength + rng.normal(0.0, 1.5, size=(words, H.n))
+        batch = decode(H, prior, cfg)
+        assert batch.bits.shape == (words, H.n) and batch.bits.dtype == np.uint8
+        assert batch.converged.shape == batch.word_iterations.shape == (words,)
+        assert batch.iterations_used == int(batch.word_iterations.sum())
+        assert isinstance(batch.iterations_used, int)
+        for w in range(words):
+            alone = decode(H, prior[w], cfg)
+            assert np.array_equal(batch.bits[w], alone.bits)
+            assert bool(batch.converged[w]) == alone.converged
+            assert int(batch.word_iterations[w]) == alone.iterations_used
+        verdicts = syndrome_ok(H, batch.bits)
+        assert verdicts.tolist() == [syndrome_ok(H, b) for b in batch.bits]
+
+    def test_one_word_batch_keeps_batch_shapes(self, fixture252):
+        prior = noisy_prior(fixture252, ebno_db=2.0, seed=3)
+        one = decode(fixture252, prior[None, :])
+        alone = decode(fixture252, prior)
+        assert one.bits.shape == (1, 504) and one.converged.shape == (1,)
+        assert np.array_equal(one.bits[0], alone.bits)
+        assert one.iterations_used == alone.iterations_used == int(alone.word_iterations)
+
+    @pytest.mark.parametrize("shape", [(2, 8), (2, 6), (2, 3, 7), (0, 7)])
+    def test_prior_of_wrong_shape(self, hamming74, shape):
+        with pytest.raises(LengthMismatch):
+            decode(hamming74, np.zeros(shape))
+
+    def test_non_finite_prior_in_one_word(self, hamming74):
+        prior = np.ones((3, 7))
+        prior[1, 4] = np.nan
+        with pytest.raises(ValueError):
+            decode(hamming74, prior)
+
+    @pytest.mark.parametrize("flag", ["record_messages", "keep_state"])
+    def test_one_word_options_refuse_a_batch(self, hamming74, flag):
+        with pytest.raises(ConfigurationError):
+            decode(hamming74, np.ones((2, 7)), **{flag: True})
+
+    def test_reference_refuses_a_batch(self, hamming74):
+        with pytest.raises(LengthMismatch):
+            decode_minsum_reference(hamming74, np.ones((2, 7)))
+
+
 class TestMinsumReference:
     @pytest.mark.parametrize("n,wc,wr", SMALL_REGULAR_PARAMS[:5])
     def test_per_iteration_message_equivalence(self, n, wc, wr):
@@ -216,6 +327,17 @@ class TestMinsumReference:
         reduced = decode(H, prior, cfg, record_messages=True)
         ref = decode_minsum_reference(H, prior, cfg, record_messages=True)
         assert len(reduced.message_trace) == len(ref.message_trace) == 10
+        for ours, theirs in zip(reduced.message_trace, ref.message_trace):
+            assert np.max(np.abs(ours - theirs)) < 1e-9
+        assert np.array_equal(reduced.bits, ref.bits)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rows_of_unequal_degree(self, seed):
+        H = irregular_code(12, 20, seed)
+        prior = np.random.default_rng(seed).normal(0.5, 2, H.n)
+        cfg = DecoderConfig(max_iter=8, early_exit=False, clamp=None)
+        reduced = decode(H, prior, cfg, record_messages=True)
+        ref = decode_minsum_reference(H, prior, cfg, record_messages=True)
         for ours, theirs in zip(reduced.message_trace, ref.message_trace):
             assert np.max(np.abs(ours - theirs)) < 1e-9
         assert np.array_equal(reduced.bits, ref.bits)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ldpcsim.decoder import DecoderConfig, decode
-from ldpcsim.errors import DegenerateCostModel, NoFeasiblePoint
+from ldpcsim.errors import DegenerateCostModel, LengthMismatch, NoFeasiblePoint
 from ldpcsim.parsim.model import (
     DEFAULT_SPEEDUP_TARGETS,
     CalibrationWarning,
@@ -98,7 +98,24 @@ class TestSequentialAccounting:
             assert direct.iterations_used == via_sim.iterations_used == report.iterations
 
 
+    def test_refuses_a_batch(self, fixture252):
+        # The report prices one word: a (B, n) prior is an error, not B words
+        # priced as one.
+        prior = np.stack([noisy_prior(fixture252, ebno_db=3.0, seed=s) for s in (0, 1)])
+        with pytest.raises(LengthMismatch):
+            simulate_sequential(fixture252, prior, DecoderConfig(), CostModel())
+
+
 class TestParallelSimulation:
+    @pytest.mark.parametrize("words", [2, 504])
+    def test_refuses_a_batch(self, fixture252, words):
+        # words == n would otherwise pass the codeword shape check.
+        prior = np.ones((words, 504))
+        with pytest.raises(LengthMismatch):
+            simulate_parallel(
+                fixture252, prior, DecoderConfig(), make_partition(252, 2), CostModel()
+            )
+
     def test_bit_exact_equivalence_small_sweep(self, fixture252):
         cfg = DecoderConfig()
         cm = CostModel()
