@@ -16,7 +16,6 @@ from .decoder import (
     DecoderConfig,
     DecoderState,
     QFormat,
-    check_node_update,
     decode,
     decode_minsum_reference,
     hard_decision,
@@ -41,7 +40,6 @@ __all__ = [
     "ParityCheckMatrix",
     "Partition",
     "QFormat",
-    "check_node_update",
     "decode",
     "decode_minsum_reference",
     "generate_regular",

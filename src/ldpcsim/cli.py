@@ -168,6 +168,8 @@ def ber_sweep(
     a time.
     frame_errors counts the words with at least one wrong bit.
     """
+    if min_bits < 1:
+        raise ValueError(f"min_bits must be >= 1, got {min_bits}")
     cfg = cfg or DecoderConfig()
     rate = CodeInfo.from_matrix(H).rate
     rows = []
@@ -227,8 +229,16 @@ def scale_rows(
     reps: int,
     placements: dict[int, MeshPlacement] | None = None,
 ) -> tuple[list[dict], list]:
-    """One row per requested scenario; non-divisible or failed scenarios
-    are reported as skipped with the reason."""
+    """The scenario sweep: one row per requested processor count, plus
+    the reports (baseline first, then each scenario that ran, with its
+    speedup over the baseline).
+
+    `mode` picks the executor pair: "costmodel" prices the decode with
+    `simulate_sequential`/`simulate_parallel`, any other mode times live
+    workers with `run_sequential_baseline`/`run_parallel_workers`.
+    Non-divisible or failed scenarios are reported as skipped with the
+    reason.
+    """
     placements = placements or {}
     if mode == "costmodel":
         _, base = simulate_sequential(H, prior, cfg, cm, worst_case=worst_case)

@@ -25,10 +25,14 @@ degree and stored slot-major (`ParityCheckMatrix.slots`), where each
 per-row reduction is one elementwise ufunc per slot.
 
 The classic min-sum decoder with explicit variable-to-check messages is
-kept as `decode_minsum_reference`, an independent cross-check.
+kept as `decode_minsum_reference`, an independent cross-check.  Its check
+update is `check_row_oracle`, the literal product/min over each exclusion
+set of one row, which the tests also hold both two-minimum kernels to.
 
 Arithmetic is float64 with a configurable saturating clamp, or a
-saturating Q-format fixed-point grid for platforms without an FPU.
+saturating Q-format fixed-point grid for platforms without an FPU.  One
+rule, `saturate`, implements both for every path: the array decoder, the
+reference and the scalar worker kernel.
 """
 
 from __future__ import annotations
@@ -91,21 +95,35 @@ class DecoderConfig:
             raise ConfigurationError(f"unknown arithmetic {self.arithmetic!r}")
 
     @property
+    def qformat(self) -> QFormat | None:
+        """The fixed-point grid, or None in float64 mode."""
+        return self.arithmetic if isinstance(self.arithmetic, QFormat) else None
+
+    @property
     def effective_clamp(self) -> float | None:
-        if isinstance(self.arithmetic, QFormat):
-            return self.arithmetic.max_value
-        return self.clamp
+        return self.clamp if self.qformat is None else self.qformat.max_value
 
     def saturate(self, x: np.ndarray, in_place: bool = False) -> np.ndarray:
-        """Clamp (and, in fixed-point mode, grid-quantize) an array, into
-        `x` itself when in_place.  Without a clamp `x` is returned as is."""
-        out = x if in_place else None
-        if isinstance(self.arithmetic, QFormat):
-            return self.arithmetic.quantize(x, out)
-        if self.clamp is None:
-            return x
-        out = np.maximum(x, -self.clamp, out=out)
-        return np.minimum(out, self.clamp, out=out)
+        """`saturate` under this configuration's clamp and arithmetic."""
+        return saturate(x, self.clamp, self.qformat, in_place)
+
+
+def saturate(
+    x: np.ndarray, clamp: float | None, qformat: QFormat | None, in_place: bool = False
+) -> np.ndarray:
+    """The saturation rule of every decoder path, into `x` itself when in_place.
+
+    With a Q-format, x is rounded onto its grid (ties to even) and
+    saturated at +-qformat.max_value, whatever the clamp; otherwise it is
+    clamped to +-clamp, and returned as is when clamp is None.
+    """
+    out = x if in_place else None
+    if qformat is not None:
+        return qformat.quantize(x, out)
+    if clamp is None:
+        return x
+    out = np.maximum(x, -clamp, out=out)
+    return np.minimum(out, clamp, out=out)
 
 
 @dataclass
@@ -292,60 +310,25 @@ def _drop_words(state: DecoderState, keep: np.ndarray) -> None:
     state.total, state.prior, state.check_msg = ws.total, ws.prior, ws.check_msg
 
 
-def check_node_update(
-    state: DecoderState, c: int, H: ParityCheckMatrix, cfg: DecoderConfig
-) -> np.ndarray:
-    """Recompute the outgoing messages of one check node (two-minimum scan).
+def check_row_oracle(d) -> list[float]:
+    """Messages of one check row from its edge differences d, unsaturated.
 
-    Tracks the smallest and second-smallest |d| plus the running sign
-    product in one pass; sign(0) counts as +1.  Updates state in place and
-    returns the new messages in adjacency order.
+    Literal product/min over each exclusion set: message i is the product
+    of sign(d_j) (sign(0) counts as +1) times the smallest |d_j| over
+    j != i.  O(deg^2) plain loops sharing no code with the two-minimum
+    kernels; the check update of `decode_minsum_reference`.
     """
-    lo, hi = int(H.row_ptr[c]), int(H.row_ptr[c + 1])
-    min1 = np.inf
-    min2 = np.inf
-    argmin = -1
-    sign_all = 1.0
-    d = []
-    for i, e in enumerate(range(lo, hi)):
-        dv = state.total[H.edge_var[e]] - state.check_msg[e]
-        d.append(dv)
-        s = -1.0 if dv < 0 else 1.0
-        sign_all *= s
-        a = abs(dv)
-        if a < min1:
-            min2 = min1
-            min1 = a
-            argmin = i
-        elif a < min2:
-            min2 = a
-    out = np.empty(hi - lo, dtype=np.float64)
-    for i in range(hi - lo):
-        s = -1.0 if d[i] < 0 else 1.0
-        mag = min2 if i == argmin else min1
-        out[i] = sign_all * s * mag
-    out = cfg.saturate(out)
-    state.check_msg[lo:hi] = out
-    return out
-
-
-def check_node_update_bruteforce(
-    state: DecoderState, c: int, H: ParityCheckMatrix, cfg: DecoderConfig
-) -> np.ndarray:
-    """Literal product/min over each exclusion set; O(deg^2) oracle."""
-    lo, hi = int(H.row_ptr[c]), int(H.row_ptr[c + 1])
-    d = [state.total[H.edge_var[e]] - state.check_msg[e] for e in range(lo, hi)]
-    out = np.empty(hi - lo, dtype=np.float64)
+    out = []
     for i in range(len(d)):
         sign = 1.0
-        mag = np.inf
+        mag = math.inf
         for j, dv in enumerate(d):
             if j == i:
                 continue
             sign *= -1.0 if dv < 0 else 1.0
             mag = min(mag, abs(dv))
-        out[i] = sign * mag
-    return cfg.saturate(out)
+        out.append(sign * mag)
+    return out
 
 
 # Magnitude that fills the padding slots of short rows: no real |d| exceeds
@@ -366,7 +349,7 @@ def check_node_update_block(
     on H's padded slot-major row layout: the k-th edges of all rows form
     one contiguous slice, so each step over the rows is one elementwise
     ufunc.  Pure selection arithmetic on finite values: results match the
-    scalar scan bit for bit.
+    scalar kernel `parsim.workers.check_block_messages` bit for bit.
     """
     b = state.workspace.block(c_lo, H.m if c_hi is None else c_hi)
     d, mag, min1, min2 = b.diff, b.mag, b.min1, b.min2
@@ -514,15 +497,7 @@ def decode_minsum_reference(
     for it in range(1, cfg.max_iter + 1):
         for c in range(H.m):
             lo, hi = int(H.row_ptr[c]), int(H.row_ptr[c + 1])
-            for i in range(lo, hi):
-                sign = 1.0
-                mag = np.inf
-                for j in range(lo, hi):
-                    if j == i:
-                        continue
-                    sign *= -1.0 if q[j] < 0 else 1.0
-                    mag = min(mag, abs(q[j]))
-                r[i] = sign * mag
+            r[lo:hi] = check_row_oracle(q[lo:hi])
         r = cfg.saturate(r)
         if record_messages:
             trace.append(r.copy())

@@ -11,14 +11,12 @@ from .model import (
     modeled_speedups,
     parallel_iteration_cost,
     plot_csv,
-    scale_sweep,
     sequential_iteration_cycles,
     simulate_parallel,
     simulate_sequential,
 )
 from .workers import (
     WORKER_CAP_ENV,
-    benchmark_sweep,
     run_parallel_workers,
     run_sequential_baseline,
 )
@@ -31,14 +29,12 @@ __all__ = [
     "MeshPlacement",
     "SimReport",
     "WORKER_CAP_ENV",
-    "benchmark_sweep",
     "calibrate",
     "modeled_speedups",
     "parallel_iteration_cost",
     "plot_csv",
     "run_parallel_workers",
     "run_sequential_baseline",
-    "scale_sweep",
     "sequential_iteration_cycles",
     "simulate_parallel",
     "simulate_sequential",

@@ -362,26 +362,6 @@ def simulate_parallel(
     return result, report
 
 
-def scale_sweep(
-    H: ParityCheckMatrix,
-    prior: np.ndarray,
-    cfg: DecoderConfig,
-    cm: CostModel,
-    slave_counts: list[int],
-    worst_case: bool = True,
-) -> list[SimReport]:
-    """Sequential baseline plus one parallel scenario per slave count,
-    with speedups filled in relative to the baseline."""
-    _, base = simulate_sequential(H, prior, cfg, cm, worst_case=worst_case)
-    reports = [base]
-    for s in slave_counts:
-        part = make_partition(H.m, s)
-        _, rep = simulate_parallel(H, prior, cfg, part, cm, worst_case=worst_case)
-        rep.speedup = base.time_seconds / rep.time_seconds
-        reports.append(rep)
-    return reports
-
-
 def _speedups(edges: int, geometries: list[tuple], cm: CostModel) -> list[float]:
     """Closed-form speedup of each scenario geometry under cm."""
     seq = sequential_iteration_cycles(edges, cm)

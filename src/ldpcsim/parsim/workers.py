@@ -11,7 +11,9 @@ Both the parallel run and its sequential baseline use the same
 interpreter-level scalar kernel (plain Python floats, identical operation
 order to the array decoder), so wall-clock compute scales with edge count
 rather than with array-dispatch overhead, and speedups compare like with
-like.  Outputs are bit-identical to `decoder.decode`.
+like.  Each finished list (a block of check messages, the totals) is
+saturated in one call to the decoder's own rule, `decoder.saturate`.
+Outputs are bit-identical to `decoder.decode`.
 
 Wire payloads go through the 128-byte packetizer with 8-byte words in
 float mode (4-byte Q-format integers in fixed-point mode) so that
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..code import ParityCheckMatrix
-from ..decoder import DecodeResult, DecoderConfig, QFormat, worst_case_config
+from ..decoder import DecodeResult, DecoderConfig, QFormat, saturate, worst_case_config
 from ..errors import WorkerError
 from ..partition import (
     PACKET_BYTES,
@@ -53,36 +55,11 @@ _QUIT = b"Q"
 _FAILURE = b"E"
 
 
-def _sat_params(cfg: DecoderConfig):
-    """(clamp, qformat) pair driving the scalar saturation."""
-    if isinstance(cfg.arithmetic, QFormat):
-        return None, cfg.arithmetic
-    return cfg.clamp, None
-
-
-def _saturate_scalar(x: float, clamp: float | None, qf: QFormat | None) -> float:
-    if qf is not None:
-        scale = float(2**qf.frac_bits)
-        top = 2 ** (qf.total_bits - 1) - 1
-        i = round(x * scale)
-        if i > top:
-            i = top
-        elif i < -top:
-            i = -top
-        return i / scale
-    if clamp is None:
-        return x
-    if x > clamp:
-        return clamp
-    if x < -clamp:
-        return -clamp
-    return x
-
-
 def check_block_messages(
     d: list[float], degs: list[int], clamp: float | None, qf: QFormat | None
 ) -> list[float]:
-    """Two-minimum update for a flat difference block segmented by degs."""
+    """Two-minimum update for a flat difference block segmented by degs,
+    saturated under (clamp, qf) by `decoder.saturate`."""
     out: list[float] = []
     pos = 0
     for deg in degs:
@@ -104,8 +81,8 @@ def check_block_messages(
         for i, dv in enumerate(seg):
             s = -1.0 if dv < 0 else 1.0
             mag = min2 if i == argmin else min1
-            out.append(_saturate_scalar(sign_all * s * mag, clamp, qf))
-    return out
+            out.append(sign_all * s * mag)
+    return saturate(np.array(out), clamp, qf, in_place=True).tolist()
 
 
 @dataclass
@@ -138,9 +115,7 @@ def _scalar_iteration_tail(
     incoming = [0.0] * g.n
     for e, v in enumerate(g.edge_var):
         incoming[v] += msg[e]
-    total = [
-        _saturate_scalar(p + inc, clamp, qf) for p, inc in zip(prior, incoming)
-    ]
+    total = saturate(np.add(prior, incoming), clamp, qf, in_place=True).tolist()
     bits = [1 if t < 0 else 0 for t in total]
     ok = True
     e = 0
@@ -158,7 +133,7 @@ def _scalar_decode(
     g: _Graph, prior: list[float], cfg: DecoderConfig
 ) -> tuple[list[int], bool, int]:
     """Whole-code scalar decode; the sequential benchmark workload."""
-    clamp, qf = _sat_params(cfg)
+    clamp, qf = cfg.clamp, cfg.qformat
     total = list(prior)
     msg = [0.0] * len(g.edge_var)
     bits = [1 if t < 0 else 0 for t in total]
@@ -250,12 +225,6 @@ def _worker_cap() -> int | None:
         raise WorkerError(f"{WORKER_CAP_ENV}={raw!r} is not an integer")
 
 
-def _wire_format(cfg: DecoderConfig):
-    if isinstance(cfg.arithmetic, QFormat):
-        return 4, cfg.arithmetic
-    return 8, None
-
-
 def run_sequential_baseline(
     H: ParityCheckMatrix,
     prior: np.ndarray,
@@ -321,8 +290,8 @@ def run_parallel_workers(
             f"{p.num_slaves} workers exceed {WORKER_CAP_ENV}={cap}"
         )
     eff = worst_case_config(cfg) if worst_case else cfg
-    clamp, qf = _sat_params(eff)
-    word_bytes, wire_qf = _wire_format(eff)
+    clamp, qf = eff.clamp, eff.qformat
+    word_bytes = 8 if qf is None else 4
     g = _Graph.of(H)
     pr = [float(x) for x in eff.saturate(np.asarray(prior, dtype=np.float64))]
     slices = list(zip(p.edge_bounds, p.edge_bounds[1:]))
@@ -336,7 +305,7 @@ def run_parallel_workers(
             parent, child = ctx.Pipe(duplex=True)
             proc = ctx.Process(
                 target=_slave_loop,
-                args=(child, block_degs[s], word_bytes, wire_qf, clamp),
+                args=(child, block_degs[s], word_bytes, qf, clamp),
                 daemon=True,
             )
             proc.start()
@@ -361,7 +330,7 @@ def run_parallel_workers(
                 for chan, (lo, hi) in zip(chans, slices):
                     d = [total[g.edge_var[e]] - msg[e] for e in range(lo, hi)]
                     frame = _DATA + _join_packets(
-                        pack_llrs(d, word_bytes=word_bytes, qformat=wire_qf)
+                        pack_llrs(d, word_bytes=word_bytes, qformat=qf)
                     )
                     tsend = time.perf_counter()
                     t_compute_total += tsend - tmark
@@ -377,7 +346,7 @@ def run_parallel_workers(
                     if not reply.startswith(_RESULT):
                         raise WorkerError(f"unexpected frame {reply[:1]!r}")
                     msg[lo:hi] = unpack_llrs(
-                        _split_packets(reply[1:]), word_bytes=word_bytes, qformat=wire_qf
+                        _split_packets(reply[1:]), word_bytes=word_bytes, qformat=qf
                     )
                 total, bits, converged = _scalar_iteration_tail(g, pr, msg, clamp, qf)
                 iterations = it
@@ -414,25 +383,3 @@ def run_parallel_workers(
     )
     return result, report
 
-
-def benchmark_sweep(
-    H: ParityCheckMatrix,
-    prior: np.ndarray,
-    cfg: DecoderConfig,
-    slave_counts: list[int],
-    reps: int = 100,
-    worst_case: bool = True,
-) -> list[SimReport]:
-    """Baseline plus one worker scenario per slave count, with speedups."""
-    from ..partition import make_partition
-
-    _, base = run_sequential_baseline(H, prior, cfg, reps=reps, worst_case=worst_case)
-    reports = [base]
-    for s in slave_counts:
-        part = make_partition(H.m, s)
-        _, rep = run_parallel_workers(
-            H, prior, cfg, part, reps=reps, worst_case=worst_case
-        )
-        rep.speedup = base.time_seconds / rep.time_seconds
-        reports.append(rep)
-    return reports

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from ldpcsim.cli import ber_sweep, uncoded_bpsk_ber
+from ldpcsim.cli import ber_sweep, scale_rows, uncoded_bpsk_ber
 from ldpcsim.code import generate_regular
 from ldpcsim.decoder import DecoderConfig, decode, decode_minsum_reference
 from ldpcsim.parsim.model import (
@@ -19,11 +19,9 @@ from ldpcsim.parsim.model import (
     CostModel,
     calibrate,
     modeled_speedups,
-    scale_sweep,
     simulate_parallel,
     simulate_sequential,
 )
-from ldpcsim.parsim.workers import benchmark_sweep
 from ldpcsim.partition import (
     PACKET_BYTES,
     make_partition,
@@ -133,9 +131,10 @@ def test_criterion_4_speedup_shape_and_calibration(fixture252):
 def test_criterion_5_worker_mode_speedup_ordering(fixture252):
     start = time.time()
     prior = noisy_prior(fixture252, ebno_db=3.0, seed=1)
-    reports = benchmark_sweep(
-        fixture252, prior, DecoderConfig(), [2, 3, 4, 6], reps=100, worst_case=True
-    )
+    reports = scale_rows(
+        fixture252, [3, 4, 5, 7], "threads", prior, DecoderConfig(), CostModel(),
+        worst_case=True, reps=100,
+    )[1]
     assert all(r.iterations == 30 for r in reports)
     speedups = {r.processors - 1: r.speedup for r in reports[1:]}
     best = max(speedups.values())
@@ -169,10 +168,10 @@ def test_criterion_6_ber_beats_uncoded_tenfold(fixture252):
 
 def test_criterion_7_worst_case_accounting(fixture252):
     prior = noisy_prior(fixture252, ebno_db=3.0, seed=1)
-    reports = scale_sweep(
-        fixture252, prior, DecoderConfig(), CostModel(), SCENARIO_SLAVES,
-        worst_case=True,
-    )
+    reports = scale_rows(
+        fixture252, [s + 1 for s in SCENARIO_SLAVES], "costmodel", prior,
+        DecoderConfig(), CostModel(), worst_case=True, reps=1,
+    )[1]
     for rep in reports:
         assert rep.iterations == 30
         assert rep.throughput_kbps == pytest.approx(

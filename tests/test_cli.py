@@ -171,6 +171,11 @@ class TestBerSweep:
             (100296, 1791, 15.291457286432161),
         ]
 
+    @pytest.mark.parametrize("min_bits", [0, -504])
+    def test_no_bits_requested_is_rejected(self, hamming74, min_bits):
+        with pytest.raises(ValueError, match="min_bits"):
+            ber_sweep(hamming74, [1.0], min_bits, seed=1)
+
     @pytest.mark.parametrize(
         "min_bits",
         [

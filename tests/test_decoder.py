@@ -7,9 +7,8 @@ from ldpcsim.code import ParityCheckMatrix, generate_regular, syndrome_ok
 from ldpcsim.decoder import (
     DecoderConfig,
     QFormat,
-    check_node_update,
     check_node_update_block,
-    check_node_update_bruteforce,
+    check_row_oracle,
     decode,
     decode_minsum_reference,
     hard_decision,
@@ -17,6 +16,7 @@ from ldpcsim.decoder import (
     variable_node_update,
 )
 from ldpcsim.errors import ConfigurationError, LengthMismatch
+from ldpcsim.parsim.workers import check_block_messages
 
 from conftest import SMALL_REGULAR_PARAMS, noisy_prior
 
@@ -40,54 +40,68 @@ def state_with_differences(values):
     return H, state
 
 
+def row_messages(values):
+    """One check row's unclamped messages from each of the three kernels:
+    the block kernel, the scalar kernel and the oracle."""
+    H, state = state_with_differences(values)
+    check_node_update_block(state, H, NO_CLAMP)
+    scalar = check_block_messages(list(values), [len(values)], None, None)
+    return [state.check_msg.tolist(), scalar, check_row_oracle(values)]
+
+
+def differences(state, H):
+    """Per-edge differences total - check_msg, as the kernels form them."""
+    return (state.total[H.edge_var] - state.check_msg).tolist()
+
+
+def scalar_messages(state, H, cfg):
+    """Scalar-kernel messages of every row of H from the state's differences."""
+    return check_block_messages(
+        differences(state, H), H.row_degrees().tolist(), cfg.clamp, cfg.qformat
+    )
+
+
 class TestCheckNodeUpdate:
     def test_worked_example(self):
-        H, state = state_with_differences([1.5, -2.0, 0.5])
-        out = check_node_update(state, 0, H, NO_CLAMP)
-        assert out.tolist() == [-0.5, 0.5, -1.5]
+        for out in row_messages([1.5, -2.0, 0.5]):
+            assert out == [-0.5, 0.5, -1.5]
 
     def test_degree_two_passthrough(self):
-        H, state = state_with_differences([0.7, -1.3])
-        out = check_node_update(state, 0, H, NO_CLAMP)
-        assert out.tolist() == [-1.3, 0.7]
+        for out in row_messages([0.7, -1.3]):
+            assert out == [-1.3, 0.7]
 
     def test_equal_differences_are_fixed_point(self):
-        H, state = state_with_differences([0.7, 0.7, 0.7, 0.7])
-        out = check_node_update(state, 0, H, NO_CLAMP)
-        assert out.tolist() == [0.7] * 4
+        for out in row_messages([0.7, 0.7, 0.7, 0.7]):
+            assert out == [0.7] * 4
 
     def test_sign_of_zero_is_positive(self):
-        H, state = state_with_differences([0.0, -2.0, 3.0])
-        out = check_node_update(state, 0, H, NO_CLAMP)
         # d=0 contributes +1 sign and magnitude 0 to the others.
-        assert out.tolist() == [-2.0, 0.0, -0.0]
+        for out in row_messages([0.0, -2.0, 3.0]):
+            assert out == [-2.0, 0.0, -0.0]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_two_minimum_matches_bruteforce_exactly(self, seed):
         rng = np.random.default_rng(seed)
         H = generate_regular(24, 3, 6, seed=seed)
         state = init_state(H, rng.normal(0, 3, 24), NO_CLAMP)
-        state.check_msg = rng.normal(0, 1, H.edges)
+        state.check_msg[...] = rng.normal(0, 1, H.edges)
+        d = differences(state, H)
+        expected = []
         for c in range(H.m):
-            expected = check_node_update_bruteforce(state, c, H, NO_CLAMP)
-            got = check_node_update(state, c, H, NO_CLAMP)
-            assert got.tolist() == expected.tolist()
+            expected += check_row_oracle(d[H.row_ptr[c] : H.row_ptr[c + 1]])
+        assert scalar_messages(state, H, NO_CLAMP) == expected
+        check_node_update_block(state, H, NO_CLAMP)
+        assert state.check_msg.tolist() == expected
 
     @pytest.mark.parametrize("seed", range(5))
     def test_block_kernel_matches_scalar_exactly(self, seed):
         rng = np.random.default_rng(100 + seed)
         H = generate_regular(24, 3, 4, seed=seed)
-        prior = rng.normal(0, 3, 24)
-        s1 = init_state(H, prior, NO_CLAMP)
-        s2 = init_state(H, prior, NO_CLAMP)
-        msgs = rng.normal(0, 1, H.edges)
-        s1.check_msg = msgs.copy()
-        s2.check_msg = msgs.copy()
-        check_node_update_block(s1, H, NO_CLAMP)
-        for c in range(H.m):
-            check_node_update(s2, c, H, NO_CLAMP)
-        assert s1.check_msg.tolist() == s2.check_msg.tolist()
-
+        state = init_state(H, rng.normal(0, 3, 24), NO_CLAMP)
+        state.check_msg[...] = rng.normal(0, 1, H.edges)
+        scalar = scalar_messages(state, H, NO_CLAMP)
+        check_node_update_block(state, H, NO_CLAMP)
+        assert state.check_msg.tolist() == scalar
 
     @pytest.mark.parametrize("seed", range(4))
     def test_block_kernel_on_rows_of_unequal_degree(self, seed):
@@ -100,16 +114,53 @@ class TestCheckNodeUpdate:
             prior = rng.normal(0, 3, H.n)
             msgs = rng.normal(0, 1, H.edges)
             msgs[::5] = 0.0  # ties and zero differences
-            whole, blocks, scalar = (init_state(H, prior, cfg) for _ in range(3))
-            for s in (whole, blocks, scalar):
+            whole, blocks = (init_state(H, prior, cfg) for _ in range(2))
+            for s in (whole, blocks):
                 s.check_msg[...] = msgs
+            scalar = scalar_messages(whole, H, cfg)
             check_node_update_block(whole, H, cfg)
             for lo, hi in ((0, 5), (5, 6), (6, 18)):
                 check_node_update_block(blocks, H, cfg, lo, hi)
-            for c in range(H.m):
-                check_node_update(scalar, c, H, cfg)
-            assert whole.check_msg.tolist() == scalar.check_msg.tolist()
-            assert blocks.check_msg.tolist() == scalar.check_msg.tolist()
+            assert whole.check_msg.tolist() == scalar
+            assert blocks.check_msg.tolist() == scalar
+
+
+# Saturation settings the scalar/block property covers.
+SATURATION_RULES = [
+    DecoderConfig(clamp=64.0),
+    DecoderConfig(clamp=2.0),
+    DecoderConfig(clamp=None),
+    DecoderConfig(arithmetic=QFormat(8, 4)),
+    DecoderConfig(arithmetic=QFormat(5, 1)),
+]
+
+# Multiples of 1/64 hold exact ties between grid points of both Q-formats
+# (odd multiples of 1/32 for Q8.4, of 1/4 for Q5.1) and values such as
+# +-1/64 that round to zero; small and large floats add off-grid values,
+# values that round to a signed zero and values past every clamp.
+DIFFERENCE = st.one_of(
+    st.integers(-600, 600).map(lambda k: k / 64),
+    st.floats(-0.2, 0.2),
+    st.floats(-300.0, 300.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cfg=st.sampled_from(SATURATION_RULES),
+    code=st.integers(0, 2),
+    data=st.data(),
+)
+def test_scalar_and_block_kernels_saturate_alike(cfg, code, data):
+    H = [generate_regular(12, 3, 4, seed=1), irregular_code(8, 14, 2),
+         ParityCheckMatrix([[0, 1], [0, 1, 2, 3, 4]], 5)][code]
+    d = data.draw(st.lists(DIFFERENCE, min_size=H.edges, max_size=H.edges))
+    state = init_state(H, np.zeros(H.n), cfg)
+    state.check_msg[...] = np.negative(d)  # total 0, so each difference is d
+    assert differences(state, H) == d
+    scalar = scalar_messages(state, H, cfg)
+    check_node_update_block(state, H, cfg)
+    assert state.check_msg.tolist() == scalar
 
 
 class TestInitState:

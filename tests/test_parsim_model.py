@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ldpcsim.cli import scale_rows
 from ldpcsim.decoder import DecoderConfig, decode
 from ldpcsim.errors import DegenerateCostModel, LengthMismatch, NoFeasiblePoint
 from ldpcsim.parsim.model import (
@@ -14,7 +15,6 @@ from ldpcsim.parsim.model import (
     calibrate,
     modeled_speedups,
     plot_csv,
-    scale_sweep,
     simulate_parallel,
     simulate_sequential,
 )
@@ -217,10 +217,11 @@ class TestParallelSimulation:
                 CostModel(), placement=MeshPlacement.star(3),
             )
 
-    def test_scale_sweep_reports(self, fixture252):
+    def test_scale_rows_reports(self, fixture252):
         prior = noisy_prior(fixture252, ebno_db=3.0, seed=3)
-        reports = scale_sweep(
-            fixture252, prior, DecoderConfig(), CostModel(), SCENARIO_SLAVES
+        _, reports = scale_rows(
+            fixture252, [s + 1 for s in SCENARIO_SLAVES], "costmodel", prior,
+            DecoderConfig(), CostModel(), worst_case=True, reps=1,
         )
         assert [r.processors for r in reports] == [1, 3, 4, 5, 7, 8, 10]
         assert reports[0].speedup is None
@@ -232,8 +233,9 @@ class TestParallelSimulation:
 
     def test_plot_csv_shape(self, fixture252):
         prior = noisy_prior(fixture252, ebno_db=3.0, seed=3)
-        reports = scale_sweep(
-            fixture252, prior, DecoderConfig(), CostModel(), [2, 4]
+        _, reports = scale_rows(
+            fixture252, [3, 5], "costmodel", prior, DecoderConfig(), CostModel(),
+            worst_case=True, reps=1,
         )
         lines = plot_csv(reports).strip().splitlines()
         assert lines[0] == "nS,Par,Seq"

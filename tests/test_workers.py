@@ -54,7 +54,7 @@ class TestScalarKernel:
         # producing the same float64 values as the array path at every
         # iteration, so compare totals exactly over whole trajectories.
         from ldpcsim.code import generate_regular
-        from ldpcsim.parsim.workers import _Graph, _sat_params, _scalar_iteration_tail
+        from ldpcsim.parsim.workers import _Graph, _scalar_iteration_tail
 
         for seed in range(6):
             H = generate_regular(36, 3, 6, seed=seed)
@@ -62,7 +62,7 @@ class TestScalarKernel:
             array = decode(H, prior, cfg, record_messages=True, keep_state=True)
 
             g = _Graph.of(H)
-            clamp, qf = _sat_params(cfg)
+            clamp, qf = cfg.clamp, cfg.qformat
             pr = [float(x) for x in cfg.saturate(prior)]
             total = list(pr)
             msg = [0.0] * H.edges
