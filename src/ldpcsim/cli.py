@@ -33,6 +33,7 @@ from .parsim import (
 from .partition import make_partition
 
 DEFAULT_PROCESSORS = [1, 3, 4, 5, 7, 8, 10]
+SCALE_MODES = ("costmodel", "threads")
 
 
 def _read_matrix(args) -> ParityCheckMatrix:
@@ -234,11 +235,13 @@ def scale_rows(
     speedup over the baseline).
 
     `mode` picks the executor pair: "costmodel" prices the decode with
-    `simulate_sequential`/`simulate_parallel`, any other mode times live
-    workers with `run_sequential_baseline`/`run_parallel_workers`.
-    Non-divisible or failed scenarios are reported as skipped with the
-    reason.
+    `simulate_sequential`/`simulate_parallel`, "threads" times live
+    workers with `run_sequential_baseline`/`run_parallel_workers`; any
+    other mode raises ValueError before either runs.  Non-divisible or
+    failed scenarios are reported as skipped with the reason.
     """
+    if mode not in SCALE_MODES:
+        raise ValueError(f"unknown scale mode {mode!r}; expected one of {SCALE_MODES}")
     placements = placements or {}
     if mode == "costmodel":
         _, base = simulate_sequential(H, prior, cfg, cm, worst_case=worst_case)
@@ -385,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(str(p) for p in DEFAULT_PROCESSORS),
         help="comma-separated total processor counts (master included)",
     )
-    scale.add_argument("--mode", choices=["costmodel", "threads"], default="costmodel")
+    scale.add_argument("--mode", choices=SCALE_MODES, default="costmodel")
     scale.add_argument("--ebno", type=float, default=3.0)
     scale.add_argument("--worst-case", action=argparse.BooleanOptionalAction,
                        default=True,

@@ -17,7 +17,11 @@ Outputs are bit-identical to `decoder.decode`.
 
 Wire payloads go through the 128-byte packetizer with 8-byte words in
 float mode (4-byte Q-format integers in fixed-point mode) so that
-unpack(pack(x)) is exact and results stay bit-identical end to end.
+unpack(pack(x)) is exact and results stay bit-identical end to end.  Each
+block is encoded once per direction per iteration by `pack_llrs`, whose
+packets are slices of that one buffer; a frame is its type byte and those
+packets in a single join, and `unpack_llrs` decodes the packets sliced
+back out of the frame in one step.
 """
 
 from __future__ import annotations
@@ -34,10 +38,10 @@ from ..code import ParityCheckMatrix
 from ..decoder import DecodeResult, DecoderConfig, QFormat, saturate, worst_case_config
 from ..errors import WorkerError
 from ..partition import (
-    PACKET_BYTES,
     Partition,
     attach_edge_counts,
     pack_llrs,
+    split_packets,
     unpack_llrs,
 )
 from .model import SimReport
@@ -149,12 +153,8 @@ def _scalar_decode(
     return bits, converged, iterations
 
 
-def _join_packets(packets: list[bytes]) -> bytes:
-    return b"".join(packets)
-
-
-def _split_packets(payload: bytes) -> list[bytes]:
-    return [payload[i : i + PACKET_BYTES] for i in range(0, len(payload), PACKET_BYTES)]
+def _frame(kind: bytes, packets: list[bytes]) -> bytes:
+    return b"".join([kind, *packets])
 
 
 class _Channel:
@@ -199,13 +199,11 @@ def _slave_loop(conn, degs: list[int], word_bytes: int, qf: QFormat | None,
             frame = chan.recv(timeout=300.0)
             if frame.startswith(_QUIT):
                 return
-            payload = frame[len(_DATA):]
-            d = unpack_llrs(_split_packets(payload), word_bytes=word_bytes, qformat=qf)
-            msgs = check_block_messages(d, degs, clamp, qf)
-            reply = _RESULT + _join_packets(
-                pack_llrs(msgs, word_bytes=word_bytes, qformat=qf)
+            d = unpack_llrs(
+                split_packets(frame, offset=len(_DATA)), word_bytes=word_bytes, qformat=qf
             )
-            chan.send(reply)
+            msgs = check_block_messages(d, degs, clamp, qf)
+            chan.send(_frame(_RESULT, pack_llrs(msgs, word_bytes=word_bytes, qformat=qf)))
     except (EOFError, KeyboardInterrupt, WorkerError):
         return
     except Exception as exc:  # surfaced to the master via the frame prefix
@@ -329,9 +327,7 @@ def run_parallel_workers(
                 tmark = time.perf_counter()
                 for chan, (lo, hi) in zip(chans, slices):
                     d = [total[g.edge_var[e]] - msg[e] for e in range(lo, hi)]
-                    frame = _DATA + _join_packets(
-                        pack_llrs(d, word_bytes=word_bytes, qformat=qf)
-                    )
+                    frame = _frame(_DATA, pack_llrs(d, word_bytes=word_bytes, qformat=qf))
                     tsend = time.perf_counter()
                     t_compute_total += tsend - tmark
                     chan.send(frame)
@@ -346,7 +342,9 @@ def run_parallel_workers(
                     if not reply.startswith(_RESULT):
                         raise WorkerError(f"unexpected frame {reply[:1]!r}")
                     msg[lo:hi] = unpack_llrs(
-                        _split_packets(reply[1:]), word_bytes=word_bytes, qformat=qf
+                        split_packets(reply, offset=len(_RESULT)),
+                        word_bytes=word_bytes,
+                        qformat=qf,
                     )
                 total, bits, converged = _scalar_iteration_tail(g, pr, msg, clamp, qf)
                 iterations = it

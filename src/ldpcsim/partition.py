@@ -3,15 +3,18 @@
 The star schedule keeps all variable nodes on the master; each slave owns
 a contiguous block of check nodes.  Per iteration the master sends each
 slave the per-edge differences for its block and receives the refreshed
-check messages back.  Wire payloads are little-endian word arrays split
-into packets of at most 128 bytes; headers are not modeled here (the cost
-model prices per-packet overhead instead).
+check messages back.  Wire payloads are little-endian word arrays: each
+block is encoded in one numpy step and its packets of at most 128 bytes
+are slices of that one buffer; decoding joins the packets and decodes
+them in one step.  Headers are not modeled here (the cost model prices
+per-packet overhead instead).
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .code import ParityCheckMatrix
 from .decoder import QFormat
@@ -103,17 +106,43 @@ def plan_messages(
     )
 
 
-def _word_codec(word_bytes: int, qformat: QFormat | None):
-    if qformat is not None:
-        fmt = {2: "h", 4: "i", 8: "q"}.get(word_bytes)
-        if fmt is None:
-            raise PacketOverflow(f"unsupported fixed-point word size {word_bytes}")
-        scale = float(2**qformat.frac_bits)
-        return fmt, lambda x: int(round(x * scale)), lambda i: i / scale
-    fmt = {4: "f", 8: "d"}.get(word_bytes)
-    if fmt is None:
-        raise PacketOverflow(f"unsupported float word size {word_bytes}")
-    return fmt, float, float
+_FLOAT_WIRE = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
+_FIXED_WIRE = {2: np.dtype("<i2"), 4: np.dtype("<i4"), 8: np.dtype("<i8")}
+
+
+def _wire_dtype(word_bytes: int, qformat: QFormat | None) -> np.dtype:
+    if qformat is None:
+        table, kind = _FLOAT_WIRE, "float"
+    else:
+        table, kind = _FIXED_WIRE, "fixed-point"
+    if word_bytes not in table:
+        raise PacketOverflow(f"unsupported {kind} word size {word_bytes}")
+    return table[word_bytes]
+
+
+def _wire_words(values, dtype: np.dtype, qformat: QFormat | None) -> np.ndarray:
+    """The values as one array of wire words; raises PacketOverflow for a
+    value its word cannot hold instead of wrapping it or writing inf."""
+    try:
+        x = np.fromiter(values, np.float64)
+    except OverflowError as exc:
+        raise PacketOverflow(f"value does not fit a float64: {exc}") from exc
+    with np.errstate(over="ignore"):
+        if qformat is not None:
+            x = np.rint(x * 2.0**qformat.frac_bits)
+            bound = 2.0 ** (8 * dtype.itemsize - 1)
+            # False for NaN as well as for infinities and out-of-range words.
+            if not ((x >= -bound) & (x < bound)).all():
+                raise PacketOverflow(
+                    f"value outside the {dtype.itemsize}-byte {qformat} word range"
+                )
+        words = x.astype(dtype, copy=False)
+    # A finite value that rounds past the float32 range becomes inf.
+    if dtype == _FLOAT_WIRE[4] and (
+        np.count_nonzero(np.isinf(words)) != np.count_nonzero(np.isinf(x))
+    ):
+        raise PacketOverflow("value outside the float32 range")
+    return words
 
 
 def pack_llrs(
@@ -122,18 +151,23 @@ def pack_llrs(
     """Encode LLR values into <=128-byte little-endian packets.
 
     Float mode stores float32 (word_bytes=4) or float64 (word_bytes=8);
-    fixed-point mode stores the Q-format integers.
+    fixed-point mode stores the Q-format integers (2, 4 or 8 bytes),
+    rounded half to even.  The block is encoded in one step and the
+    packets are slices of that one buffer.
     """
-    fmt, enc, _ = _word_codec(word_bytes, qformat)
-    words_per_packet = PACKET_BYTES // word_bytes
-    values = list(values)
-    packets = []
-    for lo in range(0, len(values), words_per_packet):
-        chunk = values[lo : lo + words_per_packet]
-        pkt = struct.pack(f"<{len(chunk)}{fmt}", *(enc(v) for v in chunk))
-        if len(pkt) > PACKET_BYTES:
-            raise PacketOverflow(f"packet of {len(pkt)} bytes")
-        packets.append(pkt)
+    words = _wire_words(values, _wire_dtype(word_bytes, qformat), qformat)
+    return split_packets(words.tobytes())
+
+
+def split_packets(buf: bytes, offset: int = 0) -> list[bytes]:
+    """buf[offset:] cut into consecutive packets of PACKET_BYTES, the last
+    one shorter when the length is not a multiple."""
+    full = (len(buf) - offset) // PACKET_BYTES
+    # A void view hands out every whole packet as a bytes object in one step.
+    packets = np.frombuffer(buf, f"V{PACKET_BYTES}", full, offset).tolist()
+    rest = offset + full * PACKET_BYTES
+    if rest < len(buf):
+        packets.append(buf[rest:])
     return packets
 
 
@@ -141,14 +175,19 @@ def unpack_llrs(
     packets, word_bytes: int = 4, qformat: QFormat | None = None
 ) -> list[float]:
     """Inverse of pack_llrs; exact for values representable on the wire."""
-    fmt, _, dec = _word_codec(word_bytes, qformat)
-    out: list[float] = []
+    dtype = _wire_dtype(word_bytes, qformat)
+    packets = list(packets)
     for pkt in packets:
         if len(pkt) > PACKET_BYTES:
             raise PacketOverflow(f"packet of {len(pkt)} bytes")
-        count = len(pkt) // word_bytes
-        out.extend(dec(w) for w in struct.unpack(f"<{count}{fmt}", pkt))
-    return out
+        if len(pkt) % word_bytes:
+            raise PacketOverflow(
+                f"packet of {len(pkt)} bytes is not whole {word_bytes}-byte words"
+            )
+    words = np.frombuffer(b"".join(packets), dtype)
+    if qformat is not None:
+        words = words / 2.0**qformat.frac_bits
+    return words.tolist()
 
 
 def edge_slices(H: ParityCheckMatrix, p: Partition) -> list[tuple[int, int]]:

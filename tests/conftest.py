@@ -3,11 +3,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ldpcsim.channel import ChannelConfig, llr_init, modulate, transmit
 from ldpcsim.code import generate_regular, load_alist
 
 DATA = Path(__file__).parent / "data"
+
+# Selected in CI with --hypothesis-profile=ci: the same examples on every run,
+# and a failure prints the blob that replays it locally.  max_examples is not
+# set here, so each property keeps the count its own @settings gives it.
+settings.register_profile("ci", derandomize=True, print_blob=True, deadline=None)
 
 # Feasible (n, wc, wr) triples for small random regular codes, n <= 24.
 SMALL_REGULAR_PARAMS = [

@@ -8,9 +8,17 @@ import pytest
 import numpy as np
 
 from ldpcsim.channel import ChannelConfig, llr_init, modulate, transmit
-from ldpcsim.cli import BER_BATCH, ber_batch_width, ber_sweep, main, uncoded_bpsk_ber
+from ldpcsim.cli import (
+    BER_BATCH,
+    ber_batch_width,
+    ber_sweep,
+    main,
+    scale_rows,
+    uncoded_bpsk_ber,
+)
 from ldpcsim.code import CodeInfo, ParityCheckMatrix, generate_regular
 from ldpcsim.decoder import DecoderConfig, decode
+from ldpcsim.parsim import CostModel
 from ldpcsim.code import load_alist
 
 from conftest import DATA
@@ -300,6 +308,19 @@ class TestScale:
                     if r[3] not in ("-", "")}
         # comm-free model: monotone gain, no initial dip
         assert speedups[3] > 1.0
+
+    def test_unknown_mode_raises_before_any_executor(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("an executor ran")
+
+        for name in ("simulate_sequential", "simulate_parallel",
+                     "run_sequential_baseline", "run_parallel_workers"):
+            monkeypatch.setattr(f"ldpcsim.cli.{name}", never)
+        H = generate_regular(24, 3, 6, seed=1)
+        with pytest.raises(ValueError, match="costmodel") as info:
+            scale_rows(H, [1, 3], "costmodle", np.zeros(H.n), DecoderConfig(),
+                       CostModel(), True, 1)
+        assert "threads" in str(info.value)
 
     def test_unknown_cost_key_exits_2(self, fixture_alist, tmp_path):
         cfg = tmp_path / "cm.cfg"

@@ -147,6 +147,52 @@ class TestParallelWorkers:
         ref = decode(fixture252, prior, worst_case_config(cfg))
         assert np.array_equal(result.bits, ref.bits)
 
+    @pytest.mark.parametrize("slaves", [1, 2])
+    def test_fixed_point_run_matches_decode(self, fixture252, slaves):
+        cfg = DecoderConfig(arithmetic=QFormat(8, 4))
+        prior = noisy_prior(fixture252, ebno_db=2.0, seed=9)
+        result, _ = run_parallel_workers(
+            fixture252, prior, cfg, make_partition(252, slaves), reps=1, worst_case=True
+        )
+        ref = decode(fixture252, prior, worst_case_config(cfg))
+        assert np.array_equal(result.bits, ref.bits)
+        assert result.converged == ref.converged
+        assert result.iterations_used == ref.iterations_used == 30
+
+    @pytest.mark.parametrize("slaves", [1, 2])
+    def test_wire_codec_called_once_per_block_per_direction(
+        self, small_code, monkeypatch, slaves
+    ):
+        # The benchmark's tracer wraps exactly these module globals and
+        # counts one frame per call, so the master must go through them
+        # once per slave block per direction per iteration.
+        import ldpcsim.parsim.workers as workers_mod
+
+        calls = {"pack_llrs": 0, "unpack_llrs": 0}
+
+        def counting(name):
+            original = getattr(workers_mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(workers_mod, name, counting(name))
+        reps = 2
+        prior = noisy_prior(small_code, ebno_db=2.0, seed=10)
+        result, _ = run_parallel_workers(
+            small_code, prior, DecoderConfig(), make_partition(small_code.m, slaves),
+            reps=reps, worst_case=True,
+        )
+        assert result.iterations_used == 30
+        assert calls == {
+            "pack_llrs": slaves * 30 * reps,
+            "unpack_llrs": slaves * 30 * reps,
+        }
+
     def test_worker_cap_enforced(self, small_code, monkeypatch):
         monkeypatch.setenv(WORKER_CAP_ENV, "2")
         prior = noisy_prior(small_code, ebno_db=2.0, seed=1)
