@@ -14,6 +14,12 @@ arrives.  The per-iteration phases on the master's clock are
 and their sum is the modeled iteration time exactly.  Decoded values are
 produced by actually executing the partitioned schedule, so the cost
 model can never change results, only time.
+
+The cost formula is written once and prices one cost point or an array of
+them: `calibrate` prices its 31x7x11 grid of communication costs for every
+scenario in a few broadcast calls, then scans the errors in grid order and
+refines the best point by coordinate descent, with the same comparisons,
+and so the same fitted point, as a point-by-point search.
 """
 
 from __future__ import annotations
@@ -52,6 +58,10 @@ class CostModel:
     are per packet: a fixed send/receive overhead plus a charge per mesh
     hop.  Defaults are frozen from a calibration run against the bundled
     reference speedup curve (see DEFAULT_SPEEDUP_TARGETS).
+
+    A cost field may also hold an array, one value per cost point: the
+    cost formulas then broadcast over the points (calibrate prices its
+    grid this way).  The simulators and modeled_speedups price one point.
     """
 
     cycles_per_check_edge: float = 248.0
@@ -71,7 +81,7 @@ class CostModel:
             "cycles_per_hop",
             "cycles_iter_fixed",
         ):
-            if getattr(self, name) < 0:
+            if np.less(getattr(self, name), 0).any():
                 raise ValueError(f"{name} must be >= 0")
         if self.clock_hz <= 0:
             raise ValueError("clock_hz must be > 0")
@@ -184,7 +194,6 @@ class IterationCost:
     slave_stall: float
     gather: float
     master: float
-    max_slave_compute: float
 
     @property
     def total(self) -> float:
@@ -214,31 +223,34 @@ def parallel_iteration_cost(
 
     Sends go out back to back; slave s starts computing when its block has
     arrived and the master collects results in the same order, waiting
-    whenever the next slave is not done yet.
+    whenever the next slave is not done yet.  With array-valued cost fields
+    every phase is an array, one entry per cost point, each equal bit for
+    bit to the one-point call.
     """
     sends = [p * (cm.cycles_packet_fixed + h * cm.cycles_per_hop)
              for p, h in zip(packets, hops)]
     t = 0.0
     done = []
     for cost, e in zip(sends, group_edges):
-        t += cost
+        t = t + cost
         done.append(t + e * cm.cycles_per_check_edge)
     scatter = t
     stall = 0.0
     gather = 0.0
     for s, recv_cost in enumerate(sends):
-        wait = max(0.0, done[s] - t)
-        stall += wait
-        gather += recv_cost
-        t += wait + recv_cost
+        lag = done[s] - t
+        # max(0, lag) for a float and for an array of points alike; a
+        # negative lag gives -0.0, which leaves every sum it enters unchanged.
+        wait = lag * (lag > 0.0)
+        stall = stall + wait
+        gather = gather + recv_cost
+        t = t + (wait + recv_cost)
     master = (
         edges * (cm.cycles_per_var_edge + cm.cycles_per_syndrome_edge)
         + cm.cycles_iter_fixed
     )
-    max_slave = max(e * cm.cycles_per_check_edge for e in group_edges)
     return IterationCost(
-        scatter=scatter, slave_stall=stall, gather=gather, master=master,
-        max_slave_compute=max_slave,
+        scatter=scatter, slave_stall=stall, gather=gather, master=master
     )
 
 
@@ -346,6 +358,7 @@ def simulate_parallel(
     result = DecodeResult(bits=bits, converged=converged, iterations_used=iterations)
 
     cost = parallel_iteration_cost(H.edges, *geometry, cm)
+    max_slave_compute = max(geometry[0]) * cm.cycles_per_check_edge
     breakdown = {
         "compute_master": iterations * cost.master,
         "slave_stall": iterations * cost.slave_stall,
@@ -354,7 +367,7 @@ def simulate_parallel(
     extras = {
         "scatter_cycles": iterations * cost.scatter,
         "gather_cycles": iterations * cost.gather,
-        "max_slave_compute_cycles": iterations * cost.max_slave_compute,
+        "max_slave_compute_cycles": iterations * max_slave_compute,
     }
     report = _report(
         p.num_slaves + 1, iterations, H.n, cm, breakdown, extras
@@ -362,22 +375,77 @@ def simulate_parallel(
     return result, report
 
 
-def _speedups(edges: int, geometries: list[tuple], cm: CostModel) -> list[float]:
-    """Closed-form speedup of each scenario geometry under cm."""
-    seq = sequential_iteration_cycles(edges, cm)
-    return [seq / parallel_iteration_cost(edges, *g, cm).total for g in geometries]
+def _stacked(geometries: list[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scenario geometries as (edges, packets, hops) arrays of shape
+    (slots, scenarios), so one parallel_iteration_cost call prices every
+    scenario.  Scenarios with fewer slaves are padded with zero-packet,
+    zero-edge slots after their last slave; such a slot adds exact zeros to
+    every phase."""
+    slots = max(len(g[0]) for g in geometries)
+    out = np.zeros((3, slots, len(geometries)), dtype=np.int64)
+    for j, geometry in enumerate(geometries):
+        for field_, values in zip(out, geometry):
+            field_[: len(values), j] = values
+    return out[0], out[1], out[2]
+
+
+def _speedups(edges: int, cm: CostModel, total):
+    """Closed-form speedup from the modeled parallel iteration time `total`
+    (an array of them: one per scenario, and per cost point when cm's
+    fields are arrays)."""
+    if np.any(total == 0):
+        raise DegenerateCostModel("modeled iteration time is zero; speedup undefined")
+    return sequential_iteration_cycles(edges, cm) / total
 
 
 def modeled_speedups(
     H: ParityCheckMatrix, cm: CostModel, slave_counts: list[int]
 ) -> dict[int, float]:
     """Closed-form speedup per scenario (iteration counts cancel)."""
-    geometries = [_scenario_geometry(H, make_partition(H.m, s)) for s in slave_counts]
-    return dict(zip([s + 1 for s in slave_counts], _speedups(H.edges, geometries, cm)))
+    totals = [
+        parallel_iteration_cost(
+            H.edges, *_scenario_geometry(H, make_partition(H.m, s)), cm
+        ).total
+        for s in slave_counts
+    ]
+    speedups = _speedups(H.edges, cm, np.array(totals)).tolist()
+    return dict(zip([s + 1 for s in slave_counts], speedups))
 
 
 class CalibrationWarning(UserWarning):
     """Calibration landed on a degenerate (comm-free) boundary point."""
+
+
+def _with_comm_costs(cm: CostModel, pf, hop, fixed) -> CostModel:
+    """cm with the three fitted costs replaced (floats or arrays of points)."""
+    return replace(
+        cm, cycles_packet_fixed=pf, cycles_per_hop=hop, cycles_iter_fixed=fixed
+    )
+
+
+def _calibration_grid(scale: float) -> np.ndarray:
+    """The 31x7x11 search grid as (points, 3) rows (packet fixed, per hop,
+    iteration fixed), in the order the scan visits them."""
+    axes = (
+        np.linspace(0.0, 30.0 * scale, 31),
+        np.linspace(0.0, 3.0 * scale, 7),
+        np.linspace(0.0, 40.0 * scale, 11),
+    )
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def _squared_errors(
+    edges: int, stacked: tuple, goal: np.ndarray, cm: CostModel, points: np.ndarray
+) -> np.ndarray:
+    """Squared speedup error against goal of each row of points, priced in
+    one broadcast: rows are (packet fixed, per hop, iteration fixed) and
+    the other costs come from cm."""
+    at = _with_comm_costs(cm, *points.T[:, :, None])
+    total = parallel_iteration_cost(edges, *stacked, at).total
+    diff = _speedups(edges, at, total) - goal
+    # One BLAS dot per row: the call a single point's `diff @ diff` makes,
+    # so each row's error equals the one-point error bit for bit.
+    return (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
 
 
 def calibrate(
@@ -390,55 +458,76 @@ def calibrate(
     target speedup-per-processor-count curve by deterministic grid search
     plus coordinate refinement, minimizing squared speedup error.
 
-    Raises NoFeasiblePoint when the best fit misses some target by more
-    than `tolerance`.  Compute costs are taken from `cm` unchanged.
+    The errors of the 31x7x11 grid come from broadcasts of the cost
+    formula over slices of the grid; a strict scan of them in grid order
+    picks the start, so ties resolve to the first point.  Coordinate
+    descent then visits its candidates in a fixed order and moves to each
+    one that improves.  It prices a candidate it has not seen together with
+    the rest of its sweep and their neighbours, in one call: that changes
+    how often the formula runs, never an error or a decision.
+
+    Raises ValueError when there is no target, DegenerateCostModel when a
+    scenario's modeled iteration time is zero, and NoFeasiblePoint when the
+    best fit misses some target by more than `tolerance`.  Compute costs
+    are taken from `cm` unchanged.
     """
+    if not targets:
+        raise ValueError("calibration needs at least one target")
     slave_counts = [procs - 1 for procs in sorted(targets)]
     goal = np.array([targets[s + 1] for s in slave_counts])
     # The geometry does not depend on the fitted costs: build it once.
-    geometries = [_scenario_geometry(H, make_partition(H.m, s)) for s in slave_counts]
+    stacked = _stacked(
+        [_scenario_geometry(H, make_partition(H.m, s)) for s in slave_counts]
+    )
 
-    def at(point) -> CostModel:
-        pf, hop, fixed = point
-        return replace(
-            cm, cycles_packet_fixed=pf, cycles_per_hop=hop, cycles_iter_fixed=fixed
-        )
-
-    def error(point: tuple[float, float, float]) -> float:
-        diff = np.array(_speedups(H.edges, geometries, at(point))) - goal
-        return float(diff @ diff)
+    def errors(points) -> list[float]:
+        return _squared_errors(H.edges, stacked, goal, cm, np.array(points)).tolist()
 
     scale = cm.cycles_per_check_edge
-    grid_pf = np.linspace(0.0, 30.0 * scale, 31)
-    grid_hop = np.linspace(0.0, 3.0 * scale, 7)
-    grid_fix = np.linspace(0.0, 40.0 * scale, 11)
+    grid = _calibration_grid(scale)
+    # Eleven broadcasts of 217 points: the formula holds about thirty
+    # (points, scenarios) arrays at once, which for the whole grid would add
+    # 3 MB to the process's peak memory.
+    grid_errors = [e for rows in np.split(grid, 11) for e in errors(rows)]
     best = None
     best_err = np.inf
-    for pf in grid_pf:
-        for hop in grid_hop:
-            for fx in grid_fix:
-                e = error((pf, hop, fx))
-                if e < best_err - 1e-15:
-                    best_err = e
-                    best = (float(pf), float(hop), float(fx))
+    for i, e in enumerate(grid_errors):
+        if e < best_err - 1e-15:
+            best_err = e
+            best = i
+    if best is None:
+        raise DegenerateCostModel("no grid point has a finite speedup error")
+    point = tuple(grid[best].tolist())
+
+    def neighbour(origin, axis, delta):
+        cand = list(origin)
+        cand[axis] = max(0.0, cand[axis] + delta)
+        return tuple(cand)
+
     # Coordinate descent with shrinking steps, deterministic.
+    known = {point: best_err}
     steps = [scale, scale / 4.0, scale / 16.0, scale / 64.0]
-    point = list(best)
     for step in steps:
+        moves = [(axis, delta) for axis in range(3) for delta in (step, -step)]
         for _ in range(40):
             improved = False
-            for axis in range(3):
-                for delta in (step, -step):
-                    cand = point.copy()
-                    cand[axis] = max(0.0, cand[axis] + delta)
-                    e = error(tuple(cand))
-                    if e < best_err - 1e-15:
-                        best_err = e
-                        point = cand
-                        improved = True
+            for k, move in enumerate(moves):
+                cand = neighbour(point, *move)
+                if cand not in known:
+                    # The rest of this sweep and the neighbours of each of
+                    # its candidates are where the descent looks next.
+                    ahead = [neighbour(point, *m) for m in moves[k:]]
+                    ahead += [neighbour(c, *m) for c in ahead for m in moves]
+                    batch = [c for c in dict.fromkeys(ahead) if c not in known]
+                    known.update(zip(batch, errors(batch)))
+                e = known[cand]
+                if e < best_err - 1e-15:
+                    best_err = e
+                    point = cand
+                    improved = True
             if not improved:
                 break
-    fitted = at(point)
+    fitted = _with_comm_costs(cm, *point)
     if point[0] == 0.0 and point[1] == 0.0:
         warnings.warn(
             "calibration drove all communication costs to zero",

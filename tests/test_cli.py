@@ -345,6 +345,17 @@ class TestScale:
                               (7, 1.24), (8, 1.24), (10, 1.22)]:
             assert abs(speedups[procs] - target) <= 0.10
 
+    def test_calibrate_zero_compute_costs_exits_1(self, fixture_alist, tmp_path, capsys):
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text(
+            "cycles_per_check_edge = 0\ncycles_per_var_edge = 0\n"
+            "cycles_per_syndrome_edge = 0\n"
+        )
+        rc = main(["scale", "--matrix", str(fixture_alist), "--seed", "1",
+                   "--cost-config", str(cfg), "--calibrate"])
+        assert rc == 1
+        assert "DegenerateCostModel" in capsys.readouterr().err
+
     def test_placement_override_changes_model(self, fixture_alist, tmp_path, capsys):
         def speedup_at_5(config_text):
             cfg = tmp_path / "cm.cfg"

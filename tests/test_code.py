@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldpcsim.code import (
     CodeInfo,
@@ -170,6 +172,46 @@ def test_col_edge_lists_edges_in_ascending_check_order(H):
         checks = np.searchsorted(H.row_ptr, edges, side="right") - 1
         assert (H.edge_var[edges] == v).all()
         assert checks.tolist() == sorted(checks.tolist()) == list(H.col_adj[v])
+
+
+def _random_rows(draw_seed: int, m: int, n: int) -> list[list[int]]:
+    """m rows of unequal degree over n variables, every column covered."""
+    rng = np.random.default_rng(draw_seed)
+    rows = [
+        rng.choice(n, size=rng.integers(1, n + 1), replace=False).tolist()
+        for _ in range(m)
+    ]
+    for v in set(range(n)).difference(*rows):
+        rows[rng.integers(m)].append(v)
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    params=st.sampled_from(SMALL_REGULAR_PARAMS),
+    seed=st.integers(0, 2**16),
+    m=st.integers(1, 12),
+    n=st.integers(1, 12),
+    irregular=st.booleans(),
+)
+def test_alist_round_trip_keeps_the_adjacency(params, seed, m, n, irregular):
+    if irregular:
+        H = ParityCheckMatrix(_random_rows(seed, m, n), n)
+    else:
+        H = generate_regular(*params, seed=seed)
+    # save_alist writes each row ascending, so the edge ids of the reloaded
+    # matrix are those of H with its rows sorted.
+    canonical = ParityCheckMatrix([sorted(r) for r in H.row_adj], H.n)
+    R = load_alist(save_alist(H))
+    assert (R.m, R.n, R.edges) == (H.m, H.n, H.edges)
+    assert R.col_adj == H.col_adj
+    assert [sorted(r) for r in R.row_adj] == [sorted(r) for r in H.row_adj]
+    for name in ("row_ptr", "edge_var", "col_ptr", "col_edge"):
+        assert np.array_equal(getattr(R, name), getattr(canonical, name)), name
+    # A matrix already in that order comes back array for array.
+    again = load_alist(save_alist(R))
+    for name in ("row_ptr", "edge_var", "col_ptr", "col_edge"):
+        assert np.array_equal(getattr(again, name), getattr(R, name)), name
 
 
 class TestSyndrome:

@@ -1,10 +1,14 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ldpcsim.cli import scale_rows
+from ldpcsim.code import generate_regular
 from ldpcsim.decoder import DecoderConfig, decode
 from ldpcsim.errors import DegenerateCostModel, LengthMismatch, NoFeasiblePoint
 from ldpcsim.parsim.model import (
@@ -12,15 +16,21 @@ from ldpcsim.parsim.model import (
     CalibrationWarning,
     CostModel,
     MeshPlacement,
+    _calibration_grid,
+    _scenario_geometry,
+    _squared_errors,
+    _stacked,
     calibrate,
     modeled_speedups,
+    parallel_iteration_cost,
     plot_csv,
+    sequential_iteration_cycles,
     simulate_parallel,
     simulate_sequential,
 )
 from ldpcsim.partition import make_partition
 
-from conftest import noisy_prior
+from conftest import SMALL_REGULAR_PARAMS, noisy_prior
 
 UNIT_COMPUTE = CostModel(
     cycles_per_check_edge=1.0,
@@ -182,6 +192,11 @@ class TestParallelSimulation:
             assert speedups[slaves + 1] <= seq_iter / (master + max_slave) + 1e-12
             assert speedups[slaves + 1] <= slaves + 1
 
+    def test_zero_cost_model_speedups_are_degenerate(self, fixture252):
+        zero = CostModel(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(DegenerateCostModel):
+            modeled_speedups(fixture252, zero, SCENARIO_SLAVES)
+
     def test_initial_drop_with_defaults(self, fixture252):
         speedups = modeled_speedups(fixture252, CostModel(), SCENARIO_SLAVES)
         assert speedups[3] < 1.0
@@ -246,6 +261,112 @@ class TestParallelSimulation:
             plot_csv(reports[1:])  # baseline row missing
 
 
+# The target sets the calibration tests fit: the reference curve, a flat
+# curve and one no cost point reaches.
+TARGET_SETS = {
+    "reference": DEFAULT_SPEEDUP_TARGETS,
+    "flat": {procs: 1.0 for procs in DEFAULT_SPEEDUP_TARGETS},
+    "high": {procs: 5.0 for procs in DEFAULT_SPEEDUP_TARGETS},
+}
+
+
+def _oracle_iteration_total(edges, group_edges, packets, hops, cm):
+    """The one-point iteration cost the broadcast kernel replaced, summed."""
+    sends = [p * (cm.cycles_packet_fixed + h * cm.cycles_per_hop)
+             for p, h in zip(packets, hops)]
+    t = 0.0
+    done = []
+    for cost, e in zip(sends, group_edges):
+        t += cost
+        done.append(t + e * cm.cycles_per_check_edge)
+    scatter = t
+    stall = 0.0
+    gather = 0.0
+    for s, recv_cost in enumerate(sends):
+        wait = max(0.0, done[s] - t)
+        stall += wait
+        gather += recv_cost
+        t += wait + recv_cost
+    master = (
+        edges * (cm.cycles_per_var_edge + cm.cycles_per_syndrome_edge)
+        + cm.cycles_iter_fixed
+    )
+    return scatter + stall + gather + master
+
+
+def _oracle_error(edges, geometries, goal, cm, point):
+    """One point's squared speedup error, point by point as calibrate did."""
+    pf, hop, fixed = point
+    at = replace(cm, cycles_packet_fixed=pf, cycles_per_hop=hop, cycles_iter_fixed=fixed)
+    seq = sequential_iteration_cycles(edges, at)
+    diff = np.array(
+        [seq / _oracle_iteration_total(edges, *g, at) for g in geometries]
+    ) - goal
+    return float(diff @ diff)
+
+
+def _oracle_fit(edges, geometries, goal, cm, points, grid_errors):
+    """The point-by-point search: strict scan of the grid in loop order,
+    then coordinate descent pricing one candidate at a time."""
+    scale = cm.cycles_per_check_edge
+    best = None
+    best_err = np.inf
+    for point, e in zip(points, grid_errors):
+        if e < best_err - 1e-15:
+            best_err = e
+            best = point
+    point = list(best)
+    for step in [scale, scale / 4.0, scale / 16.0, scale / 64.0]:
+        for _ in range(40):
+            improved = False
+            for axis in range(3):
+                for delta in (step, -step):
+                    cand = point.copy()
+                    cand[axis] = max(0.0, cand[axis] + delta)
+                    e = _oracle_error(edges, geometries, goal, cm, cand)
+                    if e < best_err - 1e-15:
+                        best_err = e
+                        point = cand
+                        improved = True
+            if not improved:
+                break
+    return tuple(point)
+
+
+@pytest.mark.parametrize("name", TARGET_SETS)
+def test_broadcast_matches_point_by_point_oracle(fixture252, name):
+    targets = TARGET_SETS[name]
+    cm = CostModel()
+    slave_counts = [procs - 1 for procs in sorted(targets)]
+    goal = np.array([targets[s + 1] for s in slave_counts])
+    geometries = [
+        _scenario_geometry(fixture252, make_partition(252, s)) for s in slave_counts
+    ]
+    scale = cm.cycles_per_check_edge
+    points = [
+        [pf, hop, fx]
+        for pf in np.linspace(0.0, 30.0 * scale, 31).tolist()
+        for hop in np.linspace(0.0, 3.0 * scale, 7).tolist()
+        for fx in np.linspace(0.0, 40.0 * scale, 11).tolist()
+    ]
+    grid = _calibration_grid(scale)
+    assert grid.tolist() == points
+    oracle = [_oracle_error(fixture252.edges, geometries, goal, cm, p) for p in points]
+    broadcast = _squared_errors(fixture252.edges, _stacked(geometries), goal, cm, grid)
+    assert broadcast.shape == (31 * 7 * 11,)
+    assert broadcast.tolist() == oracle  # bit for bit, every grid point
+
+    pf, hop, fixed = _oracle_fit(
+        fixture252.edges, geometries, goal, cm, points, oracle
+    )
+    expected = replace(cm, cycles_packet_fixed=pf, cycles_per_hop=hop,
+                       cycles_iter_fixed=fixed)
+    # An infinite tolerance returns the high set's fit instead of raising.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CalibrationWarning)
+        assert calibrate(cm, targets, fixture252, tolerance=math.inf) == expected
+
+
 class TestCalibrate:
     def test_reaches_reference_targets(self, fixture252):
         fitted = calibrate(CostModel(), DEFAULT_SPEEDUP_TARGETS, fixture252)
@@ -269,6 +390,25 @@ class TestCalibrate:
             with pytest.raises(NoFeasiblePoint):
                 calibrate(CostModel(), high, fixture252)
 
+    def test_no_targets_rejected_before_the_search(self, fixture252):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="at least one target"):
+                calibrate(CostModel(), {}, fixture252)
+
+    def test_zero_compute_costs_are_degenerate(self, fixture252):
+        # The grid scales with cycles_per_check_edge, so every point is
+        # (0, 0, 0) and every scenario's iteration time is zero.
+        free = CostModel(cycles_per_check_edge=0.0, cycles_per_var_edge=0.0,
+                         cycles_per_syndrome_edge=0.0)
+        with pytest.raises(DegenerateCostModel):
+            calibrate(free, DEFAULT_SPEEDUP_TARGETS, fixture252)
+
+    def test_nan_cost_is_degenerate(self, fixture252):
+        with pytest.raises(DegenerateCostModel, match="finite"):
+            calibrate(CostModel(cycles_per_var_edge=math.nan),
+                      DEFAULT_SPEEDUP_TARGETS, fixture252)
+
     def test_flat_targets_pull_speedups_flat(self, fixture252):
         flat = {procs: 1.0 for procs in DEFAULT_SPEEDUP_TARGETS}
         fitted = calibrate(CostModel(), flat, fixture252, tolerance=0.2)
@@ -285,3 +425,72 @@ def test_throughput_definition(fixture252):
         504 / rep.time_seconds / 1000.0, rel=1e-12
     )
     assert math.isclose(rep.time_seconds, rep.modeled_cycles / 100e6)
+
+
+_COST_FIELDS = (
+    "cycles_per_check_edge",
+    "cycles_per_var_edge",
+    "cycles_per_syndrome_edge",
+    "cycles_packet_fixed",
+    "cycles_per_hop",
+    "cycles_iter_fixed",
+)
+_cost_points = st.lists(
+    st.tuples(*[st.floats(0.0, 5000.0, allow_subnormal=False)] * len(_COST_FIELDS)),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    params=st.sampled_from(SMALL_REGULAR_PARAMS),
+    seed=st.integers(0, 2**16),
+    points=_cost_points,
+    data=st.data(),
+)
+def test_model_conservation(params, seed, points, data):
+    n, wc, wr = params
+    H = generate_regular(n, wc, wr, seed=seed)
+    one_point = [CostModel(**dict(zip(_COST_FIELDS, point))) for point in points]
+    # Every cost field an array of the points, shaped to broadcast over the
+    # scenarios of a stacked geometry.
+    arrays = CostModel(**{
+        name: np.array([getattr(cm, name) for cm in one_point])[:, None]
+        for name in _COST_FIELDS
+    })
+    prior = noisy_prior(H, ebno_db=2.0, seed=seed)
+    cfg = DecoderConfig(max_iter=3)
+    geometries = []
+    for slaves in (d for d in range(1, H.m + 1) if H.m % d == 0):
+        part = make_partition(H.m, slaves)
+        placements = [MeshPlacement.star(slaves + 1)]
+        w = data.draw(st.integers(1, slaves + 1), label="width")
+        h = -(-(slaves + 1) // w)
+        mx = data.draw(st.integers(0, w - 1), label="master x")
+        my = data.draw(st.integers(0, h - 1), label="master y")
+        placements.append(MeshPlacement.from_spec(slaves + 1, f"{w}x{h}@{mx},{my}"))
+        for placement in placements:
+            geometry = _scenario_geometry(H, part, placement)
+            geometries.append(geometry)
+            for cm in one_point:
+                cost = parallel_iteration_cost(H.edges, *geometry, cm)
+                assert cost.total == (
+                    cost.scatter + cost.slave_stall + cost.gather + cost.master
+                )
+                if cost.total == 0:
+                    with pytest.raises(DegenerateCostModel):
+                        simulate_parallel(H, prior, cfg, part, cm, placement)
+                    continue
+                _, report = simulate_parallel(H, prior, cfg, part, cm, placement)
+                assert sum(report.breakdown.values()) == report.modeled_cycles
+    # Each row of the array-valued kernel, over every scenario at once, is
+    # the one-point call bit for bit.
+    stacked = parallel_iteration_cost(H.edges, *_stacked(geometries), arrays)
+    shape = (len(one_point), len(geometries))
+    for i, cm in enumerate(one_point):
+        for j, geometry in enumerate(geometries):
+            cost = parallel_iteration_cost(H.edges, *geometry, cm)
+            for phase in ("scatter", "slave_stall", "gather", "master"):
+                rows = np.broadcast_to(getattr(stacked, phase), shape)
+                assert rows[i, j] == getattr(cost, phase)
