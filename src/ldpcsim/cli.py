@@ -18,7 +18,13 @@ import numpy as np
 from .channel import ChannelConfig, llr_init, modulate, transmit
 from .code import CodeInfo, ParityCheckMatrix, generate_regular, load_alist, save_alist
 from .decoder import DecodeResult, DecoderConfig, QFormat, decode
-from .errors import InfeasibleParameters, LdpcError, NotDivisible, WorkerError
+from .errors import (
+    ConfigurationError,
+    InfeasibleParameters,
+    LdpcError,
+    NotDivisible,
+    WorkerError,
+)
 from .parsim import (
     DEFAULT_SPEEDUP_TARGETS,
     CostModel,
@@ -412,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InfeasibleParameters, ValueError) as exc:
+    except (ConfigurationError, InfeasibleParameters, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LdpcError as exc:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping
 
 import numpy as np
@@ -73,18 +73,15 @@ class CostModel:
     clock_hz: float = 100e6
 
     def __post_init__(self):
-        for name in (
-            "cycles_per_check_edge",
-            "cycles_per_var_edge",
-            "cycles_per_syndrome_edge",
-            "cycles_packet_fixed",
-            "cycles_per_hop",
-            "cycles_iter_fixed",
-        ):
-            if np.less(getattr(self, name), 0).any():
-                raise ValueError(f"{name} must be >= 0")
-        if self.clock_hz <= 0:
-            raise ValueError("clock_hz must be > 0")
+        # Every cost point of every field: finite, and >= 0 (the clock
+        # > 0).  NaN fails each comparison, so min and max catch it.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            array = isinstance(value, np.ndarray)
+            lo, hi = (value.min(), value.max()) if array else (value, value)
+            clock = f.name == "clock_hz"
+            if not ((lo > 0 if clock else lo >= 0) and hi < math.inf):
+                raise ValueError(f"{f.name} must be finite and {'> 0' if clock else '>= 0'}")
 
 
 #: Reference speedup-vs-processors curve measured on the mesh platform this
@@ -296,9 +293,9 @@ def _report(
 
 
 def _require_one_word(prior: np.ndarray) -> None:
-    # The reports price one word's iterations against H.n bits.
+    # The reports price or time one word's iterations against H.n bits.
     if np.ndim(prior) != 1:
-        raise LengthMismatch(f"the simulators decode one word, got shape {np.shape(prior)}")
+        raise LengthMismatch(f"a priced or timed run decodes one word, got {np.shape(prior)}")
 
 
 def simulate_sequential(

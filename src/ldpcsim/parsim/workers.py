@@ -7,13 +7,17 @@ transfer is a blocking rendezvous: the sender waits for the receiver's
 acknowledgement, which serializes the master's scatter/gather exactly
 like the modeled star bottleneck.
 
-Both the parallel run and its sequential baseline use the same
-interpreter-level scalar kernel (plain Python floats, identical operation
-order to the array decoder), so wall-clock compute scales with edge count
-rather than with array-dispatch overhead, and speedups compare like with
-like.  Each finished list (a block of check messages, the totals) is
-saturated in one call to the decoder's own rule, `decoder.saturate`.
-Outputs are bit-identical to `decoder.decode`.
+The master is numpy code written once, `_master_decode`, for the parallel
+run and for its sequential baseline alike: it keeps the decoder's own
+state (`decoder.init_state`), gathers each block's differences in one
+step and runs the decoder's variable update, hard decision and syndrome
+check.  The check messages come from the scalar kernel
+`check_block_messages` (plain Python floats, the array decoder's
+operation order, saturated in one call to `decoder.saturate`): in the
+slaves, and in process on the whole code for the baseline.  So slave
+compute scales with edge count rather than with array-dispatch overhead,
+and speedups compare like with like.  Outputs are bit-identical to
+`decoder.decode`.
 
 Wire payloads go through the 128-byte packetizer with 8-byte words in
 float mode (4-byte Q-format integers in fixed-point mode) so that
@@ -26,16 +30,26 @@ back out of the frame in one step.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing as mp
 import os
 import statistics
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
-from ..code import ParityCheckMatrix
-from ..decoder import DecodeResult, DecoderConfig, QFormat, saturate, worst_case_config
+from ..code import ParityCheckMatrix, syndrome_ok
+from ..decoder import (
+    DecodeResult,
+    DecoderConfig,
+    DecoderState,
+    QFormat,
+    hard_decision,
+    init_state,
+    saturate,
+    variable_node_update,
+    worst_case_config,
+)
 from ..errors import WorkerError
 from ..partition import (
     Partition,
@@ -44,7 +58,7 @@ from ..partition import (
     split_packets,
     unpack_llrs,
 )
-from .model import SimReport
+from .model import SimReport, _require_one_word
 
 WORKER_CAP_ENV = "LDPC_PARSIM_THREADS"
 # Bounded wait, in seconds, for a worker's message or acknowledgement.
@@ -89,70 +103,6 @@ def check_block_messages(
     return saturate(np.array(out), clamp, qf, in_place=True).tolist()
 
 
-@dataclass
-class _Graph:
-    """Adjacency unpacked into Python lists for the scalar kernel."""
-
-    n: int
-    m: int
-    edge_var: list[int]
-    row_degs: list[int]
-
-    @classmethod
-    def of(cls, H: ParityCheckMatrix) -> "_Graph":
-        return cls(
-            n=H.n,
-            m=H.m,
-            edge_var=H.edge_var.tolist(),
-            row_degs=H.row_degrees().tolist(),
-        )
-
-
-def _scalar_iteration_tail(
-    g: _Graph,
-    prior: list[float],
-    msg: list[float],
-    clamp: float | None,
-    qf: QFormat | None,
-) -> tuple[list[float], list[int], bool]:
-    """Variable update, hard decision and syndrome from fresh messages."""
-    incoming = [0.0] * g.n
-    for e, v in enumerate(g.edge_var):
-        incoming[v] += msg[e]
-    total = saturate(np.add(prior, incoming), clamp, qf, in_place=True).tolist()
-    bits = [1 if t < 0 else 0 for t in total]
-    ok = True
-    e = 0
-    for deg in g.row_degs:
-        parity = 0
-        for _ in range(deg):
-            parity ^= bits[g.edge_var[e]]
-            e += 1
-        if parity:
-            ok = False
-    return total, bits, ok
-
-
-def _scalar_decode(
-    g: _Graph, prior: list[float], cfg: DecoderConfig
-) -> tuple[list[int], bool, int]:
-    """Whole-code scalar decode; the sequential benchmark workload."""
-    clamp, qf = cfg.clamp, cfg.qformat
-    total = list(prior)
-    msg = [0.0] * len(g.edge_var)
-    bits = [1 if t < 0 else 0 for t in total]
-    converged = False
-    iterations = 0
-    for it in range(1, cfg.max_iter + 1):
-        d = [total[v] - msg[e] for e, v in enumerate(g.edge_var)]
-        msg = check_block_messages(d, g.row_degs, clamp, qf)
-        total, bits, converged = _scalar_iteration_tail(g, prior, msg, clamp, qf)
-        iterations = it
-        if cfg.early_exit and converged:
-            break
-    return bits, converged, iterations
-
-
 def _frame(kind: bytes, packets: list[bytes]) -> bytes:
     return b"".join([kind, *packets])
 
@@ -191,19 +141,16 @@ class _Channel:
         return frame
 
 
-def _slave_loop(conn, degs: list[int], word_bytes: int, qf: QFormat | None,
-                clamp: float | None) -> None:
+def _slave_loop(conn, degs: list[int], clamp: float | None, wire: dict) -> None:
     chan = _Channel(conn)
     try:
         while True:
             frame = chan.recv(timeout=300.0)
             if frame.startswith(_QUIT):
                 return
-            d = unpack_llrs(
-                split_packets(frame, offset=len(_DATA)), word_bytes=word_bytes, qformat=qf
-            )
-            msgs = check_block_messages(d, degs, clamp, qf)
-            chan.send(_frame(_RESULT, pack_llrs(msgs, word_bytes=word_bytes, qformat=qf)))
+            d = unpack_llrs(split_packets(frame, offset=len(_DATA)), **wire)
+            msgs = check_block_messages(d, degs, clamp, wire["qformat"])
+            chan.send(_frame(_RESULT, pack_llrs(msgs, **wire)))
     except (EOFError, KeyboardInterrupt, WorkerError):
         return
     except Exception as exc:  # surfaced to the master via the frame prefix
@@ -223,6 +170,76 @@ def _worker_cap() -> int | None:
         raise WorkerError(f"{WORKER_CAP_ENV}={raw!r} is not an integer")
 
 
+def _master_decode(
+    H: ParityCheckMatrix,
+    state: DecoderState,
+    eff: DecoderConfig,
+    slices: list[tuple[int, int]],
+    exchange,
+    reps: int,
+    processors: int,
+) -> tuple[DecodeResult, SimReport]:
+    """The master's side of `reps` decodes of the one word in `state`,
+    and the report of a run on `processors` processors.
+
+    Each iteration gathers the differences total - check_msg of every edge
+    block in `slices` and hands them to `exchange`, which returns the
+    blocks' check messages and the seconds it spent messaging; then the
+    decoder's own variable update, hard decision and syndrome check run on
+    the state.  The report's breakdown is in seconds summed over the reps,
+    like extras["total_seconds"], which it sums to: `messaging`, `other`
+    (resetting the state to the priors) and `compute_master` (the rest).
+    """
+    times = []
+    reset = messaging = 0.0
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        np.copyto(state.total, state.prior)
+        state.check_msg.fill(0.0)
+        t1 = time.perf_counter()
+        reset += t1 - t0
+        for it in range(1, eff.max_iter + 1):
+            blocks, seconds = exchange(
+                state.total[H.edge_var[lo:hi]] - state.check_msg[lo:hi] for lo, hi in slices
+            )
+            messaging += seconds
+            for (lo, hi), msgs in zip(slices, blocks):
+                state.check_msg[lo:hi] = msgs
+            variable_node_update(state, H, eff)
+            bits = hard_decision(state)
+            converged = syndrome_ok(H, bits, state.workspace.syndrome)
+            if eff.early_exit and converged:
+                break
+        times.append(time.perf_counter() - t0)
+    med = statistics.median(times)
+    wall = sum(times)
+    report = SimReport(
+        processors=processors,
+        iterations=it,
+        time_seconds=med,
+        throughput_kbps=H.n / med / 1000.0,
+        breakdown={
+            "compute_master": wall - messaging - reset,
+            "messaging": messaging,
+            "other": reset,
+        },
+        extras={"repetitions": float(reps), "total_seconds": wall},
+    )
+    return DecodeResult(bits=bits.copy(), converged=converged, iterations_used=it), report
+
+
+def _one_word_state(
+    H: ParityCheckMatrix, prior: np.ndarray, cfg: DecoderConfig, reps: int, worst_case: bool
+) -> tuple[DecoderConfig, DecoderState]:
+    """The run's configuration and the state of its one word, whose prior
+    is checked as `decode` checks it."""
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    _require_one_word(prior)
+    eff = worst_case_config(cfg) if worst_case else cfg
+    return eff, init_state(H, prior, eff)
+
+
 def run_sequential_baseline(
     H: ParityCheckMatrix,
     prior: np.ndarray,
@@ -230,35 +247,39 @@ def run_sequential_baseline(
     reps: int = 100,
     worst_case: bool = True,
 ) -> tuple[DecodeResult, SimReport]:
-    """Unpartitioned scalar decode, timed over `reps` repetitions."""
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    eff = worst_case_config(cfg) if worst_case else cfg
-    g = _Graph.of(H)
-    pr = [float(x) for x in eff.saturate(np.asarray(prior, dtype=np.float64))]
-    times = []
-    bits: list[int] = []
-    converged = False
-    iterations = 0
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        bits, converged, iterations = _scalar_decode(g, pr, eff)
-        times.append(time.perf_counter() - t0)
-    med = statistics.median(times)
-    result = DecodeResult(
-        bits=np.array(bits, dtype=np.uint8),
-        converged=converged,
-        iterations_used=iterations,
-    )
-    report = SimReport(
-        processors=1,
-        iterations=iterations,
-        time_seconds=med,
-        throughput_kbps=H.n / med / 1000.0,
-        breakdown={"compute_master": med, "messaging": 0.0, "other": 0.0},
-        extras={"repetitions": float(reps), "total_seconds": sum(times)},
-    )
-    return result, report
+    """Unpartitioned decode, timed over `reps` repetitions: the parallel
+    run's master loop, with the scalar check kernel run in process on the
+    whole code once per iteration."""
+    eff, state = _one_word_state(H, prior, cfg, reps, worst_case)
+    degs = H.row_degrees().tolist()
+
+    def exchange(blocks):
+        (d,) = blocks
+        return [check_block_messages(d.tolist(), degs, eff.clamp, eff.qformat)], 0.0
+
+    return _master_decode(H, state, eff, [(0, H.edges)], exchange, reps, processors=1)
+
+
+def _slave_exchange(chans: list[_Channel], wire: dict, blocks) -> tuple[list, float]:
+    """Pack and rendezvous-send each block as it comes, so block s+1 is
+    gathered and packed while slave s computes, then gather and unpack
+    every slave's reply.  Also returns the seconds spent in the sends and
+    in the gather."""
+    messaging = 0.0
+    for chan, d in zip(chans, blocks):
+        frame = _frame(_DATA, pack_llrs(d, **wire))
+        tsend = time.perf_counter()
+        chan.send(frame)
+        messaging += time.perf_counter() - tsend
+    tgather = time.perf_counter()
+    replies = [chan.recv() for chan in chans]
+    messaging += time.perf_counter() - tgather
+    msgs = []
+    for reply in replies:
+        if not reply.startswith(_RESULT):
+            raise WorkerError(f"unexpected frame {reply[:1]!r}")
+        msgs.append(unpack_llrs(split_packets(reply, offset=len(_RESULT)), **wire))
+    return msgs, messaging
 
 
 def run_parallel_workers(
@@ -271,87 +292,37 @@ def run_parallel_workers(
 ) -> tuple[DecodeResult, SimReport]:
     """Partitioned decode on live worker processes, timed over `reps`.
 
-    Per iteration the master packs and rendezvous-sends each slave's
-    difference block (preparing the next block while the previous slave
-    already computes), gathers the refreshed messages, then runs the
-    variable update and the syndrome check.  Workers are stateless
+    The master loop of the sequential baseline, exchanging each slave's
+    block over the wire (`_slave_exchange`).  Workers are stateless
     between iterations, so repetitions just replay the message pattern.
     Raises WorkerError if the LDPC_PARSIM_THREADS cap (when set) is below
     the slave count.
     """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    eff, state = _one_word_state(H, prior, cfg, reps, worst_case)
     p = attach_edge_counts(p, H)
     cap = _worker_cap()
     if cap is not None and p.num_slaves > cap:
         raise WorkerError(
             f"{p.num_slaves} workers exceed {WORKER_CAP_ENV}={cap}"
         )
-    eff = worst_case_config(cfg) if worst_case else cfg
-    clamp, qf = eff.clamp, eff.qformat
-    word_bytes = 8 if qf is None else 4
-    g = _Graph.of(H)
-    pr = [float(x) for x in eff.saturate(np.asarray(prior, dtype=np.float64))]
-    slices = list(zip(p.edge_bounds, p.edge_bounds[1:]))
-    block_degs = [g.row_degs[lo:hi] for lo, hi in p.group_bounds]
-
+    degs = H.row_degrees().tolist()
+    wire = {"word_bytes": 8 if eff.qformat is None else 4, "qformat": eff.qformat}
     ctx = mp.get_context("fork")
     chans: list[_Channel] = []
     procs: list = []
     try:
-        for s in range(p.num_slaves):
+        for lo, hi in p.group_bounds:
             parent, child = ctx.Pipe(duplex=True)
             proc = ctx.Process(
-                target=_slave_loop,
-                args=(child, block_degs[s], word_bytes, qf, clamp),
-                daemon=True,
+                target=_slave_loop, args=(child, degs[lo:hi], eff.clamp, wire), daemon=True
             )
             proc.start()
             child.close()
             chans.append(_Channel(parent))
             procs.append(proc)
-
-        times = []
-        t_msg_total = 0.0
-        t_compute_total = 0.0
-        bits: list[int] = []
-        converged = False
-        iterations = 0
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            total = list(pr)
-            msg = [0.0] * len(g.edge_var)
-            converged = False
-            iterations = 0
-            for it in range(1, eff.max_iter + 1):
-                tmark = time.perf_counter()
-                for chan, (lo, hi) in zip(chans, slices):
-                    d = [total[g.edge_var[e]] - msg[e] for e in range(lo, hi)]
-                    frame = _frame(_DATA, pack_llrs(d, word_bytes=word_bytes, qformat=qf))
-                    tsend = time.perf_counter()
-                    t_compute_total += tsend - tmark
-                    chan.send(frame)
-                    tmark = time.perf_counter()
-                    t_msg_total += tmark - tsend
-                replies = []
-                for chan in chans:
-                    replies.append(chan.recv())
-                trecv = time.perf_counter()
-                t_msg_total += trecv - tmark
-                for (lo, hi), reply in zip(slices, replies):
-                    if not reply.startswith(_RESULT):
-                        raise WorkerError(f"unexpected frame {reply[:1]!r}")
-                    msg[lo:hi] = unpack_llrs(
-                        split_packets(reply, offset=len(_RESULT)),
-                        word_bytes=word_bytes,
-                        qformat=qf,
-                    )
-                total, bits, converged = _scalar_iteration_tail(g, pr, msg, clamp, qf)
-                iterations = it
-                t_compute_total += time.perf_counter() - trecv
-                if eff.early_exit and converged:
-                    break
-            times.append(time.perf_counter() - t0)
+        slices = list(zip(p.edge_bounds, p.edge_bounds[1:]))
+        exchange = functools.partial(_slave_exchange, chans, wire)
+        run = _master_decode(H, state, eff, slices, exchange, reps, p.num_slaves + 1)
         for chan in chans:
             chan.send(_QUIT)
     finally:
@@ -359,25 +330,4 @@ def run_parallel_workers(
             proc.join(timeout=5.0)
             if proc.is_alive():
                 proc.terminate()
-
-    med = statistics.median(times)
-    wall = sum(times)
-    result = DecodeResult(
-        bits=np.array(bits, dtype=np.uint8),
-        converged=converged,
-        iterations_used=iterations,
-    )
-    report = SimReport(
-        processors=p.num_slaves + 1,
-        iterations=iterations,
-        time_seconds=med,
-        throughput_kbps=H.n / med / 1000.0,
-        breakdown={
-            "compute_master": t_compute_total,
-            "messaging": t_msg_total,
-            "other": wall - t_compute_total - t_msg_total,
-        },
-        extras={"repetitions": float(reps), "total_seconds": wall},
-    )
-    return result, report
-
+    return run

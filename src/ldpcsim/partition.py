@@ -121,10 +121,12 @@ def _wire_dtype(word_bytes: int, qformat: QFormat | None) -> np.dtype:
 
 
 def _wire_words(values, dtype: np.dtype, qformat: QFormat | None) -> np.ndarray:
-    """The values as one array of wire words; raises PacketOverflow for a
-    value its word cannot hold instead of wrapping it or writing inf."""
+    """The values (an iterable, or an array taken as is) as one array of
+    wire words; raises PacketOverflow for a value its word cannot hold
+    instead of wrapping it or writing inf."""
     try:
-        x = np.fromiter(values, np.float64)
+        x = (np.asarray(values, np.float64) if isinstance(values, np.ndarray)
+             else np.fromiter(values, np.float64))
     except OverflowError as exc:
         raise PacketOverflow(f"value does not fit a float64: {exc}") from exc
     with np.errstate(over="ignore"):

@@ -115,6 +115,14 @@ class TestDecode:
     def test_missing_matrix_exits_2(self):
         assert main(["decode", "--ebno", "3"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--max-iter", "0"], "max_iter"), (["--qformat", "8.9"], "Q8.9")],
+    )
+    def test_invalid_decoder_flag_exits_2(self, flags, message, capsys):
+        assert main(["decode", "--gen", "48", "3", "6", "--ebno", "3", *flags]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestBer:
     def test_min_bits_floor(self, fixture_alist):
@@ -321,6 +329,18 @@ class TestScale:
             scale_rows(H, [1, 3], "costmodle", np.zeros(H.n), DecoderConfig(),
                        CostModel(), True, 1)
         assert "threads" in str(info.value)
+
+    @pytest.mark.parametrize("line", ["cycles_per_var_edge = nan", "clock_hz = nan",
+                                      "cycles_per_hop = inf"])
+    def test_non_finite_cost_exits_2(self, tmp_path, capsys, line):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\n")
+        rc = main(["scale", "--gen", "48", "3", "6", "--seed", "1",
+                   "--processors", "1,3", "--cost-config", str(cfg)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert line.split(" =")[0] in captured.err
+        assert captured.out == ""
 
     def test_unknown_cost_key_exits_2(self, fixture_alist, tmp_path):
         cfg = tmp_path / "cm.cfg"

@@ -83,6 +83,29 @@ class TestMeshPlacement:
             MeshPlacement.from_spec(5, "nonsense")
 
 
+class TestCostModel:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    def test_one_point_must_be_finite_and_non_negative(self, value):
+        with pytest.raises(ValueError, match="cycles_per_var_edge must be finite and >= 0"):
+            CostModel(cycles_per_var_edge=value)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_every_point_of_an_array_is_checked(self, bad):
+        points = np.array([[0.0], [60.0], [bad], [120.0]])
+        with pytest.raises(ValueError, match="cycles_per_hop"):
+            CostModel(cycles_per_hop=points)
+        CostModel(cycles_per_hop=np.where(np.isfinite(points) & (points >= 0), points, 1.0))
+
+    @pytest.mark.parametrize("clock", [math.nan, math.inf, 0.0, -1.0])
+    def test_clock_must_be_finite_and_positive(self, clock):
+        with pytest.raises(ValueError, match="clock_hz must be finite and > 0"):
+            CostModel(clock_hz=clock)
+
+    def test_zero_costs_and_defaults_are_accepted(self):
+        CostModel(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        CostModel()
+
+
 class TestSequentialAccounting:
     def test_unit_cost_closed_form(self, fixture252):
         prior = noisy_prior(fixture252, ebno_db=3.0, seed=0)
@@ -404,10 +427,14 @@ class TestCalibrate:
         with pytest.raises(DegenerateCostModel):
             calibrate(free, DEFAULT_SPEEDUP_TARGETS, fixture252)
 
-    def test_nan_cost_is_degenerate(self, fixture252):
-        with pytest.raises(DegenerateCostModel, match="finite"):
-            calibrate(CostModel(cycles_per_var_edge=math.nan),
-                      DEFAULT_SPEEDUP_TARGETS, fixture252)
+    def test_overflowing_cost_is_degenerate(self, fixture252):
+        # A NaN cost is refused on construction (TestCostModel), but a
+        # finite one can still overflow: every speedup is inf / inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(DegenerateCostModel, match="finite"):
+                calibrate(CostModel(cycles_per_var_edge=1e308),
+                          DEFAULT_SPEEDUP_TARGETS, fixture252)
 
     def test_flat_targets_pull_speedups_flat(self, fixture252):
         flat = {procs: 1.0 for procs in DEFAULT_SPEEDUP_TARGETS}

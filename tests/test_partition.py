@@ -329,6 +329,8 @@ def test_wire_bytes_and_floats_equal_struct_oracle(mode, data):
     assert packets == oracle_pack_llrs(values, word_bytes, qformat)
     assert len(packets) == packet_count(length * word_bytes)
     assert pack_llrs((v for v in values), word_bytes, qformat) == packets
+    # The master hands each block over as a float64 array.
+    assert pack_llrs(np.array(values, dtype=np.float64), word_bytes, qformat) == packets
     # Workers cut the packets back out of a frame behind its type byte.
     assert split_packets(b"D" + b"".join(packets), offset=1) == packets
     decoded = unpack_llrs(packets, word_bytes, qformat)

@@ -3,7 +3,7 @@ import pytest
 
 from ldpcsim.code import generate_regular
 from ldpcsim.decoder import DecoderConfig, QFormat, decode, worst_case_config
-from ldpcsim.errors import WorkerError
+from ldpcsim.errors import LengthMismatch, WorkerError
 from ldpcsim.parsim.workers import (
     WORKER_CAP_ENV,
     check_block_messages,
@@ -52,27 +52,102 @@ class TestScalarKernel:
     def test_full_trajectory_matches_array_decoder(self, cfg):
         # The worker mode's bit-exactness rests on the scalar kernel
         # producing the same float64 values as the array path at every
-        # iteration, so compare totals exactly over whole trajectories.
-        from ldpcsim.code import generate_regular
-        from ldpcsim.parsim.workers import _Graph, _scalar_iteration_tail
+        # iteration, so run the live executors' master loop with the scalar
+        # kernel in process on three blocks and compare whole trajectories.
+        from ldpcsim.decoder import init_state
+        from ldpcsim.parsim.workers import _master_decode
+        from ldpcsim.partition import attach_edge_counts
 
         for seed in range(6):
             H = generate_regular(36, 3, 6, seed=seed)
             prior = np.random.default_rng(seed).normal(0, 3, 36)
             array = decode(H, prior, cfg, record_messages=True, keep_state=True)
 
-            g = _Graph.of(H)
-            clamp, qf = cfg.clamp, cfg.qformat
-            pr = [float(x) for x in cfg.saturate(prior)]
-            total = list(pr)
-            msg = [0.0] * H.edges
-            for trace in array.message_trace:
-                d = [total[v] - msg[e] for e, v in enumerate(g.edge_var)]
-                msg = check_block_messages(d, g.row_degs, clamp, qf)
-                assert msg == trace.tolist()
-                total, bits, _ = _scalar_iteration_tail(g, pr, msg, clamp, qf)
-            assert total == array.final_state.total.tolist()
-            assert bits == array.bits.tolist()
+            part = attach_edge_counts(make_partition(H.m, 3), H)
+            degs = H.row_degrees().tolist()
+            block_degs = [degs[lo:hi] for lo, hi in part.group_bounds]
+            trace = []
+
+            def exchange(blocks):
+                msgs = [
+                    check_block_messages(d.tolist(), bd, cfg.clamp, cfg.qformat)
+                    for d, bd in zip(blocks, block_degs)
+                ]
+                trace.append([x for block in msgs for x in block])
+                return msgs, 0.0
+
+            state = init_state(H, prior, cfg)
+            slices = list(zip(part.edge_bounds, part.edge_bounds[1:]))
+            result, _ = _master_decode(H, state, cfg, slices, exchange, 1, processors=4)
+            assert trace == [t.tolist() for t in array.message_trace]
+            assert state.total.tolist() == array.final_state.total.tolist()
+            assert result.bits.tolist() == array.bits.tolist()
+
+
+EQUIVALENCE_CONFIGS = [
+    DecoderConfig(),
+    DecoderConfig(clamp=None),
+    DecoderConfig(arithmetic=QFormat(8, 4)),
+]
+
+
+@pytest.mark.parametrize("worst_case", [True, False])
+@pytest.mark.parametrize("cfg", EQUIVALENCE_CONFIGS, ids=["clamp64", "noclamp", "q8.4"])
+@pytest.mark.parametrize("slaves", [0, 1, 2, 3])
+def test_live_executors_match_decode(fixture252, slaves, cfg, worst_case):
+    # Slave count 0 is the sequential baseline; both run one master loop.
+    prior = noisy_prior(fixture252, ebno_db=2.0, seed=12)
+    if slaves:
+        result, report = run_parallel_workers(
+            fixture252, prior, cfg, make_partition(252, slaves), reps=1,
+            worst_case=worst_case,
+        )
+    else:
+        result, report = run_sequential_baseline(
+            fixture252, prior, cfg, reps=1, worst_case=worst_case
+        )
+    ref = decode(fixture252, prior, worst_case_config(cfg) if worst_case else cfg)
+    assert np.array_equal(result.bits, ref.bits)
+    assert result.bits.dtype == ref.bits.dtype
+    assert result.converged == ref.converged
+    assert result.iterations_used == ref.iterations_used == report.iterations
+    assert (ref.iterations_used == 30) == worst_case
+    assert report.processors == slaves + 1
+
+
+def _run(executor, H, prior):
+    if executor == "baseline":
+        return run_sequential_baseline(H, prior, DecoderConfig(), reps=1)
+    return run_parallel_workers(H, prior, DecoderConfig(), make_partition(H.m, 2), reps=1)
+
+
+@pytest.mark.parametrize("executor", ["baseline", "workers"])
+class TestPriorChecks:
+    # The live executors check their prior as `decode` does, before any
+    # worker starts.
+    @pytest.fixture(autouse=True)
+    def no_workers(self, monkeypatch):
+        import ldpcsim.parsim.workers as workers_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a worker was started for a bad prior")
+
+        monkeypatch.setattr(workers_mod.mp, "get_context", refuse)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_prior_raises(self, small_code, executor, bad):
+        prior = np.full(small_code.n, bad)
+        with pytest.raises(ValueError, match="finite"):
+            _run(executor, small_code, prior)
+        prior = noisy_prior(small_code, ebno_db=2.0, seed=1)
+        prior[7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            _run(executor, small_code, prior)
+
+    @pytest.mark.parametrize("shape", [(2, 48), (1, 48), (), (47,)])
+    def test_anything_but_one_word_raises(self, small_code, executor, shape):
+        with pytest.raises(LengthMismatch):
+            _run(executor, small_code, np.ones(shape))
 
 
 class TestSequentialBaseline:
@@ -240,14 +315,24 @@ class TestParallelWorkers:
             monkeypatch.setattr(workers_mod, "check_block_messages", original)
 
     def test_breakdown_sums_to_total_wall(self, small_code):
+        # Both executors report seconds summed over the reps.
         prior = noisy_prior(small_code, ebno_db=2.0, seed=5)
-        _, report = run_parallel_workers(
+        _, parallel = run_parallel_workers(
             small_code, prior, DecoderConfig(), make_partition(small_code.m, 2),
             reps=3, worst_case=True,
         )
-        assert sum(report.breakdown.values()) == pytest.approx(
-            report.extras["total_seconds"], rel=1e-9
+        _, baseline = run_sequential_baseline(
+            small_code, prior, DecoderConfig(), reps=3, worst_case=True
         )
+        for report in (parallel, baseline):
+            assert set(report.breakdown) == {"compute_master", "messaging", "other"}
+            assert sum(report.breakdown.values()) == pytest.approx(
+                report.extras["total_seconds"], rel=1e-9
+            )
+            assert report.breakdown["compute_master"] > 0
+            assert report.extras["repetitions"] == 3.0
+        assert parallel.breakdown["messaging"] > 0
+        assert baseline.breakdown["messaging"] == 0.0
 
 
 def test_send_without_acknowledgement_times_out(monkeypatch):
