@@ -99,10 +99,6 @@ class DecoderConfig:
         """The fixed-point grid, or None in float64 mode."""
         return self.arithmetic if isinstance(self.arithmetic, QFormat) else None
 
-    @property
-    def effective_clamp(self) -> float | None:
-        return self.clamp if self.qformat is None else self.qformat.max_value
-
     def saturate(self, x: np.ndarray, in_place: bool = False) -> np.ndarray:
         """`saturate` under this configuration's clamp and arithmetic."""
         return saturate(x, self.clamp, self.qformat, in_place)
@@ -163,7 +159,7 @@ class DecodeResult:
 
 # Leading shape (as a function of H) and dtype of every buffer a decode
 # uses; each also has the word axis last when it decodes a batch.  The
-# slot buffers hold one row block at a time, in its own slot-major layout.
+# slot buffers hold the whole code's rows in the slot-major layout.
 _BUFFERS = (
     ("total", lambda H: (H.n,), np.float64),
     ("prior", lambda H: (H.n,), np.float64),
@@ -180,8 +176,6 @@ _BUFFERS = (
     ("parity", lambda H: (H.m,), np.bool_),
     ("syndrome", lambda H: (H.slots.var.shape[0] + 1, H.m), np.uint8),
 )
-_SLOT_BUFFERS = ("diff", "mag", "neg", "is_min")
-_ROW_BUFFERS = ("min1", "min2", "spare", "parity")
 
 
 class _Workspace:
@@ -208,16 +202,20 @@ class _Workspace:
             name: block[off : off + size].view(dt)
             for (name, _, dt), off, size in zip(_BUFFERS, offsets, sizes)
         }
+        # flat slot index of every padding slot
+        self.pads = np.flatnonzero(H.slots.pad)
         self.resize(width)
 
     def resize(self, width: int | None) -> None:
         """Re-view every buffer for `width` words (None: one word)."""
         H = self.H
         self.words = () if width is None else (width,)
-        self._blocks: dict[tuple[int, int], _RowBlock] = {}
         for name, lead, _ in _BUFFERS:
-            if name not in _SLOT_BUFFERS and name != "var_index":
+            if name != "var_index":
                 self._view(name, lead(H))
+        self.mag_flat = self.mag.reshape((-1,) + self.words)
+        self.diff_flat = self.diff.reshape(self.mag_flat.shape)
+        self.diff_slots = list(self.diff)
         if width is None:
             self.var_index = H.edge_var
         else:
@@ -233,36 +231,6 @@ class _Workspace:
         view = self._flat[name][: math.prod(shape)].reshape(shape)
         setattr(self, name, view)
         return view
-
-    def block(self, c_lo: int, c_hi: int) -> "_RowBlock":
-        """Views and indices for check rows [c_lo, c_hi), built once per width."""
-        blk = self._blocks.get((c_lo, c_hi))
-        if blk is None:
-            blk = self._blocks[(c_lo, c_hi)] = _RowBlock(self, c_lo, c_hi)
-        return blk
-
-
-class _RowBlock:
-    """Check rows [c_lo, c_hi) in their own contiguous slot-major layout:
-    slot (k, r) of the block is the k-th edge of check c_lo + r."""
-
-    def __init__(self, ws: _Workspace, c_lo: int, c_hi: int):
-        H, slots = ws.H, ws.H.slots
-        rows, nrows = slice(c_lo, c_hi), c_hi - c_lo
-        self.edges = slice(int(H.row_ptr[c_lo]), int(H.row_ptr[c_hi]))
-        self.var, self.edge = slots.var[:, rows], slots.edge[:, rows]
-        self.pads = np.flatnonzero(slots.pad[:, rows])
-        # block slot of each edge of the block
-        k, c = np.divmod(slots.edge_slot[self.edges], H.m)
-        self.back = k * nrows + (c - c_lo)
-        shape = (slots.var.shape[0], nrows) + ws.words
-        for name in _SLOT_BUFFERS:
-            setattr(self, name, ws._flat[name][: math.prod(shape)].reshape(shape))
-        self.mag_flat = self.mag.reshape((-1,) + ws.words)
-        self.diff_flat = self.diff.reshape(self.mag_flat.shape)
-        self.diff_slots = list(self.diff)
-        for name in _ROW_BUFFERS:
-            setattr(self, name, getattr(ws, name)[:nrows])
 
 
 def _validate(H: ParityCheckMatrix, prior: np.ndarray) -> np.ndarray:
@@ -337,13 +305,9 @@ _PAD = np.finfo(np.float64).max
 
 
 def check_node_update_block(
-    state: DecoderState,
-    H: ParityCheckMatrix,
-    cfg: DecoderConfig,
-    c_lo: int = 0,
-    c_hi: int | None = None,
+    state: DecoderState, H: ParityCheckMatrix, cfg: DecoderConfig
 ) -> None:
-    """Update all check nodes in [c_lo, c_hi) from the previous totals.
+    """Update every check node from the previous totals.
 
     Vectorized two-minimum update, for one word or every word of a batch,
     on H's padded slot-major row layout: the k-th edges of all rows form
@@ -351,38 +315,39 @@ def check_node_update_block(
     ufunc.  Pure selection arithmetic on finite values: results match the
     scalar kernel `parsim.workers.check_block_messages` bit for bit.
     """
-    b = state.workspace.block(c_lo, H.m if c_hi is None else c_hi)
-    d, mag, min1, min2 = b.diff, b.mag, b.min1, b.min2
-    np.take(state.total, b.var, axis=0, out=d, mode="clip")
-    np.take(state.check_msg, b.edge, axis=0, out=mag, mode="clip")
+    ws, slots = state.workspace, H.slots
+    d, mag, min1, min2 = ws.diff, ws.mag, ws.min1, ws.min2
+    np.take(state.total, slots.var, axis=0, out=d, mode="clip")
+    np.take(state.check_msg, slots.edge, axis=0, out=mag, mode="clip")
     np.subtract(d, mag, out=d)
-    b.diff_flat[b.pads] = _PAD
-    np.less(d, 0.0, out=b.neg)
+    ws.diff_flat[ws.pads] = _PAD
+    np.less(d, 0.0, out=ws.neg)
     np.absolute(d, out=d)
     # The two smallest magnitudes per row, counted with multiplicity: a
     # repeated minimum is also the second minimum.
-    first, second, *rest = b.diff_slots
+    first, second, *rest = ws.diff_slots
     np.minimum(first, second, out=min1)
     np.maximum(first, second, out=min2)
     for slot in rest:
-        np.maximum(min1, slot, out=b.spare)
-        np.minimum(min2, b.spare, out=min2)
+        np.maximum(min1, slot, out=ws.spare)
+        np.minimum(min2, ws.spare, out=min2)
         np.minimum(min1, slot, out=min1)
     # A slot at the row minimum gets the second minimum, every other slot
     # the minimum: max(min1, [|d| == min1] * min2), exact as min2 >= min1 >= 0.
-    np.equal(d, min1, out=b.is_min)
-    np.multiply(b.is_min, min2, out=mag)
+    np.equal(d, min1, out=ws.is_min)
+    np.multiply(ws.is_min, min2, out=mag)
     np.maximum(mag, min1, out=mag)
     # Sign: negative when the row's other slots hold an odd number of
     # negative differences.
-    np.bitwise_xor.reduce(b.neg, axis=0, out=b.parity)
-    np.not_equal(b.neg, b.parity, out=b.neg)
-    np.multiply(b.neg, -2.0, out=d)
+    np.bitwise_xor.reduce(ws.neg, axis=0, out=ws.parity)
+    np.not_equal(ws.neg, ws.parity, out=ws.neg)
+    np.multiply(ws.neg, -2.0, out=d)
     np.add(d, 1.0, out=d)
     np.multiply(mag, d, out=mag)
-    msg = state.check_msg[b.edges]
-    np.take(b.mag_flat, b.back, axis=0, out=msg, mode="clip")
-    cfg.saturate(msg, in_place=True)
+    # edge_slot is each edge's flat slot, so this gathers the messages back
+    # into edge order.
+    np.take(ws.mag_flat, slots.edge_slot, axis=0, out=state.check_msg, mode="clip")
+    cfg.saturate(state.check_msg, in_place=True)
 
 
 def variable_node_update(

@@ -11,9 +11,10 @@ arrives.  The per-iteration phases on the master's clock are
     gather      sequential receives of refreshed check messages
     master      variable-node update, syndrome check, fixed overhead
 
-and their sum is the modeled iteration time exactly.  Decoded values are
-produced by actually executing the partitioned schedule, so the cost
-model can never change results, only time.
+and their sum is the modeled iteration time exactly.  Decoded values
+come from `decoder.decode` itself, so the cost model can change only
+time, never results; the live workers (`parsim.workers`) are what
+execute the partitioned schedule.
 
 The cost formula is written once and prices one cost point or an array of
 them: `calibrate` prices its 31x7x11 grid of communication costs for every
@@ -31,20 +32,20 @@ from typing import Mapping
 
 import numpy as np
 
-from ..code import ParityCheckMatrix, syndrome_ok
-from ..decoder import (
-    DecodeResult,
-    DecoderConfig,
+from ..code import ParityCheckMatrix
+from ..decoder import DecodeResult, DecoderConfig, decode, worst_case_config
+from ..errors import DegenerateCostModel, LengthMismatch, NoFeasiblePoint
+from ..partition import Partition, make_partition, plan_messages
+
+# Unused here; bench/tracer.py wraps each of these names in this module.
+from ..code import syndrome_ok  # noqa: F401
+from ..decoder import (  # noqa: F401
     check_node_update_block,
-    decode,
     hard_decision,
     init_state,
     variable_node_update,
-    worst_case_config,
 )
-from ..errors import DegenerateCostModel, LengthMismatch, NoFeasiblePoint
-from ..partition import Partition, make_partition, plan_messages
-from ..partition import attach_edge_counts  # noqa: F401  (bench/tracer.py wraps it here)
+from ..partition import attach_edge_counts  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -329,30 +330,19 @@ def simulate_parallel(
     placement: MeshPlacement | None = None,
     worst_case: bool = False,
 ) -> tuple[DecodeResult, SimReport]:
-    """Partitioned run: execute the star schedule block by block.
+    """Partitioned run: decode one word as usual and price every executed
+    iteration on the star schedule of `p` and `placement`.
 
-    The decode genuinely iterates per-slave check blocks before the
-    master's variable update, so equivalence with the sequential path is
-    an executed property, not an assumption.  Decodes one word.
+    Check rows read only the previous totals and their own edges, so the
+    slave blocks' updates together are the whole-code update: the decode
+    is `decode`'s own.  A partition or placement that does not fit raises
+    before any decode.
     """
     _require_one_word(prior)
     geometry = _scenario_geometry(H, p, placement)
     eff = worst_case_config(cfg) if worst_case else cfg
-
-    state = init_state(H, prior, eff)
-    bits = hard_decision(state)
-    converged = False
-    iterations = 0
-    for j in range(1, eff.max_iter + 1):
-        for lo, hi in p.group_bounds:
-            check_node_update_block(state, H, eff, lo, hi)
-        variable_node_update(state, H, eff)
-        iterations = j
-        bits = hard_decision(state)
-        converged = syndrome_ok(H, bits)
-        if eff.early_exit and converged:
-            break
-    result = DecodeResult(bits=bits, converged=converged, iterations_used=iterations)
+    result = decode(H, prior, eff)
+    iterations = result.iterations_used
 
     cost = parallel_iteration_cost(H.edges, *geometry, cm)
     max_slave_compute = max(geometry[0]) * cm.cycles_per_check_edge

@@ -49,17 +49,17 @@ class Partition:
 
 @dataclass(frozen=True)
 class MessagePlan:
-    """Per-slave payload/packet counts for one direction of one iteration."""
+    """Per-slave payload/packet counts of one iteration's scatter.  The
+    gather carries the same counts back, one message per difference."""
 
     word_bytes: int
     to_slave_bytes: tuple[int, ...]
     to_slave_packets: tuple[int, ...]
-    to_master_bytes: tuple[int, ...]
-    to_master_packets: tuple[int, ...]
 
     @property
     def total_bytes(self) -> int:
-        return sum(self.to_slave_bytes) + sum(self.to_master_bytes)
+        """Bytes of one iteration, both directions."""
+        return 2 * sum(self.to_slave_bytes)
 
 
 def make_partition(m: int, num_slaves: int) -> Partition:
@@ -89,20 +89,17 @@ def packet_count(payload_bytes: int) -> int:
 def plan_messages(
     H: ParityCheckMatrix, p: Partition, word_bytes: int = 4
 ) -> MessagePlan:
-    """Payload and packet counts per slave, both directions.
+    """Payload and packet counts per slave.
 
     Each direction carries one word per edge of the slave's block: the
     differences going out, the refreshed check messages coming back.
     The edge counts always come from binding p to this H.
     """
     nbytes = tuple(e * word_bytes for e in attach_edge_counts(p, H).edge_counts)
-    packets = tuple(packet_count(b) for b in nbytes)
     return MessagePlan(
         word_bytes=word_bytes,
         to_slave_bytes=nbytes,
-        to_slave_packets=packets,
-        to_master_bytes=nbytes,
-        to_master_packets=packets,
+        to_slave_packets=tuple(packet_count(b) for b in nbytes),
     )
 
 

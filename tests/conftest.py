@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 
 from ldpcsim.channel import ChannelConfig, llr_init, modulate, transmit
-from ldpcsim.code import generate_regular, load_alist
+from ldpcsim.code import ParityCheckMatrix, generate_regular, load_alist
 
 DATA = Path(__file__).parent / "data"
 
@@ -56,7 +56,19 @@ def fixture252():
     return generate_regular(504, 3, 6, seed=1)
 
 
-def noisy_prior(H, ebno_db, seed):
-    """All-zero transmit at the given Eb/N0; deterministic per seed."""
+def noisy_prior(H, ebno_db, seed, word=None):
+    """Channel LLRs of `word` (default all-zero) sent at the given Eb/N0;
+    deterministic per seed."""
     cfg = ChannelConfig(ebno_db=ebno_db, rate=0.5, seed=seed)
-    return llr_init(transmit(modulate(np.zeros(H.n, dtype=np.uint8)), cfg), cfg)
+    word = np.zeros(H.n, dtype=np.uint8) if word is None else word
+    return llr_init(transmit(modulate(word), cfg), cfg)
+
+
+def irregular_code(m, n, seed):
+    """Random code whose rows have unequal degrees (2 to 7)."""
+    rng = np.random.default_rng(seed)
+    rows = [rng.choice(n, size=int(rng.integers(2, 8)), replace=False) for _ in range(m)]
+    for v in set(range(n)) - {int(v) for r in rows for v in r}:
+        c = int(rng.integers(m))
+        rows[c] = np.append(rows[c], v)
+    return ParityCheckMatrix([sorted({int(v) for v in r}) for r in rows], n)

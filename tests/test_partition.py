@@ -110,7 +110,6 @@ class TestPlanMessages:
         plan = plan_messages(fixture252, make_partition(252, 4))
         assert plan.to_slave_bytes == (1512,) * 4
         assert plan.to_slave_packets == (12,) * 4
-        assert plan.to_master_packets == (12,) * 4
 
     def test_empty_payload_zero_packets(self):
         assert packet_count(0) == 0

@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
-from ldpcsim.code import generate_regular
+from ldpcsim.code import generate_regular, syndrome_ok
 from ldpcsim.decoder import DecoderConfig, QFormat, decode, worst_case_config
 from ldpcsim.errors import LengthMismatch, WorkerError
+from ldpcsim.parsim.model import CostModel, simulate_parallel
 from ldpcsim.parsim.workers import (
     WORKER_CAP_ENV,
     check_block_messages,
     run_parallel_workers,
     run_sequential_baseline,
 )
-from ldpcsim.partition import make_partition
+from ldpcsim.partition import Partition, make_partition
 
-from conftest import noisy_prior
+from conftest import irregular_code, noisy_prior
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +114,76 @@ def test_live_executors_match_decode(fixture252, slaves, cfg, worst_case):
     assert result.iterations_used == ref.iterations_used == report.iterations
     assert (ref.iterations_used == 30) == worst_case
     assert report.processors == slaves + 1
+
+
+def _same_decode(result, ref):
+    assert np.array_equal(result.bits, ref.bits)
+    assert result.converged == ref.converged
+    assert result.iterations_used == ref.iterations_used
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_blocks_of_unequal_degree_match_decode(seed):
+    # Three slave blocks of 5, 1 and 12 checks on rows of degree 2 to 7,
+    # so the blocks carry unequal edge counts and unequal row lengths.
+    H = irregular_code(18, 30, seed)
+    assert len(set(H.row_degrees().tolist())) > 1
+    part = Partition(check_bounds=(0, 5, 6, 18))
+    prior = np.random.default_rng(300 + seed).normal(1.5, 2.0, H.n)
+    for cfg in (DecoderConfig(clamp=None), DecoderConfig(clamp=2.0),
+                DecoderConfig(arithmetic=QFormat(6, 2))):
+        for worst_case in (True, False):
+            ref = decode(H, prior, worst_case_config(cfg) if worst_case else cfg)
+            live, _ = run_parallel_workers(H, prior, cfg, part, reps=1, worst_case=worst_case)
+            _same_decode(live, ref)
+            priced, _ = simulate_parallel(H, prior, cfg, part, CostModel(), worst_case=worst_case)
+            _same_decode(priced, ref)
+
+
+def nonzero_codeword(H, seed):
+    """A random nonzero word in the null space of H over GF(2): H is
+    row-reduced, the free bits are drawn and each pivot bit solved."""
+    A = np.zeros((H.m, H.n), dtype=np.uint8)
+    A[np.repeat(np.arange(H.m), H.row_degrees()), H.edge_var] = 1
+    pivots = []
+    row = 0
+    for col in range(H.n):
+        hits = np.flatnonzero(A[row:, col]) + row
+        if len(hits) == 0:
+            continue
+        A[[row, hits[0]]] = A[[hits[0], row]]
+        others = np.flatnonzero(A[:, col])
+        others = others[others != row]
+        A[others] ^= A[row]
+        pivots.append(col)
+        row += 1
+        if row == H.m:
+            break
+    word = np.random.default_rng(seed).integers(0, 2, H.n).astype(np.uint8)
+    word[pivots] = 0
+    for r, col in enumerate(pivots):
+        word[col] = np.count_nonzero(A[r] & word) % 2
+    return word
+
+
+@pytest.mark.parametrize("slaves", [0, 1, 2])
+def test_nonzero_codeword_is_decoded(fixture252, slaves):
+    # A reversed all-zero word is still a codeword; the reverse of this one
+    # is not, so a syndrome check on the wrong bits cannot pass.
+    word = nonzero_codeword(fixture252, seed=5)
+    assert word.any() and syndrome_ok(fixture252, word)
+    assert not syndrome_ok(fixture252, word[::-1])
+    prior = noisy_prior(fixture252, ebno_db=4.0, seed=9, word=word)
+    cfg = DecoderConfig()
+    ref = decode(fixture252, prior, cfg)
+    assert ref.converged and np.array_equal(ref.bits, word)
+    if slaves:
+        result, _ = run_parallel_workers(
+            fixture252, prior, cfg, make_partition(252, slaves), reps=1, worst_case=False
+        )
+    else:
+        result, _ = run_sequential_baseline(fixture252, prior, cfg, reps=1, worst_case=False)
+    _same_decode(result, ref)
 
 
 def _run(executor, H, prior):
