@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import ChannelConfig, llr_init, modulate, transmit
 from .code import CodeInfo, ParityCheckMatrix, generate_regular, load_alist, save_alist
-from .decoder import DecodeResult, DecoderConfig, QFormat, decode
+from .decoder import DecodeResult, DecoderConfig, QFormat, decode, worst_case_config
 from .errors import (
     ConfigurationError,
     InfeasibleParameters,
@@ -240,17 +240,19 @@ def scale_rows(
     the reports (baseline first, then each scenario that ran, with its
     speedup over the baseline).
 
-    `mode` picks the executor pair: "costmodel" prices the decode with
-    `simulate_sequential`/`simulate_parallel`, "threads" times live
-    workers with `run_sequential_baseline`/`run_parallel_workers`; any
-    other mode raises ValueError before either runs.  Non-divisible or
-    failed scenarios are reported as skipped with the reason.
+    `mode` picks the executor pair: "costmodel" decodes the word once and
+    prices that run with `simulate_sequential`/`simulate_parallel`,
+    "threads" times live workers with
+    `run_sequential_baseline`/`run_parallel_workers`; any other mode
+    raises ValueError before either runs.  Non-divisible or failed
+    scenarios are reported as skipped with the reason.
     """
     if mode not in SCALE_MODES:
         raise ValueError(f"unknown scale mode {mode!r}; expected one of {SCALE_MODES}")
     placements = placements or {}
     if mode == "costmodel":
-        _, base = simulate_sequential(H, prior, cfg, cm, worst_case=worst_case)
+        run = decode(H, prior, worst_case_config(cfg) if worst_case else cfg)
+        base = simulate_sequential(H, run, cm)
     else:
         _, base = run_sequential_baseline(H, prior, cfg, reps=reps, worst_case=worst_case)
     rows = []
@@ -265,11 +267,7 @@ def scale_rows(
         try:
             part = make_partition(H.m, slaves)
             if mode == "costmodel":
-                _, rep = simulate_parallel(
-                    H, prior, cfg, part, cm,
-                    placement=placements.get(procs),
-                    worst_case=worst_case,
-                )
+                rep = simulate_parallel(H, run, part, cm, placements.get(procs))
             else:
                 _, rep = run_parallel_workers(
                     H, prior, cfg, part, reps=reps, worst_case=worst_case

@@ -11,10 +11,11 @@ arrives.  The per-iteration phases on the master's clock are
     gather      sequential receives of refreshed check messages
     master      variable-node update, syndrome check, fixed overhead
 
-and their sum is the modeled iteration time exactly.  Decoded values
-come from `decoder.decode` itself, so the cost model can change only
-time, never results; the live workers (`parsim.workers`) are what
-execute the partitioned schedule.
+and their sum is the modeled iteration time exactly.  The model prices a
+given `DecodeResult` and never decodes: its reports carry the run's
+iteration count and no bits, so it can change only time, never results,
+and one decode prices a whole scenario sweep.  The live workers
+(`parsim.workers`) are what execute the partitioned schedule.
 
 The cost formula is written once and prices one cost point or an array of
 them: `calibrate` prices its 31x7x11 grid of communication costs for every
@@ -33,7 +34,7 @@ from typing import Mapping
 import numpy as np
 
 from ..code import ParityCheckMatrix
-from ..decoder import DecodeResult, DecoderConfig, decode, worst_case_config
+from ..decoder import DecodeResult
 from ..errors import DegenerateCostModel, LengthMismatch, NoFeasiblePoint
 from ..partition import Partition, make_partition, plan_messages
 
@@ -41,6 +42,7 @@ from ..partition import Partition, make_partition, plan_messages
 from ..code import syndrome_ok  # noqa: F401
 from ..decoder import (  # noqa: F401
     check_node_update_block,
+    decode,
     hard_decision,
     init_state,
     variable_node_update,
@@ -293,57 +295,45 @@ def _report(
     )
 
 
-def _require_one_word(prior: np.ndarray) -> None:
-    # The reports price or time one word's iterations against H.n bits.
-    if np.ndim(prior) != 1:
-        raise LengthMismatch(f"a priced or timed run decodes one word, got {np.shape(prior)}")
+def _require_one_word(word: np.ndarray) -> None:
+    # The reports price or time one word's iterations against H.n bits:
+    # `word` is the run's prior or its decoded bits.
+    if np.ndim(word) != 1:
+        raise LengthMismatch(f"a priced or timed run decodes one word, got {np.shape(word)}")
 
 
 def simulate_sequential(
-    H: ParityCheckMatrix,
-    prior: np.ndarray,
-    cfg: DecoderConfig,
-    cm: CostModel,
-    worst_case: bool = False,
-) -> tuple[DecodeResult, SimReport]:
-    """Single-PE run: decode one word as usual and price every executed
-    iteration."""
-    _require_one_word(prior)
-    eff = worst_case_config(cfg) if worst_case else cfg
-    result = decode(H, prior, eff)
-    per_iter = sequential_iteration_cycles(H.edges, cm)
+    H: ParityCheckMatrix, run: DecodeResult, cm: CostModel
+) -> SimReport:
+    """Single-PE price of `run`, a decode of one word on H: every executed
+    iteration at the sequential cost.  Prices the given run; never decodes."""
+    _require_one_word(run.bits)
     breakdown = {
-        "compute_master": result.iterations_used * per_iter,
+        "compute_master": run.iterations_used * sequential_iteration_cycles(H.edges, cm),
         "slave_stall": 0.0,
         "communication": 0.0,
     }
-    report = _report(1, result.iterations_used, H.n, cm, breakdown, {})
-    return result, report
+    return _report(1, run.iterations_used, H.n, cm, breakdown, {})
 
 
 def simulate_parallel(
     H: ParityCheckMatrix,
-    prior: np.ndarray,
-    cfg: DecoderConfig,
+    run: DecodeResult,
     p: Partition,
     cm: CostModel,
     placement: MeshPlacement | None = None,
-    worst_case: bool = False,
-) -> tuple[DecodeResult, SimReport]:
-    """Partitioned run: decode one word as usual and price every executed
-    iteration on the star schedule of `p` and `placement`.
+) -> SimReport:
+    """Price of `run`, a decode of one word on H, on the star schedule of
+    `p` and `placement`: every executed iteration at the parallel cost.
 
     Check rows read only the previous totals and their own edges, so the
-    slave blocks' updates together are the whole-code update: the decode
-    is `decode`'s own.  A partition or placement that does not fit raises
-    before any decode.
+    slave blocks' updates together are the whole-code update and the
+    partitioned run executes `run`'s iterations.  Prices the given run and
+    never decodes; a partition or placement that does not fit raises.
     """
-    _require_one_word(prior)
+    _require_one_word(run.bits)
     geometry = _scenario_geometry(H, p, placement)
-    eff = worst_case_config(cfg) if worst_case else cfg
-    result = decode(H, prior, eff)
-    iterations = result.iterations_used
-
+    iterations = run.iterations_used
     cost = parallel_iteration_cost(H.edges, *geometry, cm)
     max_slave_compute = max(geometry[0]) * cm.cycles_per_check_edge
     breakdown = {
@@ -356,10 +346,7 @@ def simulate_parallel(
         "gather_cycles": iterations * cost.gather,
         "max_slave_compute_cycles": iterations * max_slave_compute,
     }
-    report = _report(
-        p.num_slaves + 1, iterations, H.n, cm, breakdown, extras
-    )
-    return result, report
+    return _report(p.num_slaves + 1, iterations, H.n, cm, breakdown, extras)
 
 
 def _stacked(geometries: list[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -148,7 +148,7 @@ def _slave_loop(conn, degs: list[int], clamp: float | None, wire: dict) -> None:
             frame = chan.recv(timeout=300.0)
             if frame.startswith(_QUIT):
                 return
-            d = unpack_llrs(split_packets(frame, offset=len(_DATA)), **wire)
+            d = unpack_llrs(split_packets(frame, offset=len(_DATA)), **wire).tolist()
             msgs = check_block_messages(d, degs, clamp, wire["qformat"])
             chan.send(_frame(_RESULT, pack_llrs(msgs, **wire)))
     except (EOFError, KeyboardInterrupt, WorkerError):

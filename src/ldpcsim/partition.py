@@ -172,8 +172,10 @@ def split_packets(buf: bytes, offset: int = 0) -> list[bytes]:
 
 def unpack_llrs(
     packets, word_bytes: int = 4, qformat: QFormat | None = None
-) -> list[float]:
-    """Inverse of pack_llrs; exact for values representable on the wire."""
+) -> np.ndarray:
+    """Inverse of pack_llrs, as a float64 array (read-only when the wire
+    words are float64 already); exact for values representable on the
+    wire."""
     dtype = _wire_dtype(word_bytes, qformat)
     packets = list(packets)
     for pkt in packets:
@@ -186,7 +188,7 @@ def unpack_llrs(
     words = np.frombuffer(b"".join(packets), dtype)
     if qformat is not None:
         words = words / 2.0**qformat.frac_bits
-    return words.tolist()
+    return words.astype(np.float64, copy=False)
 
 
 def edge_slices(H: ParityCheckMatrix, p: Partition) -> list[tuple[int, int]]:

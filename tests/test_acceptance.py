@@ -13,7 +13,7 @@ import pytest
 
 from ldpcsim.cli import ber_sweep, scale_rows, uncoded_bpsk_ber
 from ldpcsim.code import generate_regular
-from ldpcsim.decoder import DecoderConfig, decode, decode_minsum_reference
+from ldpcsim.decoder import DecoderConfig, decode, decode_minsum_reference, init_state
 from ldpcsim.parsim.model import (
     DEFAULT_SPEEDUP_TARGETS,
     CostModel,
@@ -22,8 +22,10 @@ from ldpcsim.parsim.model import (
     simulate_parallel,
     simulate_sequential,
 )
+from ldpcsim.parsim.workers import _master_decode, check_block_messages
 from ldpcsim.partition import (
     PACKET_BYTES,
+    attach_edge_counts,
     make_partition,
     pack_llrs,
     plan_messages,
@@ -39,6 +41,24 @@ def _announce(num: int, label: str, detail: str = "") -> None:
     print(f"\nACCEPTANCE {num} ({label}): PASS{suffix}")
 
 
+def _partitioned_in_process(H, prior, cfg, part):
+    """The live executors' master loop with each slave block's check
+    update run in process by the scalar kernel: the partitioned schedule
+    without workers or wire."""
+    part = attach_edge_counts(part, H)
+    degs = H.row_degrees().tolist()
+    block_degs = [degs[lo:hi] for lo, hi in part.group_bounds]
+
+    def exchange(blocks):
+        return [check_block_messages(d.tolist(), bd, cfg.clamp, cfg.qformat)
+                for d, bd in zip(blocks, block_degs)], 0.0
+
+    slices = list(zip(part.edge_bounds, part.edge_bounds[1:]))
+    state = init_state(H, prior, cfg)
+    result, _ = _master_decode(H, state, cfg, slices, exchange, 1, part.num_slaves + 1)
+    return result
+
+
 def test_criterion_1_parallel_sequential_equivalence(fixture252):
     start = time.time()
     cfg = DecoderConfig()
@@ -46,12 +66,19 @@ def test_criterion_1_parallel_sequential_equivalence(fixture252):
     parts = {s: make_partition(252, s) for s in SCENARIO_SLAVES}
     for seed in range(100):
         prior = noisy_prior(fixture252, ebno_db=2.0, seed=seed)
-        seq_res, _ = simulate_sequential(fixture252, prior, cfg, cm)
+        run = decode(fixture252, prior, cfg)
+        # The model prices the one run in every scenario; it returns no bits.
+        assert simulate_sequential(fixture252, run, cm).iterations == run.iterations_used
         for slaves, part in parts.items():
-            par_res, _ = simulate_parallel(fixture252, prior, cfg, part, cm)
-            assert np.array_equal(par_res.bits, seq_res.bits), (seed, slaves)
-            assert par_res.iterations_used == seq_res.iterations_used
-            assert par_res.converged == seq_res.converged
+            par = simulate_parallel(fixture252, run, part, cm)
+            assert par.iterations == run.iterations_used, (seed, slaves)
+        # The slave blocks' updates together are decode's whole-code update:
+        # each slave count on every sixth input.
+        slaves = SCENARIO_SLAVES[seed % len(SCENARIO_SLAVES)]
+        par_res = _partitioned_in_process(fixture252, prior, cfg, parts[slaves])
+        assert np.array_equal(par_res.bits, run.bits), (seed, slaves)
+        assert par_res.iterations_used == run.iterations_used
+        assert par_res.converged == run.converged
     elapsed = time.time() - start
     assert elapsed < 60.0
     _announce(1, "parallel/sequential bit equivalence",

@@ -317,11 +317,35 @@ class TestScale:
         # comm-free model: monotone gain, no initial dip
         assert speedups[3] > 1.0
 
+    def test_costmodel_sweep_decodes_once(self, monkeypatch):
+        # Every scenario prices the one decode run; a skipped scenario
+        # (4 slaves do not divide 18 checks) prices nothing.  A decode is
+        # counted under either name the sweep could reach it by.
+        import ldpcsim.cli as cli_mod
+        import ldpcsim.parsim.model as model_mod
+
+        calls = {"decode": 0, "simulate_sequential": 0, "simulate_parallel": 0}
+        for module, name in [(cli_mod, "decode"), (model_mod, "decode"),
+                             (cli_mod, "simulate_sequential"),
+                             (cli_mod, "simulate_parallel")]:
+            def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        H = generate_regular(36, 3, 6, seed=1)
+        prior = np.random.default_rng(1).normal(2.0, 1.0, H.n)
+        rows, reports = scale_rows(H, [1, 3, 4, 5, 7], "costmodel", prior,
+                                   DecoderConfig(), CostModel(), True, 1)
+        assert calls == {"decode": 1, "simulate_sequential": 1, "simulate_parallel": 3}
+        assert [r["status"] for r in rows] == ["ok", "ok", "ok", "skipped", "ok"]
+        assert all(rep.iterations == 30 for rep in reports)
+
     def test_unknown_mode_raises_before_any_executor(self, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("an executor ran")
 
-        for name in ("simulate_sequential", "simulate_parallel",
+        for name in ("decode", "simulate_sequential", "simulate_parallel",
                      "run_sequential_baseline", "run_parallel_workers"):
             monkeypatch.setattr(f"ldpcsim.cli.{name}", never)
         H = generate_regular(24, 3, 6, seed=1)

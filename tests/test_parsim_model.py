@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ldpcsim.cli import scale_rows
 from ldpcsim.code import generate_regular
-from ldpcsim.decoder import DecoderConfig, decode
+from ldpcsim.decoder import DecoderConfig, decode, worst_case_config
 from ldpcsim.errors import DegenerateCostModel, LengthMismatch, NoFeasiblePoint
 from ldpcsim.parsim.model import (
     DEFAULT_SPEEDUP_TARGETS,
@@ -109,80 +109,74 @@ class TestCostModel:
 class TestSequentialAccounting:
     def test_unit_cost_closed_form(self, fixture252):
         prior = noisy_prior(fixture252, ebno_db=3.0, seed=0)
-        _, report = simulate_sequential(
-            fixture252, prior, DecoderConfig(), UNIT_COMPUTE, worst_case=True
-        )
+        run = decode(fixture252, prior, worst_case_config(DecoderConfig()))
+        report = simulate_sequential(fixture252, run, UNIT_COMPUTE)
         assert report.iterations == 30
         assert report.modeled_cycles == 30 * (1512 + 1512 + 1512) == 136080
 
     def test_zero_cost_model_is_degenerate(self, fixture252):
         prior = noisy_prior(fixture252, ebno_db=3.0, seed=0)
         zero = CostModel(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        run = decode(fixture252, prior, DecoderConfig())
         with pytest.raises(DegenerateCostModel):
-            simulate_sequential(fixture252, prior, DecoderConfig(), zero)
+            simulate_sequential(fixture252, run, zero)
 
     def test_decode_identity_contract(self, fixture252):
+        # The model prices the decode it is given and returns no bits: the
+        # report's iteration count is the run's.
         cfg = DecoderConfig()
         for seed in range(50):
             prior = noisy_prior(fixture252, ebno_db=2.0, seed=seed)
             direct = decode(fixture252, prior, cfg)
-            via_sim, report = simulate_sequential(fixture252, prior, cfg, CostModel())
-            assert np.array_equal(direct.bits, via_sim.bits)
-            assert direct.iterations_used == via_sim.iterations_used == report.iterations
-
+            report = simulate_sequential(fixture252, direct, CostModel())
+            assert report.iterations == direct.iterations_used
 
     def test_refuses_a_batch(self, fixture252):
         # The report prices one word: a (B, n) prior is an error, not B words
         # priced as one.
         prior = np.stack([noisy_prior(fixture252, ebno_db=3.0, seed=s) for s in (0, 1)])
+        run = decode(fixture252, prior, DecoderConfig())
         with pytest.raises(LengthMismatch):
-            simulate_sequential(fixture252, prior, DecoderConfig(), CostModel())
+            simulate_sequential(fixture252, run, CostModel())
 
 
 class TestParallelSimulation:
     @pytest.mark.parametrize("words", [2, 504])
     def test_refuses_a_batch(self, fixture252, words):
         # words == n would otherwise pass the codeword shape check.
-        prior = np.ones((words, 504))
+        run = decode(fixture252, np.ones((words, 504)), DecoderConfig())
         with pytest.raises(LengthMismatch):
-            simulate_parallel(
-                fixture252, prior, DecoderConfig(), make_partition(252, 2), CostModel()
-            )
+            simulate_parallel(fixture252, run, make_partition(252, 2), CostModel())
 
     def test_bit_exact_equivalence_small_sweep(self, fixture252):
         cfg = DecoderConfig()
         cm = CostModel()
         for seed in range(5):
             prior = noisy_prior(fixture252, ebno_db=2.0, seed=seed)
-            seq_res, seq_rep = simulate_sequential(fixture252, prior, cfg, cm)
+            run = decode(fixture252, prior, cfg)
+            seq_rep = simulate_sequential(fixture252, run, cm)
+            assert seq_rep.iterations == run.iterations_used
             for slaves in SCENARIO_SLAVES:
-                par_res, _ = simulate_parallel(
-                    fixture252, prior, cfg, make_partition(252, slaves), cm
+                par_rep = simulate_parallel(
+                    fixture252, run, make_partition(252, slaves), cm
                 )
-                assert np.array_equal(par_res.bits, seq_res.bits)
-                assert par_res.iterations_used == seq_res.iterations_used
-                assert par_res.converged == seq_res.converged
+                assert par_rep.iterations == run.iterations_used
 
     def test_single_slave_is_pure_overhead(self, fixture252):
         prior = noisy_prior(fixture252, ebno_db=3.0, seed=1)
         cfg = DecoderConfig()
         cm = CostModel()
-        _, seq = simulate_sequential(fixture252, prior, cfg, cm, worst_case=True)
-        _, par = simulate_parallel(
-            fixture252, prior, cfg, make_partition(252, 1), cm, worst_case=True
-        )
+        run = decode(fixture252, prior, worst_case_config(cfg))
+        seq = simulate_sequential(fixture252, run, cm)
+        par = simulate_parallel(fixture252, run, make_partition(252, 1), cm)
         assert par.time_seconds >= seq.time_seconds
 
     def test_breakdown_sums_exactly(self, fixture252):
         prior = noisy_prior(fixture252, ebno_db=3.0, seed=2)
+        run = decode(fixture252, prior, worst_case_config(DecoderConfig()))
         for slaves in SCENARIO_SLAVES:
-            _, rep = simulate_parallel(
-                fixture252,
-                prior,
-                DecoderConfig(),
-                make_partition(252, slaves),
-                CostModel(),
-                worst_case=True,
+            rep = simulate_parallel(
+                fixture252, run, make_partition(252, slaves), CostModel()
             )
             assert sum(rep.breakdown.values()) == rep.modeled_cycles
 
@@ -236,22 +230,25 @@ class TestParallelSimulation:
         cfg = DecoderConfig()
         cm = CostModel()
         part = make_partition(252, 4)
-        res_near, rep_near = simulate_parallel(
-            fixture252, prior, cfg, part, cm,
+        # The model returns no bits: both placements price the one run.
+        run = decode(fixture252, prior, cfg)
+        rep_near = simulate_parallel(
+            fixture252, run, part, cm,
             placement=MeshPlacement.from_spec(5, "3x2@1,0"),
         )
-        res_far, rep_far = simulate_parallel(
-            fixture252, prior, cfg, part, cm,
+        rep_far = simulate_parallel(
+            fixture252, run, part, cm,
             placement=MeshPlacement.from_spec(5, "5x1@0,0"),
         )
-        assert np.array_equal(res_near.bits, res_far.bits)
+        assert rep_near.iterations == rep_far.iterations == run.iterations_used
         assert rep_far.time_seconds > rep_near.time_seconds
 
     def test_placement_slave_count_must_match(self, fixture252):
         prior = noisy_prior(fixture252, ebno_db=2.0, seed=4)
+        run = decode(fixture252, prior, DecoderConfig())
         with pytest.raises(ValueError):
             simulate_parallel(
-                fixture252, prior, DecoderConfig(), make_partition(252, 4),
+                fixture252, run, make_partition(252, 4),
                 CostModel(), placement=MeshPlacement.star(3),
             )
 
@@ -445,9 +442,8 @@ class TestCalibrate:
 
 def test_throughput_definition(fixture252):
     prior = noisy_prior(fixture252, ebno_db=3.0, seed=4)
-    _, rep = simulate_sequential(
-        fixture252, prior, DecoderConfig(), CostModel(), worst_case=True
-    )
+    run = decode(fixture252, prior, worst_case_config(DecoderConfig()))
+    rep = simulate_sequential(fixture252, run, CostModel())
     assert rep.throughput_kbps == pytest.approx(
         504 / rep.time_seconds / 1000.0, rel=1e-12
     )
@@ -487,7 +483,7 @@ def test_model_conservation(params, seed, points, data):
         for name in _COST_FIELDS
     })
     prior = noisy_prior(H, ebno_db=2.0, seed=seed)
-    cfg = DecoderConfig(max_iter=3)
+    run = decode(H, prior, DecoderConfig(max_iter=3))
     geometries = []
     for slaves in (d for d in range(1, H.m + 1) if H.m % d == 0):
         part = make_partition(H.m, slaves)
@@ -507,9 +503,9 @@ def test_model_conservation(params, seed, points, data):
                 )
                 if cost.total == 0:
                     with pytest.raises(DegenerateCostModel):
-                        simulate_parallel(H, prior, cfg, part, cm, placement)
+                        simulate_parallel(H, run, part, cm, placement)
                     continue
-                _, report = simulate_parallel(H, prior, cfg, part, cm, placement)
+                report = simulate_parallel(H, run, part, cm, placement)
                 assert sum(report.breakdown.values()) == report.modeled_cycles
     # Each row of the array-valued kernel, over every scenario at once, is
     # the one-point call bit for bit.

@@ -178,18 +178,18 @@ class TestPackUnpack:
     def test_float32_round_trip_exact(self):
         rng = np.random.default_rng(0)
         values = rng.normal(0, 8, 1000).astype(np.float32).astype(float).tolist()
-        assert unpack_llrs(pack_llrs(values)) == values
+        assert unpack_llrs(pack_llrs(values)).tolist() == values
 
     def test_float64_round_trip_exact(self):
         rng = np.random.default_rng(1)
         values = rng.normal(0, 8, 1000).tolist()
-        assert unpack_llrs(pack_llrs(values, word_bytes=8), word_bytes=8) == values
+        assert unpack_llrs(pack_llrs(values, word_bytes=8), word_bytes=8).tolist() == values
 
     def test_qformat_round_trip_exact(self):
         q = QFormat(8, 4)
         values = (np.arange(-127, 128) / 16.0).tolist()
         got = unpack_llrs(pack_llrs(values, qformat=q), qformat=q)
-        assert got == values
+        assert got.tolist() == values
 
     def test_no_packet_exceeds_limit_and_bytes_conserved(self):
         for count in [0, 1, 31, 32, 33, 100, 377, 378]:
@@ -333,6 +333,9 @@ def test_wire_bytes_and_floats_equal_struct_oracle(mode, data):
     # Workers cut the packets back out of a frame behind its type byte.
     assert split_packets(b"D" + b"".join(packets), offset=1) == packets
     decoded = unpack_llrs(packets, word_bytes, qformat)
+    # The master writes the decoded block straight into its float64 state.
+    assert decoded.dtype == np.float64
+    decoded = decoded.tolist()
     expected = oracle_unpack_llrs(packets, word_bytes, qformat)
     assert [v.hex() for v in decoded] == [v.hex() for v in expected]
-    assert unpack_llrs(iter(packets), word_bytes, qformat) == decoded
+    assert unpack_llrs(iter(packets), word_bytes, qformat).tolist() == decoded
