@@ -1,14 +1,15 @@
 """Sparse parity-check matrices, alist I/O and codeword validation.
 
-A code is represented by its m x n binary parity-check matrix H, stored as
-bipartite adjacency (check rows <-> variable columns).  Edge ids run over
-rows in row order, then within a row in adjacency order; per-edge decoder
-state is indexed by these ids.
+A code is represented by its m x n binary parity-check matrix H, stored
+once, as CSR arrays over its edges and their CSC view.  Edge ids run over
+rows in row order, then within a row in the order the row was given;
+per-edge decoder state is indexed by these ids.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,17 +23,22 @@ from .errors import (
 )
 
 
+def _duplicate_key(keys: np.ndarray) -> int | None:
+    """The smallest key that occurs twice in `keys` (`check * n + variable`
+    names a duplicate edge), or None."""
+    s = np.sort(keys)
+    hit = np.flatnonzero(s[1:] == s[:-1])
+    return int(s[hit[0]]) if hit.size else None
+
+
 class ParityCheckMatrix:
-    """Immutable sparse binary matrix with Tanner-graph adjacency.
+    """Immutable sparse binary matrix, held as its Tanner graph's edge arrays.
 
     Sparsity (edge count growing like the code length) is expected of the
     codes this library targets but is not enforced numerically.
 
     Attributes:
         m, n: check (row) and variable (column) counts.
-        row_adj: per check node, tuple of adjacent variable indices.
-        col_adj: per variable node, tuple of adjacent check indices
-            (ascending, derived from row_adj).
         edges: total number of 1-entries.
         row_ptr / edge_var: CSR-style arrays; edges of check c occupy
             edge ids row_ptr[c]:row_ptr[c+1], edge_var[e] is the variable.
@@ -41,50 +47,47 @@ class ParityCheckMatrix:
         col_ptr / col_edge: CSC view; the edges of variable v are
             col_edge[col_ptr[v]:col_ptr[v+1]], in ascending check order
             (a stable sort of edge ids by variable).
+        rank: the GF(2) rank of H, computed on first use.
     """
 
-    def __init__(self, row_adj: Sequence[Sequence[int]], n: int):
-        m = len(row_adj)
+    def __init__(self, rows: Sequence[Sequence[int]], n: int):
+        m = len(rows)
         if m < 1 or n < 1:
             raise MalformedAlist(f"matrix must be at least 1x1, got {m}x{n}")
-        rows = []
-        col_lists: list[list[int]] = [[] for _ in range(n)]
-        for c, vs in enumerate(row_adj):
-            vs = tuple(int(v) for v in vs)
-            if len(vs) == 0:
-                raise EmptyRowOrColumn(f"check node {c} has no edges")
-            seen = set()
-            for v in vs:
-                if not 0 <= v < n:
-                    raise MalformedAlist(f"variable index {v} out of range in row {c}")
-                if v in seen:
-                    raise MalformedAlist(f"duplicate edge ({c}, {v})")
-                seen.add(v)
-                col_lists[v].append(c)
-            rows.append(vs)
-        for v, cs in enumerate(col_lists):
-            if not cs:
-                raise EmptyRowOrColumn(f"variable node {v} has no edges")
+        degs = np.fromiter(map(len, rows), dtype=np.int64, count=m)
+        row_ptr = np.concatenate(([0], np.cumsum(degs)))
+        try:
+            edge_var = np.fromiter(
+                itertools.chain.from_iterable(rows), dtype=np.int64, count=int(row_ptr[-1])
+            )
+        except OverflowError as exc:
+            raise MalformedAlist(f"variable index out of range: {exc}") from exc
+        # Faults are reported for the first row that has one, as a scan of
+        # the rows in order would find them; uncovered columns come last.
+        edge_row = np.repeat(np.arange(m), degs)
+        empty = m if degs.all() else int(np.argmin(degs))
+        out = np.flatnonzero((edge_var < 0) | (edge_var >= n))
+        if out.size and edge_row[out[0]] < empty:
+            e = out[0]
+            raise MalformedAlist(f"variable index {edge_var[e]} out of range in row {edge_row[e]}")
+        dup = None if out.size else _duplicate_key(edge_row * n + edge_var)
+        if dup is not None and dup // n < empty:
+            raise MalformedAlist(f"duplicate edge ({dup // n}, {dup % n})")
+        if empty < m:
+            raise EmptyRowOrColumn(f"check node {empty} has no edges")
+        cdegs = np.bincount(edge_var, minlength=n)
+        if not cdegs.all():
+            raise EmptyRowOrColumn(f"variable node {np.argmin(cdegs)} has no edges")
 
-        self.m = m
-        self.n = n
-        self.row_adj = tuple(rows)
-        self.col_adj = tuple(tuple(cs) for cs in col_lists)
-
-        degs = np.fromiter((len(r) for r in rows), dtype=np.int64, count=m)
-        self.row_ptr = np.concatenate(([0], np.cumsum(degs)))
-        self.edges = int(self.row_ptr[-1])
-        self.edge_var = np.fromiter(
-            (v for vs in rows for v in vs), dtype=np.int64, count=self.edges
-        )
-        cdegs = np.fromiter((len(c) for c in self.col_adj), dtype=np.int64, count=n)
+        self.m, self.n, self.edges = m, n, int(row_ptr[-1])
+        self.row_ptr, self.edge_var = row_ptr, edge_var
         self.col_ptr = np.concatenate(([0], np.cumsum(cdegs)))
-        self.col_edge = np.argsort(self.edge_var, kind="stable")
+        self.col_edge = np.argsort(edge_var, kind="stable")
 
     @functools.cached_property
     def slots(self) -> "RowSlots":
         degs = self.row_degrees()
-        edge_row = np.repeat(np.arange(self.m), degs)
+        edge_row = self.edge_rows()
         edge_slot = (np.arange(self.edges) - self.row_ptr[edge_row]) * self.m + edge_row
         edge = np.repeat(self.row_ptr[None, :-1], degs.max(), axis=0)
         edge.flat[edge_slot] = np.arange(self.edges)
@@ -95,8 +98,42 @@ class ParityCheckMatrix:
             edge_slot=edge_slot,
         )
 
+    @functools.cached_property
+    def rank(self) -> int:
+        # Each row, as a Python-int bit mask, is reduced by an xor basis
+        # keyed by top bit; whatever is left joins the basis.  A reduction
+        # never sets a bit above the row's own top bit, and variables get
+        # lower bits the later their last check comes, so once row c is done
+        # the entries keyed at bits no later row meets are dropped.
+        last_check = self.edge_rows()[self.col_edge[self.col_ptr[1:] - 1]]
+        bit = np.empty(self.n, dtype=np.int64)
+        bit[np.argsort(last_check, kind="stable")] = np.arange(self.n - 1, -1, -1)
+        # Rows after row c meet only the bits below live[c].
+        live = (self.n - np.cumsum(np.bincount(last_check, minlength=self.m))).tolist()
+        var, ptr = bit[self.edge_var].tolist(), self.row_ptr.tolist()
+        basis: dict[int, int] = {}
+        rank, dead = 0, self.n
+        for c in range(self.m):
+            row = sum(1 << v for v in var[ptr[c] : ptr[c + 1]])
+            while row:
+                top = row.bit_length() - 1
+                pivot = basis.get(top)
+                if pivot is None:
+                    basis[top] = row
+                    rank += 1
+                    break
+                row ^= pivot
+            for t in range(live[c], dead):
+                basis.pop(t, None)
+            dead = live[c]
+        return rank
+
     def row_degrees(self) -> np.ndarray:
         return np.diff(self.row_ptr)
+
+    def edge_rows(self) -> np.ndarray:
+        """The check of each edge, shaped (E,)."""
+        return np.repeat(np.arange(self.m), self.row_degrees())
 
     def col_degrees(self) -> np.ndarray:
         return np.diff(self.col_ptr)
@@ -123,17 +160,15 @@ class RowSlots:
 
 @dataclass(frozen=True)
 class CodeInfo:
-    """Code-length bookkeeping. k = n - m is assumed (rank is not computed);
-    rank_assumed flags that assumption for callers that care."""
+    """Code-length bookkeeping: k = n - rank(H) information bits."""
 
     n: int
     k: int
     rate: float
-    rank_assumed: bool = True
 
     @classmethod
     def from_matrix(cls, H: ParityCheckMatrix) -> "CodeInfo":
-        k = H.n - H.m
+        k = H.n - H.rank
         return cls(n=H.n, k=k, rate=k / H.n)
 
 
@@ -144,83 +179,80 @@ def load_alist(text: str) -> ParityCheckMatrix:
     n column adjacency lines / m row adjacency lines, indices 1-based.
     Zero entries (padding) in adjacency lines are ignored.
     """
-    tokens_per_line = []
-    for line in text.splitlines():
-        parts = line.split()
-        if parts:
-            try:
-                tokens_per_line.append([int(p) for p in parts])
-            except ValueError as exc:
-                raise MalformedAlist(f"non-integer token in line {line!r}") from exc
-    if len(tokens_per_line) < 4:
+    lines = [parts for parts in map(str.split, text.splitlines()) if parts]
+    try:
+        tokens = np.fromiter(map(int, itertools.chain.from_iterable(lines)), dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise MalformedAlist(f"non-integer token: {exc}") from exc
+    counts = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    if len(lines) < 4:
         raise MalformedAlist("alist needs at least 4 header lines")
-    if len(tokens_per_line[0]) != 2:
+    header = [tokens[starts[i] : starts[i + 1]] for i in range(4)]
+    if len(header[0]) != 2:
         raise MalformedAlist("first line must be 'n m'")
-    n, m = tokens_per_line[0]
+    n, m = header[0].tolist()
     if n < 1 or m < 1:
         raise MalformedAlist(f"non-positive dimensions n={n} m={m}")
-    if len(tokens_per_line) != 4 + n + m:
-        raise MalformedAlist(
-            f"expected {4 + n + m} lines for n={n} m={m}, got {len(tokens_per_line)}"
-        )
-    col_degs = tokens_per_line[2]
-    row_degs = tokens_per_line[3]
+    if len(lines) != 4 + n + m:
+        raise MalformedAlist(f"expected {4 + n + m} lines for n={n} m={m}, got {len(lines)}")
+    col_degs, row_degs = header[2], header[3]
     if len(col_degs) != n:
         raise MalformedAlist(f"expected {n} column degrees, got {len(col_degs)}")
     if len(row_degs) != m:
         raise MalformedAlist(f"expected {m} row degrees, got {len(row_degs)}")
-    if any(d == 0 for d in col_degs) or any(d == 0 for d in row_degs):
+    if not (col_degs.all() and row_degs.all()):
         raise EmptyRowOrColumn("zero-degree row or column declared")
+    if header[1].tolist() != [col_degs.max(), row_degs.max()]:
+        raise MalformedAlist("second line must be the largest column and row degrees")
 
-    def entries(line_tokens: list[int], upper: int, what: str) -> list[int]:
-        out = []
-        for t in line_tokens:
-            if t == 0:
-                continue  # padding
-            if not 1 <= t <= upper:
-                raise MalformedAlist(f"{what} index {t} out of range 1..{upper}")
-            out.append(t - 1)
-        return out
-
-    col_adj = []
-    for v in range(n):
-        cs = entries(tokens_per_line[4 + v], m, "check")
-        if len(cs) != col_degs[v]:
+    def block(first: int, degs: np.ndarray, upper: int, what: str):
+        """Line-in-block and 0-based value of each entry of len(degs) lines."""
+        owner = np.repeat(np.arange(len(degs)), counts[first : first + len(degs)])
+        entry = tokens[starts[first] : starts[first + len(degs)]]
+        owner, entry = owner[entry != 0], entry[entry != 0]
+        bad = entry[(entry < 1) | (entry > upper)]
+        if bad.size:
+            raise MalformedAlist(f"{what} index {bad[0]} out of range 1..{upper}")
+        found = np.bincount(owner, minlength=len(degs))
+        wrong = np.flatnonzero(found != degs)
+        if wrong.size:
+            i = wrong[0]
             raise MalformedAlist(
-                f"column {v + 1}: declared degree {col_degs[v]}, found {len(cs)}"
+                f"line {first + i + 1}: declared degree {degs[i]}, found {found[i]}"
             )
-        col_adj.append(cs)
-    row_adj = []
-    for c in range(m):
-        vs = entries(tokens_per_line[4 + n + c], n, "variable")
-        if len(vs) != row_degs[c]:
-            raise MalformedAlist(
-                f"row {c + 1}: declared degree {row_degs[c]}, found {len(vs)}"
-            )
-        row_adj.append(vs)
+        return owner, entry - 1
 
-    H = ParityCheckMatrix(row_adj, n)  # raises on duplicates / empty
+    col_of, col_check = block(4, col_degs, m, "check")
+    var = block(4 + n, row_degs, n, "variable")[1].tolist()
+    ptr = np.cumsum(row_degs).tolist()
+    H = ParityCheckMatrix([var[a:b] for a, b in zip([0, *ptr], ptr)], n)
     # Both adjacency blocks must describe the same edge set.
-    for v in range(n):
-        if sorted(col_adj[v]) != sorted(H.col_adj[v]):
-            raise MalformedAlist(
-                f"column {v + 1} adjacency disagrees with row adjacency"
-            )
+    keys = np.sort(H.edge_rows() * n + H.edge_var)
+    if not np.array_equal(np.sort(col_check * n + col_of), keys):
+        raise MalformedAlist("column adjacency disagrees with row adjacency")
     return H
+
+
+def _lines(values: np.ndarray, ptr: np.ndarray) -> list[str]:
+    """Line i holds values[ptr[i]:ptr[i+1]], space separated."""
+    tokens = list(map(str, values.tolist()))
+    ptr = ptr.tolist()
+    return [" ".join(tokens[a:b]) for a, b in zip(ptr[:-1], ptr[1:])]
 
 
 def save_alist(H: ParityCheckMatrix) -> str:
     """Serialize to canonical alist: adjacency lists ascending, no padding."""
+    cdegs, rdegs = H.col_degrees(), H.row_degrees()
+    edge_row = H.edge_rows()
     lines = [
         f"{H.n} {H.m}",
-        f"{int(H.col_degrees().max())} {int(H.row_degrees().max())}",
-        " ".join(str(int(d)) for d in H.col_degrees()),
-        " ".join(str(int(d)) for d in H.row_degrees()),
+        f"{int(cdegs.max())} {int(rdegs.max())}",
+        " ".join(map(str, cdegs.tolist())),
+        " ".join(map(str, rdegs.tolist())),
+        *_lines(edge_row[H.col_edge] + 1, H.col_ptr),
+        *_lines(np.sort(edge_row * H.n + H.edge_var) % H.n + 1, H.row_ptr),
     ]
-    for v in range(H.n):
-        lines.append(" ".join(str(c + 1) for c in sorted(H.col_adj[v])))
-    for c in range(H.m):
-        lines.append(" ".join(str(v + 1) for v in sorted(H.row_adj[c])))
     return "\n".join(lines) + "\n"
 
 
@@ -251,13 +283,8 @@ def generate_regular(
     col_sockets = np.repeat(np.arange(n), wc)
     for _ in range(max_attempts):
         perm = rng.permutation(col_sockets)
-        pairs = row_sockets * n + perm
-        if len(np.unique(pairs)) != len(pairs):
-            continue
-        row_adj: list[list[int]] = [[] for _ in range(m)]
-        for c, v in zip(row_sockets, perm):
-            row_adj[c].append(int(v))
-        return ParityCheckMatrix(row_adj, n)
+        if _duplicate_key(row_sockets * n + perm) is None:
+            return ParityCheckMatrix(perm.reshape(m, wr), n)
     raise InfeasibleParameters(
         f"no duplicate-free edge assignment found in {max_attempts} attempts "
         f"for n={n} wc={wc} wr={wr}"

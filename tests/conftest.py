@@ -72,3 +72,15 @@ def irregular_code(m, n, seed):
         c = int(rng.integers(m))
         rows[c] = np.append(rows[c], v)
     return ParityCheckMatrix([sorted({int(v) for v in r}) for r in rows], n)
+
+
+def adjacency(H):
+    """H's Tanner graph as tuples, read off its CSR arrays: per check the
+    variables in edge order, and per variable the checks in ascending order."""
+    ptr, var = H.row_ptr.tolist(), H.edge_var.tolist()
+    rows = tuple(tuple(var[a:b]) for a, b in zip(ptr[:-1], ptr[1:]))
+    cols = [[] for _ in range(H.n)]
+    for c, vs in enumerate(rows):
+        for v in vs:
+            cols[v].append(c)
+    return rows, tuple(map(tuple, cols))

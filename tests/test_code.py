@@ -20,9 +20,80 @@ from ldpcsim.errors import (
     MalformedAlist,
 )
 
-from conftest import SMALL_REGULAR_PARAMS, DATA
+from conftest import SMALL_REGULAR_PARAMS, DATA, adjacency
 
 FIXTURE252_SHA256 = "3f9135b416d3c8815fd818a3d9cb5c8b17bd1e584472e6b8e0879491bf63e7cb"
+LONG_CODE_SHA256 = "58b803950feb128fbcb3a78a237b6e4e8dade8c14f3320d93f18a3e1b66de63a"
+
+
+def _list_generate_regular(
+    n: int, wc: int, wr: int, seed: int, max_attempts: int = 2000
+) -> ParityCheckMatrix:
+    """The generator as it was before it shared the constructor's
+    duplicate-edge predicate: np.unique over the pairs, rows as lists."""
+    if wc < 2:
+        raise InfeasibleParameters(f"column weight must be >= 2, got {wc}")
+    if wr < 1:
+        raise InfeasibleParameters(f"row weight must be >= 1, got {wr}")
+    if (n * wc) % wr != 0:
+        raise InfeasibleParameters(
+            f"n*wc = {n * wc} not divisible by row weight {wr}"
+        )
+    m = n * wc // wr
+    if wr > n or wc > m:
+        raise InfeasibleParameters(
+            f"degrees infeasible for {m}x{n}: wr={wr} > n or wc={wc} > m"
+        )
+    rng = np.random.default_rng(seed)
+    row_sockets = np.repeat(np.arange(m), wr)
+    col_sockets = np.repeat(np.arange(n), wc)
+    for _ in range(max_attempts):
+        perm = rng.permutation(col_sockets)
+        pairs = row_sockets * n + perm
+        if len(np.unique(pairs)) != len(pairs):
+            continue
+        row_adj: list[list[int]] = [[] for _ in range(m)]
+        for c, v in zip(row_sockets, perm):
+            row_adj[c].append(int(v))
+        return ParityCheckMatrix(row_adj, n)
+    raise InfeasibleParameters(
+        f"no duplicate-free edge assignment found in {max_attempts} attempts "
+        f"for n={n} wc={wc} wr={wr}"
+    )
+
+
+def _tuple_constructor(row_adj, n):
+    """The constructor's checks as they were when it built tuple adjacency,
+    one row and one entry at a time; returns its CSR/CSC arrays."""
+    m = len(row_adj)
+    if m < 1 or n < 1:
+        raise MalformedAlist(f"matrix must be at least 1x1, got {m}x{n}")
+    rows = []
+    col_lists: list[list[int]] = [[] for _ in range(n)]
+    for c, vs in enumerate(row_adj):
+        vs = tuple(int(v) for v in vs)
+        if len(vs) == 0:
+            raise EmptyRowOrColumn(f"check node {c} has no edges")
+        seen = set()
+        for v in vs:
+            if not 0 <= v < n:
+                raise MalformedAlist(f"variable index {v} out of range in row {c}")
+            if v in seen:
+                raise MalformedAlist(f"duplicate edge ({c}, {v})")
+            seen.add(v)
+            col_lists[v].append(c)
+        rows.append(vs)
+    for v, cs in enumerate(col_lists):
+        if not cs:
+            raise EmptyRowOrColumn(f"variable node {v} has no edges")
+    degs = np.fromiter((len(r) for r in rows), dtype=np.int64, count=m)
+    row_ptr = np.concatenate(([0], np.cumsum(degs)))
+    edge_var = np.fromiter(
+        (v for vs in rows for v in vs), dtype=np.int64, count=int(row_ptr[-1])
+    )
+    cdegs = np.fromiter((len(c) for c in col_lists), dtype=np.int64, count=n)
+    col_ptr = np.concatenate(([0], np.cumsum(cdegs)))
+    return row_ptr, edge_var, col_ptr, np.argsort(edge_var, kind="stable")
 
 
 class TestLoadAlist:
@@ -43,7 +114,7 @@ class TestLoadAlist:
     def test_padding_zeros_ignored(self):
         padded = "2 2\n2 2\n1 2\n2 1\n1 0\n1 2\n1 2\n2 0\n"
         H = load_alist(padded)
-        assert H.row_adj == ((0, 1), (1,))
+        assert adjacency(H)[0] == ((0, 1), (1,))
 
     def test_bad_line_count(self):
         with pytest.raises(MalformedAlist):
@@ -73,6 +144,22 @@ class TestLoadAlist:
     def test_non_integer_token(self):
         with pytest.raises(MalformedAlist):
             load_alist("2 x\n1 1\n1 1\n1 1\n1\n2\n1\n1\n")
+
+    # Largest column degree 2, largest row degree 2.
+    THREE_EDGES = "2 2\n{}\n1 2\n2 1\n1\n1 2\n1 2\n2\n"
+
+    def test_second_line_holds_the_largest_degrees(self):
+        assert load_alist(self.THREE_EDGES.format("2 2")).edges == 3
+
+    @pytest.mark.parametrize("line2", ["2", "2 2 2"])
+    def test_second_line_wrong_count(self, line2):
+        with pytest.raises(MalformedAlist, match="second line"):
+            load_alist(self.THREE_EDGES.format(line2))
+
+    @pytest.mark.parametrize("line2", ["1 2", "2 1", "3 2", "2 6"])
+    def test_second_line_wrong_value(self, line2):
+        with pytest.raises(MalformedAlist, match="second line"):
+            load_alist(self.THREE_EDGES.format(line2))
 
 
 class TestSaveAlist:
@@ -128,9 +215,9 @@ class TestGenerateRegular:
     def test_deterministic_per_seed(self):
         a = generate_regular(24, 3, 6, seed=9)
         b = generate_regular(24, 3, 6, seed=9)
-        assert a.row_adj == b.row_adj
+        assert adjacency(a) == adjacency(b)
         c = generate_regular(24, 3, 6, seed=10)
-        assert a.row_adj != c.row_adj
+        assert adjacency(a) != adjacency(c)
 
     def test_fixture_digest_pinned(self, fixture252):
         # Golden pin for the seed-1 fixture; a change here means the rng
@@ -141,6 +228,35 @@ class TestGenerateRegular:
         digest = hashlib.sha256(save_alist(fixture252).encode()).hexdigest()
         assert digest == FIXTURE252_SHA256
 
+    def test_long_code_digest_pinned(self):
+        # The n=20160 seed-1 code the scale-model benchmark builds, and its
+        # alist round trip.
+        import hashlib
+
+        text = save_alist(generate_regular(20160, 3, 6, seed=1))
+        for t in (text, save_alist(load_alist(text))):
+            assert hashlib.sha256(t.encode()).hexdigest() == LONG_CODE_SHA256
+
+    @pytest.mark.parametrize(
+        "n,wc,wr,seed", [(n, wc, wr, s) for n, wc, wr in SMALL_REGULAR_PARAMS
+                         for s in range(5)] + [(504, 3, 6, 1)]
+    )
+    def test_same_code_as_the_list_generator(self, n, wc, wr, seed):
+        H = generate_regular(n, wc, wr, seed=seed)
+        O = _list_generate_regular(n, wc, wr, seed=seed)
+        assert np.array_equal(H.row_ptr, O.row_ptr)
+        assert np.array_equal(H.edge_var, O.edge_var)
+
+    @pytest.mark.parametrize(
+        "args,kwargs",
+        [((5, 3, 4, 0), {}), ((8, 1, 2, 0), {}), ((8, 2, 0, 0), {}),
+         ((4, 3, 6, 0), {}), ((12, 4, 6, 0), {"max_attempts": 1})],
+    )
+    def test_infeasible_as_the_list_generator(self, args, kwargs):
+        for gen in (generate_regular, _list_generate_regular):
+            with pytest.raises(InfeasibleParameters):
+                gen(*args, **kwargs)
+
     @pytest.mark.parametrize("n,wc,wr", SMALL_REGULAR_PARAMS)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_property_sweep(self, n, wc, wr, seed):
@@ -149,8 +265,9 @@ class TestGenerateRegular:
         assert all(d == wr for d in H.row_degrees())
         assert all(d == wc for d in H.col_degrees())
         # transpose consistency
-        via_rows = {(c, v) for c, vs in enumerate(H.row_adj) for v in vs}
-        via_cols = {(c, v) for v, cs in enumerate(H.col_adj) for c in cs}
+        rows, cols = adjacency(H)
+        via_rows = {(c, v) for c, vs in enumerate(rows) for v in vs}
+        via_cols = {(c, v) for v, cs in enumerate(cols) for c in cs}
         assert via_rows == via_cols
         assert len(via_rows) == H.edges
 
@@ -171,7 +288,7 @@ def test_col_edge_lists_edges_in_ascending_check_order(H):
         edges = H.col_edge[H.col_ptr[v] : H.col_ptr[v + 1]]
         checks = np.searchsorted(H.row_ptr, edges, side="right") - 1
         assert (H.edge_var[edges] == v).all()
-        assert checks.tolist() == sorted(checks.tolist()) == list(H.col_adj[v])
+        assert checks.tolist() == sorted(checks.tolist()) == list(adjacency(H)[1][v])
 
 
 def _random_rows(draw_seed: int, m: int, n: int) -> list[list[int]]:
@@ -201,17 +318,62 @@ def test_alist_round_trip_keeps_the_adjacency(params, seed, m, n, irregular):
         H = generate_regular(*params, seed=seed)
     # save_alist writes each row ascending, so the edge ids of the reloaded
     # matrix are those of H with its rows sorted.
-    canonical = ParityCheckMatrix([sorted(r) for r in H.row_adj], H.n)
     R = load_alist(save_alist(H))
+    (h_rows, h_cols), (r_rows, r_cols) = adjacency(H), adjacency(R)
+    canonical = ParityCheckMatrix([sorted(r) for r in h_rows], H.n)
     assert (R.m, R.n, R.edges) == (H.m, H.n, H.edges)
-    assert R.col_adj == H.col_adj
-    assert [sorted(r) for r in R.row_adj] == [sorted(r) for r in H.row_adj]
+    assert r_cols == h_cols
+    assert [sorted(r) for r in r_rows] == [sorted(r) for r in h_rows]
     for name in ("row_ptr", "edge_var", "col_ptr", "col_edge"):
         assert np.array_equal(getattr(R, name), getattr(canonical, name)), name
     # A matrix already in that order comes back array for array.
     again = load_alist(save_alist(R))
     for name in ("row_ptr", "edge_var", "col_ptr", "col_edge"):
         assert np.array_equal(getattr(again, name), getattr(R, name)), name
+
+
+FAULTS = ("duplicate", "out_of_range", "empty_row", "uncovered_column", "no_rows")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    m=st.integers(1, 8),
+    n=st.integers(1, 8),
+    faults=st.lists(st.sampled_from(FAULTS), max_size=3),
+)
+def test_constructor_rejects_as_the_tuple_constructor(seed, m, n, faults):
+    rng = np.random.default_rng(seed)
+    rows = _random_rows(seed, m, n)
+    for fault in faults:
+        if not rows:
+            break
+        c = int(rng.integers(len(rows)))
+        if fault == "duplicate" and rows[c]:
+            rows[c].insert(int(rng.integers(len(rows[c]) + 1)), int(rng.choice(rows[c])))
+        elif fault == "out_of_range":
+            rows[c].insert(int(rng.integers(len(rows[c]) + 1)), int(rng.choice([-1, n, n + 5])))
+        elif fault == "empty_row":
+            rows[c] = []
+        elif fault == "uncovered_column":
+            v = int(rng.integers(n))
+            rows = [[u for u in r if u != v] for r in rows]
+        elif fault == "no_rows":
+            rows = []
+    try:
+        expected = _tuple_constructor(rows, n)
+    except (MalformedAlist, EmptyRowOrColumn) as exc:
+        with pytest.raises(type(exc)):
+            ParityCheckMatrix(rows, n)
+    else:
+        H = ParityCheckMatrix(rows, n)
+        for name, want in zip(("row_ptr", "edge_var", "col_ptr", "col_edge"), expected):
+            assert np.array_equal(getattr(H, name), want), name
+
+
+def test_constructor_rejects_an_index_beyond_int64():
+    with pytest.raises(MalformedAlist):
+        ParityCheckMatrix([[0, 2**70]], 3)
 
 
 class TestSyndrome:
@@ -261,7 +423,7 @@ class TestSyndrome:
         H = ParityCheckMatrix([[0, 1], [1, 2, 3, 4], [0, 4, 2]], 5)
         words = np.array(list(itertools.product((0, 1), repeat=5)), dtype=np.uint8)
         expected = [
-            all(sum(int(w[v]) for v in row) % 2 == 0 for row in H.row_adj)
+            all(sum(int(w[v]) for v in row) % 2 == 0 for row in adjacency(H)[0])
             for w in words
         ]
         assert syndrome_ok(H, words).tolist() == expected
@@ -284,14 +446,65 @@ class TestSyndrome:
 
 
 class TestCodeInfo:
-    def test_rate_and_assumption_flag(self, fixture252):
+    def test_rate_of_the_full_rank_fixture(self, fixture252):
         info = CodeInfo.from_matrix(fixture252)
-        assert info.n == 504
-        assert info.k == 252
-        assert info.rate == 0.5
-        assert info.rank_assumed
+        assert fixture252.rank == 252
+        assert (info.n, info.k, info.rate) == (504, 252, 0.5)
 
-    def test_redundant_row_is_not_detected(self, hamming74):
-        # The 4x7 fixture has rank 3, but k is reported as n - m by design.
+    def test_redundant_row_lowers_the_rank(self, hamming74):
+        # The 4x7 fixture has one redundant row: rank 3, the (7,4) code.
+        assert hamming74.rank == 3
         info = CodeInfo.from_matrix(hamming74)
-        assert info.k == 3
+        assert (info.k, info.rate) == (4, 4 / 7)
+
+    def test_even_column_weight_code_is_rank_deficient(self):
+        # Every column holds two ones, so the rows sum to zero.
+        H = generate_regular(96, 2, 4, seed=3)
+        assert H.rank == 47
+        assert CodeInfo.from_matrix(H).k == 49
+
+
+def _dense(H):
+    dense = np.zeros((H.m, H.n), dtype=np.uint8)
+    dense[H.edge_rows(), H.edge_var] = 1
+    return dense
+
+
+def _gf2_rank(dense):
+    """Gauss-Jordan elimination over GF(2), one column at a time."""
+    a = dense.copy()
+    rank = 0
+    for col in range(a.shape[1]):
+        pivots = np.flatnonzero(a[rank:, col])
+        if not pivots.size:
+            continue
+        p = rank + pivots[0]
+        a[[rank, p]] = a[[p, rank]]
+        others = np.flatnonzero(a[:, col])
+        a[others[others != rank]] ^= a[rank]
+        rank += 1
+        if rank == a.shape[0]:
+            break
+    return rank
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    m=st.integers(1, 10),
+    n=st.integers(1, 14),
+    sums=st.integers(0, 4),
+)
+def test_rank_matches_plain_elimination(seed, m, n, sums):
+    # `sums` extra rows are each the GF(2) sum of a random subset of the
+    # rows, so they add nothing to the rank.
+    rng = np.random.default_rng(seed)
+    rows = [set(r) for r in _random_rows(seed, m, n)]
+    for _ in range(sums):
+        extra = set()
+        for r in rng.choice(len(rows), size=rng.integers(1, len(rows) + 1), replace=False):
+            extra ^= rows[r]
+        if extra:
+            rows.append(extra)
+    H = ParityCheckMatrix([sorted(r) for r in rows], n)
+    assert H.rank == _gf2_rank(_dense(H)) <= min(m, n)

@@ -18,7 +18,7 @@ from ldpcsim.decoder import (
 from ldpcsim.errors import ConfigurationError, LengthMismatch
 from ldpcsim.parsim.workers import check_block_messages
 
-from conftest import SMALL_REGULAR_PARAMS, irregular_code, noisy_prior
+from conftest import SMALL_REGULAR_PARAMS, adjacency, irregular_code, noisy_prior
 
 NO_CLAMP = DecoderConfig(clamp=None)
 
@@ -258,7 +258,7 @@ class TestDecode:
         prior = rng.normal(0, 2, 24)
         perm = rng.permutation(24)
         Hp = ParityCheckMatrix(
-            [[int(np.where(perm == v)[0][0]) for v in row] for row in H.row_adj], 24
+            [[int(np.where(perm == v)[0][0]) for v in row] for row in adjacency(H)[0]], 24
         )
         a = decode(H, prior)
         b = decode(Hp, prior[perm])
