@@ -12,9 +12,12 @@ run and for its sequential baseline alike: it keeps the decoder's own
 state (`decoder.init_state`), gathers each block's differences in one
 step and runs the decoder's variable update, hard decision and syndrome
 check.  The check messages come from the scalar kernel
-`check_block_messages` (plain Python floats, the array decoder's
-operation order, saturated in one call to `decoder.saturate`): in the
-slaves, and in process on the whole code for the baseline.  So slave
+`check_block_messages` (a per-edge loop over plain Python floats, the
+array decoder's results byte for byte): in the slaves, and in process on
+the whole code for the baseline.  It reads its block as a list, the one
+`.tolist()` left on the worker path, and returns the messages saturated
+by `decoder.saturate` as a float64 array, which the slave hands to
+`pack_llrs` and the baseline assigns into `check_msg` as is.  So slave
 compute scales with edge count rather than with array-dispatch overhead,
 and speedups compare like with like.  Outputs are bit-identical to
 `decoder.decode`.
@@ -31,6 +34,7 @@ back out of the frame in one step.
 from __future__ import annotations
 
 import functools
+import math
 import multiprocessing as mp
 import os
 import statistics
@@ -75,32 +79,48 @@ _FAILURE = b"E"
 
 def check_block_messages(
     d: list[float], degs: list[int], clamp: float | None, qf: QFormat | None
-) -> list[float]:
+) -> np.ndarray:
     """Two-minimum update for a flat difference block segmented by degs,
-    saturated under (clamp, qf) by `decoder.saturate`."""
+    saturated under (clamp, qf) by `decoder.saturate`, as a float64 array.
+
+    Each row takes two passes over its differences: the first finds the
+    two smallest magnitudes and the parity of the negative signs, the
+    second writes every message.  This loop is all the compute of the
+    baseline and of every slave, so it keeps to plain comparisons: a sign
+    parity rather than a product of float signs, and index counters
+    rather than `enumerate`.
+    """
     out: list[float] = []
+    put = out.append
     pos = 0
     for deg in degs:
         seg = d[pos : pos + deg]
         pos += deg
-        min1 = min2 = float("inf")
+        min1 = min2 = math.inf
         argmin = -1
-        sign_all = 1.0
-        for i, dv in enumerate(seg):
-            s = -1.0 if dv < 0 else 1.0
-            sign_all *= s
-            a = -dv if dv < 0 else dv
+        odd = False
+        i = 0
+        for dv in seg:
+            if dv < 0:
+                odd = not odd
+                a = -dv
+            else:
+                a = dv + 0.0  # |-0.0| is +0.0, as np.absolute gives it
             if a < min1:
                 min2 = min1
                 min1 = a
                 argmin = i
             elif a < min2:
                 min2 = a
-        for i, dv in enumerate(seg):
-            s = -1.0 if dv < 0 else 1.0
+            i += 1
+        i = 0
+        for dv in seg:
             mag = min2 if i == argmin else min1
-            out.append(sign_all * s * mag)
-    return saturate(np.array(out), clamp, qf, in_place=True).tolist()
+            # Negative when the row's other edges hold an odd count of
+            # negative differences.
+            put(-mag if (dv < 0) is not odd else mag)
+            i += 1
+    return saturate(np.array(out), clamp, qf, in_place=True)
 
 
 def _frame(kind: bytes, packets: list[bytes]) -> bytes:

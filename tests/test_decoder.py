@@ -30,13 +30,18 @@ def state_with_differences(values):
     return H, state
 
 
+def as_bytes(values):
+    """float64 bytes of `values`, which tell -0.0 from 0.0 as == does not."""
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
 def row_messages(values):
-    """One check row's unclamped messages from each of the three kernels:
-    the block kernel, the scalar kernel and the oracle."""
+    """One check row's unclamped messages from each of the three kernels,
+    the block kernel, the scalar kernel and the oracle, as float64 bytes."""
     H, state = state_with_differences(values)
     check_node_update_block(state, H, NO_CLAMP)
     scalar = check_block_messages(list(values), [len(values)], None, None)
-    return [state.check_msg.tolist(), scalar, check_row_oracle(values)]
+    return [as_bytes(state.check_msg), as_bytes(scalar), as_bytes(check_row_oracle(values))]
 
 
 def differences(state, H):
@@ -54,20 +59,25 @@ def scalar_messages(state, H, cfg):
 class TestCheckNodeUpdate:
     def test_worked_example(self):
         for out in row_messages([1.5, -2.0, 0.5]):
-            assert out == [-0.5, 0.5, -1.5]
+            assert out == as_bytes([-0.5, 0.5, -1.5])
 
     def test_degree_two_passthrough(self):
         for out in row_messages([0.7, -1.3]):
-            assert out == [-1.3, 0.7]
+            assert out == as_bytes([-1.3, 0.7])
 
     def test_equal_differences_are_fixed_point(self):
         for out in row_messages([0.7, 0.7, 0.7, 0.7]):
-            assert out == [0.7] * 4
+            assert out == as_bytes([0.7] * 4)
 
     def test_sign_of_zero_is_positive(self):
         # d=0 contributes +1 sign and magnitude 0 to the others.
         for out in row_messages([0.0, -2.0, 3.0]):
-            assert out == [-2.0, 0.0, -0.0]
+            assert out == as_bytes([-2.0, 0.0, -0.0])
+
+    def test_magnitude_of_negative_zero_is_positive(self):
+        # |-0.0| is +0.0, so the other edges get +0.0, not -0.0.
+        for out in row_messages([-0.0, 1.0, 2.0]):
+            assert out == as_bytes([1.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("seed", range(10))
     def test_two_minimum_matches_bruteforce_exactly(self, seed):
@@ -79,9 +89,9 @@ class TestCheckNodeUpdate:
         expected = []
         for c in range(H.m):
             expected += check_row_oracle(d[H.row_ptr[c] : H.row_ptr[c + 1]])
-        assert scalar_messages(state, H, NO_CLAMP) == expected
+        assert scalar_messages(state, H, NO_CLAMP).tobytes() == as_bytes(expected)
         check_node_update_block(state, H, NO_CLAMP)
-        assert state.check_msg.tolist() == expected
+        assert state.check_msg.tobytes() == as_bytes(expected)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_block_kernel_matches_scalar_exactly(self, seed):
@@ -91,7 +101,7 @@ class TestCheckNodeUpdate:
         state.check_msg[...] = rng.normal(0, 1, H.edges)
         scalar = scalar_messages(state, H, NO_CLAMP)
         check_node_update_block(state, H, NO_CLAMP)
-        assert state.check_msg.tolist() == scalar
+        assert state.check_msg.tobytes() == scalar.tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_block_kernel_on_rows_of_unequal_degree(self, seed):
@@ -108,7 +118,7 @@ class TestCheckNodeUpdate:
             state.check_msg[...] = msgs
             scalar = scalar_messages(state, H, cfg)
             check_node_update_block(state, H, cfg)
-            assert state.check_msg.tolist() == scalar
+            assert state.check_msg.tobytes() == scalar.tobytes()
 
 
 # Saturation settings the scalar/block property covers.
@@ -146,7 +156,37 @@ def test_scalar_and_block_kernels_saturate_alike(cfg, code, data):
     assert differences(state, H) == d
     scalar = scalar_messages(state, H, cfg)
     check_node_update_block(state, H, cfg)
-    assert state.check_msg.tolist() == scalar
+    assert state.check_msg.tobytes() == scalar.tobytes()
+
+
+# Ties and signed zeros come up often among these values.
+ROW_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5]),
+    st.floats(-10.0, 10.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cfg=st.sampled_from([
+        DecoderConfig(clamp=None),
+        DecoderConfig(clamp=6.0),
+        DecoderConfig(arithmetic=QFormat(8, 4)),
+    ]),
+    degs=st.lists(st.integers(2, 8), min_size=1, max_size=6),
+    data=st.data(),
+)
+def test_scalar_kernel_bytes_equal_block_kernel(cfg, degs, data):
+    # One variable per edge and zero messages, so each difference is the
+    # saturated prior itself, -0.0 included.
+    n = sum(degs)
+    ends = np.cumsum(degs).tolist()
+    H = ParityCheckMatrix([list(range(e - k, e)) for e, k in zip(ends, degs)], n)
+    prior = data.draw(st.lists(ROW_VALUE, min_size=n, max_size=n))
+    state = init_state(H, np.asarray(prior), cfg)
+    scalar = scalar_messages(state, H, cfg)
+    check_node_update_block(state, H, cfg)
+    assert state.check_msg.tobytes() == scalar.tobytes()
 
 
 class TestInitState:

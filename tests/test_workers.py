@@ -39,7 +39,7 @@ class TestScalarKernel:
             d, small_code.row_degrees().tolist(), cfg.clamp, None
         )
         check_node_update_block(state, small_code, cfg)
-        assert scalar == state.check_msg.tolist()
+        assert scalar.tobytes() == state.check_msg.tobytes()
 
     @pytest.mark.parametrize(
         "cfg",
@@ -74,13 +74,13 @@ class TestScalarKernel:
                     check_block_messages(d.tolist(), bd, cfg.clamp, cfg.qformat)
                     for d, bd in zip(blocks, block_degs)
                 ]
-                trace.append([x for block in msgs for x in block])
+                trace.append(np.concatenate(msgs).tobytes())
                 return msgs, 0.0
 
             state = init_state(H, prior, cfg)
             slices = list(zip(part.edge_bounds, part.edge_bounds[1:]))
             result, _ = _master_decode(H, state, cfg, slices, exchange, 1, processors=4)
-            assert trace == [t.tolist() for t in array.message_trace]
+            assert trace == [t.tobytes() for t in array.message_trace]
             assert state.total.tolist() == array.final_state.total.tolist()
             assert result.bits.tolist() == array.bits.tolist()
 
@@ -139,6 +139,20 @@ def test_blocks_of_unequal_degree_match_decode(seed):
             # The model prices the decode it is given and returns no bits.
             priced = simulate_parallel(H, ref, part, CostModel())
             assert priced.iterations == ref.iterations_used
+
+
+@pytest.mark.parametrize("worst_case", [True, False])
+@pytest.mark.parametrize("cfg", EQUIVALENCE_CONFIGS, ids=["clamp64", "noclamp", "q8.4"])
+def test_baseline_matches_decode_on_negative_zero_priors(small_code, cfg, worst_case):
+    # -0.0 and +0.0 priors give zero differences of both signs, whose
+    # magnitude both kernels take as +0.0.
+    prior = np.random.default_rng(4).normal(1.0, 2.0, small_code.n)
+    prior[::3] = -0.0
+    prior[1::7] = 0.0
+    eff = worst_case_config(cfg) if worst_case else cfg
+    ref = decode(small_code, prior, eff)
+    result, _ = run_sequential_baseline(small_code, prior, cfg, reps=1, worst_case=worst_case)
+    _same_decode(result, ref)
 
 
 def nonzero_codeword(H, seed):
