@@ -8,6 +8,7 @@ parameters.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -36,6 +37,7 @@ from .parsim import (
     simulate_parallel,
     simulate_sequential,
 )
+from .parsim.workers import fork_shares, worker_count
 from .partition import make_partition
 
 DEFAULT_PROCESSORS = [1, 3, 4, 5, 7, 8, 10]
@@ -162,6 +164,42 @@ def ber_batch_width(H: ParityCheckMatrix) -> int:
     return max(1, min(BER_BATCH, _BATCH_SLOTS // H.slots.var.size))
 
 
+def _sweep_share(
+    H: ParityCheckMatrix,
+    ebno_list: list[float],
+    words: int,
+    width: int,
+    seed: int,
+    cfg: DecoderConfig,
+    rate: float,
+    rank: int,
+    procs: int,
+) -> list[tuple[int, int, int]]:
+    """(bit errors, frame errors, iterations) per point, summed over the
+    chunks i of `width` words with i % procs == rank.
+
+    Every chunk's noise is drawn, so the point's stream stays in step
+    whichever chunks this share decodes.
+    """
+    symbols = modulate(np.zeros(H.n, dtype=np.uint8))
+    totals = []
+    for idx, ebno in enumerate(ebno_list):
+        ch = ChannelConfig(ebno_db=ebno, rate=rate, seed=seed)
+        rng = np.random.default_rng([seed, idx])
+        errors = frame_errors = iters = 0
+        for chunk, first in enumerate(range(0, words, width)):
+            batch = np.broadcast_to(symbols, (min(width, words - first), H.n))
+            received = transmit(batch, ch, rng=rng)
+            if chunk % procs != rank:
+                continue
+            result = decode(H, llr_init(received, ch), cfg)
+            errors += int(result.bits.sum())
+            frame_errors += int(result.bits.any(axis=1).sum())
+            iters += result.iterations_used
+        totals.append((errors, frame_errors, iters))
+    return totals
+
+
 def ber_sweep(
     H: ParityCheckMatrix,
     ebno_list: list[float],
@@ -171,31 +209,29 @@ def ber_sweep(
 ) -> list[dict]:
     """Monte-Carlo BER rows, all-zero codeword, one rng substream per point.
 
-    Each point decodes ceil(min_bits / n) words, `ber_batch_width(H)` at
-    a time.
+    Each point decodes ceil(min_bits / n) words in chunks of
+    `ber_batch_width(H)` words, one `decode` call each.  The chunks are
+    spread over `worker_count()` processes (LDPC_PARSIM_THREADS when set,
+    else this process's CPUs; at most one per chunk of a point): process r
+    decodes chunks i with i % processes == r, this one is r = 0 and the
+    others are forked.  The counts are integer sums, so the rows do not
+    depend on the process count.
     frame_errors counts the words with at least one wrong bit.
     """
     if min_bits < 1:
         raise ValueError(f"min_bits must be >= 1, got {min_bits}")
     cfg = cfg or DecoderConfig()
     rate = CodeInfo.from_matrix(H).rate
-    rows = []
-    symbols = modulate(np.zeros(H.n, dtype=np.uint8))
     words = -(-min_bits // H.n)
     width = ber_batch_width(H)
-    for idx, ebno in enumerate(ebno_list):
-        ch = ChannelConfig(ebno_db=ebno, rate=rate, seed=seed)
-        rng = np.random.default_rng([seed, idx])
-        errors = 0
-        frame_errors = 0
-        iters = 0
-        for first in range(0, words, width):
-            batch = np.broadcast_to(symbols, (min(width, words - first), H.n))
-            result = decode(H, llr_init(transmit(batch, ch, rng=rng), ch), cfg)
-            errors += int(result.bits.sum())
-            frame_errors += int(result.bits.any(axis=1).sum())
-            iters += result.iterations_used
-        bits = words * H.n
+    procs = min(worker_count(), -(-words // width))
+    shares = fork_shares(
+        functools.partial(_sweep_share, H, ebno_list, words, width, seed, cfg, rate), procs
+    )
+    rows = []
+    bits = words * H.n
+    for ebno, point in zip(ebno_list, zip(*shares)):
+        errors, frame_errors, iters = (sum(col) for col in zip(*point))
         rows.append(
             {
                 "ebno_db": ebno,

@@ -29,6 +29,12 @@ block is encoded once per direction per iteration by `pack_llrs`, whose
 packets are slices of that one buffer; a frame is its type byte and those
 packets in a single join, and `unpack_llrs` decodes the packets sliced
 back out of the frame in one step.
+
+`fork_shares` is the other use of processes here: it runs one function's
+shares (rank 0 in process, ranks 1.. in forked children) and collects
+each child's result in one message; the BER sweep splits its decoder
+calls this way.  `worker_count` gives the number of processes both
+honor: LDPC_PARSIM_THREADS, else the CPUs this process may run on.
 """
 
 from __future__ import annotations
@@ -185,9 +191,76 @@ def _worker_cap() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise WorkerError(f"{WORKER_CAP_ENV}={raw!r} is not an integer")
+    if cap < 1:
+        raise WorkerError(f"{WORKER_CAP_ENV}={raw!r} is below 1")
+    return cap
+
+
+def worker_count() -> int:
+    """Processes to spread work over: LDPC_PARSIM_THREADS when set, else
+    the CPUs this process may run on."""
+    cap = _worker_cap()
+    return len(os.sched_getaffinity(0)) if cap is None else cap
+
+
+def _share_child(conn, share, rank: int, procs: int) -> None:
+    try:
+        conn.send((True, share(rank, procs)))
+    except Exception as exc:  # surfaced to the parent as its message
+        conn.send((False, f"{type(exc).__name__}: {exc}"))
+    finally:
+        conn.close()
+
+
+def fork_shares(share, procs: int) -> list:
+    """[share(rank, procs) for rank in range(procs)]: rank 0 in this
+    process, ranks 1.. in forked children, each of which sends back its
+    result in one message.
+
+    A child's exception, a child that exits without a result and a wait
+    longer than _WAIT_SECONDS raise WorkerError.  Every child is joined,
+    or terminated, before this returns or raises.  With procs == 1 nothing
+    is forked.
+    """
+    ctx = mp.get_context("fork")
+    conns: list = []
+    children: list = []
+    try:
+        for rank in range(1, procs):
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_share_child, args=(send, share, rank, procs),
+                                daemon=True)
+            child.start()
+            send.close()
+            conns.append(recv)
+            children.append(child)
+        results = [share(0, procs)]
+        for conn in conns:
+            if not conn.poll(_WAIT_SECONDS):
+                raise WorkerError("timed out waiting for a worker's share")
+            try:
+                ok, payload = conn.recv()
+            except EOFError as exc:
+                raise WorkerError("a worker exited without its share") from exc
+            if not ok:
+                raise WorkerError(payload)
+            results.append(payload)
+        return results
+    except BaseException:
+        for child in children:
+            child.terminate()
+        raise
+    finally:
+        for conn in conns:
+            conn.close()
+        for child in children:
+            child.join(timeout=5.0)
+            if child.is_alive():
+                child.kill()
+                child.join()
 
 
 def _master_decode(

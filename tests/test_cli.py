@@ -1,9 +1,13 @@
 import json
+import multiprocessing as mp
+import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import numpy as np
 
@@ -18,7 +22,8 @@ from ldpcsim.cli import (
 )
 from ldpcsim.code import CodeInfo, ParityCheckMatrix, generate_regular
 from ldpcsim.decoder import DecoderConfig, decode
-from ldpcsim.parsim import CostModel
+from ldpcsim.errors import WorkerError
+from ldpcsim.parsim import WORKER_CAP_ENV, CostModel
 from ldpcsim.code import load_alist
 
 from conftest import DATA
@@ -200,6 +205,8 @@ class TestBerSweep:
         ],
     )
     def test_batches_match_one_word_at_a_time(self, fixture252, monkeypatch, min_bits):
+        # One process, so the counting decode sees every call.
+        monkeypatch.setenv(WORKER_CAP_ENV, "1")
         cfg = DecoderConfig(max_iter=12)
         expected = ber_rows_one_word_at_a_time(fixture252, [1.5, 3.0], min_bits, 4, cfg)
         decoded = []
@@ -230,6 +237,7 @@ class TestBerSweep:
         assert ber_batch_width(H) == width
 
     def test_longer_code_decodes_narrower_batches(self, monkeypatch):
+        monkeypatch.setenv(WORKER_CAP_ENV, "1")
         H = generate_regular(1008, 3, 6, seed=2)
         cfg = DecoderConfig(max_iter=8)
         expected = ber_rows_one_word_at_a_time(H, [2.5], 20 * 1008, 5, cfg)
@@ -242,6 +250,89 @@ class TestBerSweep:
         monkeypatch.setattr("ldpcsim.cli.decode", counting_decode)
         assert ber_sweep(H, [2.5], 20 * 1008, 5, cfg) == expected
         assert decoded == [8, 8, 4]
+
+    def test_parent_decodes_every_other_chunk_of_two(self, fixture252, monkeypatch):
+        monkeypatch.setenv(WORKER_CAP_ENV, "2")
+        H, ebno_list, seed = fixture252, [1.5, 3.0], 7
+        words = 4 * BER_BATCH + 6  # chunks of 16, 16, 16, 16 and 6 words
+        ch = [ChannelConfig(ebno_db=e, rate=CodeInfo.from_matrix(H).rate, seed=seed)
+              for e in ebno_list]
+        symbols = modulate(np.zeros(H.n, dtype=np.uint8))
+        chunks = []
+        for idx in range(len(ebno_list)):
+            rng = np.random.default_rng([seed, idx])
+            chunks.append([
+                llr_init(transmit(np.broadcast_to(symbols, (min(BER_BATCH, words - f), H.n)),
+                                  ch[idx], rng=rng), ch[idx])
+                for f in range(0, words, BER_BATCH)
+            ])
+        decoded = []
+
+        def recording_decode(H, prior, cfg):
+            decoded.append(prior)  # the children record into their own copies
+            return decode(H, prior, cfg)
+
+        monkeypatch.setattr("ldpcsim.cli.decode", recording_decode)
+        ber_sweep(H, ebno_list, words * H.n, seed, DecoderConfig(max_iter=5))
+        expected = [c for point in chunks for c in point[::2]]
+        assert len(decoded) == len(expected) == 6
+        assert all(np.array_equal(a, b) for a, b in zip(decoded, expected))
+
+    @pytest.mark.parametrize("failure", ["raise", "exit"])
+    def test_child_failure_raises_and_leaves_no_process(
+        self, fixture252, monkeypatch, failure
+    ):
+        monkeypatch.setenv(WORKER_CAP_ENV, "2")
+        # A hang would time out here with another message.
+        monkeypatch.setattr("ldpcsim.parsim.workers._WAIT_SECONDS", 30.0)
+        parent = os.getpid()
+
+        def failing_decode(H, prior, cfg):
+            if os.getpid() != parent:
+                if failure == "exit":
+                    os._exit(3)
+                raise RuntimeError("chunk decode failed in a child")
+            return decode(H, prior, cfg)
+
+        monkeypatch.setattr("ldpcsim.cli.decode", failing_decode)
+        message = ("RuntimeError: chunk decode failed in a child" if failure == "raise"
+                   else "exited without its share")
+        with pytest.raises(WorkerError, match=message):
+            ber_sweep(fixture252, [2.0], 3 * BER_BATCH * 504, 1)
+        assert mp.active_children() == []
+        monkeypatch.setattr("ldpcsim.cli.decode", decode)
+        ber_sweep(fixture252, [2.0], 3 * BER_BATCH * 504, 1)
+        assert mp.active_children() == []
+
+    @pytest.mark.parametrize("cap", ["0", "-2"])
+    def test_process_count_below_one_is_rejected(self, hamming74, monkeypatch, cap):
+        monkeypatch.setenv(WORKER_CAP_ENV, cap)
+        with pytest.raises(WorkerError, match=f"{WORKER_CAP_ENV}=.* is below 1"):
+            ber_sweep(hamming74, [1.0], 7, seed=1)
+
+
+@pytest.fixture(scope="module")
+def code48():
+    return generate_regular(48, 3, 6, seed=1)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    ebno_list=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=3),
+    chunks=st.integers(1, 5),
+    last_bits=st.integers(1, BER_BATCH * 48),
+)
+def test_rows_do_not_depend_on_process_count(code48, seed, ebno_list, chunks, last_bits):
+    # min_bits drawn as whole 16-word chunks of the 48-bit code plus a
+    # last chunk, so 2 and 3 processes split most examples.
+    min_bits = (chunks - 1) * BER_BATCH * 48 + last_bits
+    cfg = DecoderConfig(max_iter=10)
+    expected = ber_rows_one_word_at_a_time(code48, ebno_list, min_bits, seed, cfg)
+    for procs in ("1", "2", "3"):
+        with mock.patch.dict(os.environ, {WORKER_CAP_ENV: procs}):
+            assert ber_sweep(code48, ebno_list, min_bits, seed, cfg) == expected
+    assert mp.active_children() == []
 
 
 class TestScale:

@@ -378,6 +378,15 @@ class TestParallelWorkers:
                 reps=1,
             )
 
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_worker_cap_below_one_is_rejected(self, small_code, monkeypatch, cap):
+        monkeypatch.setenv(WORKER_CAP_ENV, cap)
+        prior = noisy_prior(small_code, ebno_db=2.0, seed=1)
+        with pytest.raises(WorkerError, match=f"{WORKER_CAP_ENV}=.* is below 1"):
+            run_parallel_workers(
+                small_code, prior, DecoderConfig(), make_partition(small_code.m, 1), reps=1
+            )
+
     def test_worker_failure_surfaces(self, small_code, monkeypatch):
         # Children fork after the patch, so the crash happens slave-side.
         import ldpcsim.parsim.workers as workers_mod
