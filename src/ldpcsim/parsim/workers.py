@@ -32,17 +32,22 @@ back out of the frame in one step.
 
 `fork_shares` is the other use of processes here: it runs one function's
 shares (rank 0 in process, ranks 1.. in forked children) and collects
-each child's result in one message; the BER sweep splits its decoder
-calls this way.  `worker_count` gives the number of processes both
-honor: LDPC_PARSIM_THREADS, else the CPUs this process may run on.
+each child's result, pickled in one frame; the BER sweep splits its
+decoder calls this way.  Both start and stop their children through
+`_forked` and read every frame through `_read`, which raises WorkerError
+on a timeout, on a worker that exited and on a worker's failure frame.
+`worker_count` gives the number of processes both honor:
+LDPC_PARSIM_THREADS, else the CPUs this process may run on.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import multiprocessing as mp
 import os
+import pickle
 import statistics
 import time
 
@@ -60,7 +65,7 @@ from ..decoder import (
     variable_node_update,
     worst_case_config,
 )
-from ..errors import WorkerError
+from ..errors import ConfigurationError, WorkerError
 from ..partition import (
     Partition,
     attach_edge_counts,
@@ -75,8 +80,9 @@ WORKER_CAP_ENV = "LDPC_PARSIM_THREADS"
 _WAIT_SECONDS = 120.0
 _ACK = b"k"
 # Frames are typed by their first byte so a failure is recognizable in
-# any protocol state: D = difference block, R = result block, Q = quit,
-# E = worker failure text.
+# any protocol state: D = difference block, R = result block or share,
+# Q = quit, E = worker failure text.  Closing a slave's pipe does not stop
+# it, as its forked siblings hold copies of the parent's ends.
 _DATA = b"D"
 _RESULT = b"R"
 _QUIT = b"Q"
@@ -133,122 +139,90 @@ def _frame(kind: bytes, packets: list[bytes]) -> bytes:
     return b"".join([kind, *packets])
 
 
+def _read(conn, timeout: float, what: str) -> bytes:
+    """The next frame on conn; WorkerError on a wait past `timeout` s, on
+    EOF and on a failure frame.  `what` names the frame in the error."""
+    if not conn.poll(timeout):
+        raise WorkerError(f"timed out waiting for a worker {what}")
+    try:
+        frame = conn.recv_bytes()
+    except (EOFError, OSError) as exc:
+        raise WorkerError(f"a worker exited without its {what}") from exc
+    if frame.startswith(_FAILURE):
+        raise WorkerError(frame[1:].decode(errors="replace"))
+    return frame
+
+
 class _Channel:
     """Rendezvous over a duplex pipe: send returns only after the peer has
-    taken the frame and acknowledged it within _WAIT_SECONDS.  Failure
-    frames raise on sight."""
+    taken the frame and acknowledged it within _WAIT_SECONDS."""
 
     def __init__(self, conn):
         self.conn = conn
 
-    def send(self, frame: bytes) -> None:
+    def _put(self, frame: bytes) -> None:
         try:
             self.conn.send_bytes(frame)
-            if not self.conn.poll(_WAIT_SECONDS):
-                raise WorkerError("timed out waiting for a worker acknowledgement")
-            ack = self.conn.recv_bytes()
-        except (BrokenPipeError, EOFError) as exc:
-            raise WorkerError(f"worker hung up mid-send: {exc}") from exc
-        if ack.startswith(_FAILURE):
-            raise WorkerError(ack[1:].decode(errors="replace"))
+        except OSError as exc:
+            raise WorkerError(f"worker hung up: {exc}") from exc
+
+    def send(self, frame: bytes) -> None:
+        self._put(frame)
+        ack = _read(self.conn, _WAIT_SECONDS, "acknowledgement")
         if ack != _ACK:
             raise WorkerError(f"unexpected acknowledgement {ack!r}")
 
     def recv(self, timeout: float = _WAIT_SECONDS) -> bytes:
-        if not self.conn.poll(timeout):
-            raise WorkerError("timed out waiting for a worker message")
-        frame = self.conn.recv_bytes()
-        if frame.startswith(_FAILURE):
-            raise WorkerError(frame[1:].decode(errors="replace"))
-        try:
-            self.conn.send_bytes(_ACK)
-        except BrokenPipeError as exc:
-            raise WorkerError(f"worker hung up mid-receive: {exc}") from exc
+        frame = _read(self.conn, timeout, "message")
+        self._put(_ACK)
         return frame
 
 
 def _slave_loop(conn, degs: list[int], clamp: float | None, wire: dict) -> None:
     chan = _Channel(conn)
+    while True:
+        frame = chan.recv(timeout=300.0)
+        if frame.startswith(_QUIT):
+            return
+        d = unpack_llrs(split_packets(frame, offset=len(_DATA)), **wire).tolist()
+        msgs = check_block_messages(d, degs, clamp, wire["qformat"])
+        chan.send(_frame(_RESULT, pack_llrs(msgs, **wire)))
+
+
+def _child(conn, target, args: tuple) -> None:
+    """Run target(conn, *args), sending any exception as a failure frame."""
     try:
-        while True:
-            frame = chan.recv(timeout=300.0)
-            if frame.startswith(_QUIT):
-                return
-            d = unpack_llrs(split_packets(frame, offset=len(_DATA)), **wire).tolist()
-            msgs = check_block_messages(d, degs, clamp, wire["qformat"])
-            chan.send(_frame(_RESULT, pack_llrs(msgs, **wire)))
-    except (EOFError, KeyboardInterrupt, WorkerError):
-        return
-    except Exception as exc:  # surfaced to the master via the frame prefix
+        target(conn, *args)
+    except (EOFError, KeyboardInterrupt):
+        pass
+    except Exception as exc:  # surfaced to the parent, which raises it
         try:
             conn.send_bytes(_FAILURE + f"{type(exc).__name__}: {exc}".encode())
-        except Exception:
+        except OSError:
             pass
-
-
-def _worker_cap() -> int | None:
-    raw = os.environ.get(WORKER_CAP_ENV)
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise WorkerError(f"{WORKER_CAP_ENV}={raw!r} is not an integer")
-    if cap < 1:
-        raise WorkerError(f"{WORKER_CAP_ENV}={raw!r} is below 1")
-    return cap
-
-
-def worker_count() -> int:
-    """Processes to spread work over: LDPC_PARSIM_THREADS when set, else
-    the CPUs this process may run on."""
-    cap = _worker_cap()
-    return len(os.sched_getaffinity(0)) if cap is None else cap
-
-
-def _share_child(conn, share, rank: int, procs: int) -> None:
-    try:
-        conn.send((True, share(rank, procs)))
-    except Exception as exc:  # surfaced to the parent as its message
-        conn.send((False, f"{type(exc).__name__}: {exc}"))
     finally:
         conn.close()
 
 
-def fork_shares(share, procs: int) -> list:
-    """[share(rank, procs) for rank in range(procs)]: rank 0 in this
-    process, ranks 1.. in forked children, each of which sends back its
-    result in one message.
-
-    A child's exception, a child that exits without a result and a wait
-    longer than _WAIT_SECONDS raise WorkerError.  Every child is joined,
-    or terminated, before this returns or raises.  With procs == 1 nothing
-    is forked.
-    """
-    ctx = mp.get_context("fork")
+@contextlib.contextmanager
+def _forked(jobs: list[tuple]):
+    """Fork one daemon child per (target, args) in `jobs` to run
+    target(conn, *args) on its end of a duplex pipe; yield the parent's
+    ends.  On an exception every child is terminated first; then the pipes
+    are closed and each child joined, and killed if alive after 5 s."""
     conns: list = []
     children: list = []
     try:
-        for rank in range(1, procs):
-            recv, send = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_share_child, args=(send, share, rank, procs),
-                                daemon=True)
+        for target, args in jobs:
+            conn, end = mp.Pipe(duplex=True)
+            conns.append(conn)
+            child = mp.get_context("fork").Process(
+                target=_child, args=(end, target, args), daemon=True
+            )
             child.start()
-            send.close()
-            conns.append(recv)
+            end.close()
             children.append(child)
-        results = [share(0, procs)]
-        for conn in conns:
-            if not conn.poll(_WAIT_SECONDS):
-                raise WorkerError("timed out waiting for a worker's share")
-            try:
-                ok, payload = conn.recv()
-            except EOFError as exc:
-                raise WorkerError("a worker exited without its share") from exc
-            if not ok:
-                raise WorkerError(payload)
-            results.append(payload)
-        return results
+        yield conns
     except BaseException:
         for child in children:
             child.terminate()
@@ -261,6 +235,46 @@ def fork_shares(share, procs: int) -> list:
             if child.is_alive():
                 child.kill()
                 child.join()
+
+
+def _worker_cap() -> int | None:
+    raw = os.environ.get(WORKER_CAP_ENV)
+    if raw is None:
+        return None
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise ConfigurationError(f"{WORKER_CAP_ENV}={raw!r} is not an integer")
+    if cap < 1:
+        raise ConfigurationError(f"{WORKER_CAP_ENV}={raw!r} is below 1")
+    return cap
+
+
+def worker_count() -> int:
+    """Processes to spread work over: LDPC_PARSIM_THREADS when set, else
+    the CPUs this process may run on; ConfigurationError on a cap that is
+    not an integer of at least 1."""
+    cap = _worker_cap()
+    return len(os.sched_getaffinity(0)) if cap is None else cap
+
+
+def _send_share(conn, share, rank: int, procs: int) -> None:
+    conn.send_bytes(_RESULT + pickle.dumps(share(rank, procs)))
+
+
+def fork_shares(share, procs: int) -> list:
+    """[share(rank, procs) for rank in range(procs)]: rank 0 in this
+    process, ranks 1.. in forked children, whose results are read after
+    rank 0's.  A child's exception or exit without a result and a wait
+    past _WAIT_SECONDS raise WorkerError; no child outlives the call.
+    With procs == 1 nothing is forked."""
+    jobs = [(_send_share, (share, rank, procs)) for rank in range(1, procs)]
+    with _forked(jobs) as conns:
+        results = [share(0, procs)]
+        for conn in conns:
+            frame = _read(conn, _WAIT_SECONDS, "share")
+            results.append(pickle.loads(frame[len(_RESULT):]))
+    return results
 
 
 def _master_decode(
@@ -388,8 +402,8 @@ def run_parallel_workers(
     The master loop of the sequential baseline, exchanging each slave's
     block over the wire (`_slave_exchange`).  Workers are stateless
     between iterations, so repetitions just replay the message pattern.
-    Raises WorkerError if the LDPC_PARSIM_THREADS cap (when set) is below
-    the slave count.
+    Raises WorkerError on a LDPC_PARSIM_THREADS cap below the slave count
+    and on a worker that fails, exits or stalls, stopping every worker.
     """
     eff, state = _one_word_state(H, prior, cfg, reps, worst_case)
     p = attach_edge_counts(p, H)
@@ -400,27 +414,12 @@ def run_parallel_workers(
         )
     degs = H.row_degrees().tolist()
     wire = {"word_bytes": 8 if eff.qformat is None else 4, "qformat": eff.qformat}
-    ctx = mp.get_context("fork")
-    chans: list[_Channel] = []
-    procs: list = []
-    try:
-        for lo, hi in p.group_bounds:
-            parent, child = ctx.Pipe(duplex=True)
-            proc = ctx.Process(
-                target=_slave_loop, args=(child, degs[lo:hi], eff.clamp, wire), daemon=True
-            )
-            proc.start()
-            child.close()
-            chans.append(_Channel(parent))
-            procs.append(proc)
+    jobs = [(_slave_loop, (degs[lo:hi], eff.clamp, wire)) for lo, hi in p.group_bounds]
+    with _forked(jobs) as conns:
+        chans = [_Channel(conn) for conn in conns]
         slices = list(zip(p.edge_bounds, p.edge_bounds[1:]))
         exchange = functools.partial(_slave_exchange, chans, wire)
         run = _master_decode(H, state, eff, slices, exchange, reps, p.num_slaves + 1)
         for chan in chans:
             chan.send(_QUIT)
-    finally:
-        for proc in procs:
-            proc.join(timeout=5.0)
-            if proc.is_alive():
-                proc.terminate()
     return run

@@ -1,4 +1,5 @@
 import itertools
+import multiprocessing as mp
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,17 @@ SMALL_REGULAR_PARAMS = [
     (24, 3, 4),
     (24, 3, 6),
 ]
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left_running():
+    """Fails a test that leaves a worker process alive, and stops it."""
+    yield
+    live = mp.active_children()
+    for child in live:
+        child.kill()
+        child.join()
+    assert live == [], f"worker processes left running: {live}"
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,7 @@ from ldpcsim.cli import (
 )
 from ldpcsim.code import CodeInfo, ParityCheckMatrix, generate_regular
 from ldpcsim.decoder import DecoderConfig, decode
-from ldpcsim.errors import WorkerError
+from ldpcsim.errors import ConfigurationError, WorkerError
 from ldpcsim.parsim import WORKER_CAP_ENV, CostModel
 from ldpcsim.code import load_alist
 
@@ -307,7 +307,7 @@ class TestBerSweep:
     @pytest.mark.parametrize("cap", ["0", "-2"])
     def test_process_count_below_one_is_rejected(self, hamming74, monkeypatch, cap):
         monkeypatch.setenv(WORKER_CAP_ENV, cap)
-        with pytest.raises(WorkerError, match=f"{WORKER_CAP_ENV}=.* is below 1"):
+        with pytest.raises(ConfigurationError, match=f"{WORKER_CAP_ENV}=.* is below 1"):
             ber_sweep(hamming74, [1.0], 7, seed=1)
 
 
@@ -520,3 +520,14 @@ class TestScale:
         row = capsys.readouterr().out.strip().splitlines()[1].split(",")
         assert row[4] == "skipped"
         assert "WorkerError" in row[5]
+
+
+@pytest.mark.parametrize("cap", ["many", "0"])
+@pytest.mark.parametrize("command", [
+    ["ber", "--ebno", "1", "--min-bits", "10000"],
+    ["scale", "--processors", "1,3", "--mode", "threads", "--reps", "1"],
+])
+def test_bad_worker_cap_exits_2(monkeypatch, capsys, cap, command):
+    monkeypatch.setenv(WORKER_CAP_ENV, cap)
+    assert main([*command, "--gen", "48", "3", "6", "--seed", "2"]) == 2
+    assert f"{WORKER_CAP_ENV}={cap!r}" in capsys.readouterr().err

@@ -1,13 +1,19 @@
+import multiprocessing as mp
+import os
+import time
+
 import numpy as np
 import pytest
 
 from ldpcsim.code import generate_regular, syndrome_ok
 from ldpcsim.decoder import DecoderConfig, QFormat, decode, worst_case_config
-from ldpcsim.errors import LengthMismatch, WorkerError
+from ldpcsim.cli import scale_rows
+from ldpcsim.errors import ConfigurationError, LengthMismatch, WorkerError
 from ldpcsim.parsim.model import CostModel, simulate_parallel
 from ldpcsim.parsim.workers import (
     WORKER_CAP_ENV,
     check_block_messages,
+    fork_shares,
     run_parallel_workers,
     run_sequential_baseline,
 )
@@ -369,7 +375,7 @@ class TestParallelWorkers:
     def test_invalid_worker_cap(self, small_code, monkeypatch):
         monkeypatch.setenv(WORKER_CAP_ENV, "many")
         prior = noisy_prior(small_code, ebno_db=2.0, seed=1)
-        with pytest.raises(WorkerError):
+        with pytest.raises(ConfigurationError):
             run_parallel_workers(
                 small_code,
                 prior,
@@ -382,7 +388,7 @@ class TestParallelWorkers:
     def test_worker_cap_below_one_is_rejected(self, small_code, monkeypatch, cap):
         monkeypatch.setenv(WORKER_CAP_ENV, cap)
         prior = noisy_prior(small_code, ebno_db=2.0, seed=1)
-        with pytest.raises(WorkerError, match=f"{WORKER_CAP_ENV}=.* is below 1"):
+        with pytest.raises(ConfigurationError, match=f"{WORKER_CAP_ENV}=.* is below 1"):
             run_parallel_workers(
                 small_code, prior, DecoderConfig(), make_partition(small_code.m, 1), reps=1
             )
@@ -408,6 +414,55 @@ class TestParallelWorkers:
                 )
         finally:
             monkeypatch.setattr(workers_mod, "check_block_messages", original)
+
+    def test_slave_exit_raises_and_skips_the_scenario(self, small_code, monkeypatch):
+        # A slave that dies mid-run is a WorkerError, so the threads-mode
+        # sweep reports its scenarios as skipped rather than crashing.
+        import ldpcsim.parsim.workers as workers_mod
+
+        parent = os.getpid()
+        original = workers_mod.check_block_messages
+
+        def exit_in_slave(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return original(*args)
+
+        monkeypatch.setattr(workers_mod, "check_block_messages", exit_in_slave)
+        prior = noisy_prior(small_code, ebno_db=2.0, seed=6)
+        with pytest.raises(WorkerError, match="exited"):
+            run_parallel_workers(
+                small_code, prior, DecoderConfig(), make_partition(small_code.m, 2), reps=1
+            )
+        assert mp.active_children() == []
+        rows, reports = scale_rows(
+            small_code, [1, 2, 3], "threads", prior, DecoderConfig(), CostModel(),
+            worst_case=True, reps=1,
+        )
+        assert [r["status"] for r in rows] == ["ok", "skipped", "skipped"]
+        assert all(r["reason"].startswith("WorkerError") for r in rows[1:])
+        assert len(reports) == 1
+
+    def test_one_failing_slave_stops_every_slave_at_once(self, small_code, monkeypatch):
+        # Only the 5-row first slave raises; the other is left waiting for
+        # its next block and must be stopped without a join timeout.
+        import ldpcsim.parsim.workers as workers_mod
+
+        original = workers_mod.check_block_messages
+
+        def first_slave_fails(d, degs, clamp, qf):
+            if len(degs) == 5:
+                raise RuntimeError("injected fault")
+            return original(d, degs, clamp, qf)
+
+        monkeypatch.setattr(workers_mod, "check_block_messages", first_slave_fails)
+        prior = noisy_prior(small_code, ebno_db=2.0, seed=6)
+        t0 = time.perf_counter()
+        with pytest.raises(WorkerError, match="RuntimeError: injected fault"):
+            run_parallel_workers(
+                small_code, prior, DecoderConfig(), Partition(check_bounds=(0, 5, 24)), reps=1
+            )
+        assert time.perf_counter() - t0 < 2.0
 
     def test_breakdown_sums_to_total_wall(self, small_code):
         # Both executors report seconds summed over the reps.
@@ -446,3 +501,38 @@ def test_send_without_acknowledgement_times_out(monkeypatch):
     finally:
         near.close()
         far.close()
+
+
+def _rank_and_pid(rank, procs):
+    return rank, procs, os.getpid()
+
+
+class TestForkShares:
+    def test_one_process_forks_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process was started for one share")
+
+        monkeypatch.setattr(mp, "get_context", refuse)
+        assert fork_shares(_rank_and_pid, 1) == [(0, 1, os.getpid())]
+
+    @pytest.mark.parametrize("procs", [2, 3])
+    def test_results_come_back_in_rank_order(self, procs):
+        results = fork_shares(_rank_and_pid, procs)
+        assert [(rank, p) for rank, p, _ in results] == [(r, procs) for r in range(procs)]
+        assert results[0][2] == os.getpid()
+        assert len({pid for _, _, pid in results}) == procs
+
+    def test_share_past_the_wait_times_out(self, monkeypatch):
+        import ldpcsim.parsim.workers as workers_mod
+
+        monkeypatch.setattr(workers_mod, "_WAIT_SECONDS", 0.2)
+
+        def slow_child(rank, procs):
+            if rank:
+                time.sleep(30)
+            return rank
+
+        t0 = time.perf_counter()
+        with pytest.raises(WorkerError, match="timed out"):
+            fork_shares(slow_child, 2)
+        assert time.perf_counter() - t0 < 5.0
