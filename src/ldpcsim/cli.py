@@ -12,7 +12,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -363,7 +363,7 @@ def cmd_scale(args) -> int:
             "mode": args.mode,
             "worst_case": args.worst_case,
             "rows": rows,
-            "reports": [rep.to_json_dict() for rep in reports],
+            "reports": [asdict(rep) for rep in reports],
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:

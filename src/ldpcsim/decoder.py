@@ -91,6 +91,8 @@ class DecoderConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ConfigurationError(f"max_iter must be >= 1, got {self.max_iter}")
+        if self.clamp is not None and not self.clamp > 0:
+            raise ConfigurationError(f"clamp must be None or > 0, got {self.clamp}")
         if isinstance(self.arithmetic, str) and self.arithmetic != "float64":
             raise ConfigurationError(f"unknown arithmetic {self.arithmetic!r}")
 

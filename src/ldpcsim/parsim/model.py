@@ -175,18 +175,6 @@ class SimReport:
     breakdown: dict[str, float] = field(default_factory=dict)
     extras: dict[str, float] = field(default_factory=dict)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "processors": self.processors,
-            "iterations": self.iterations,
-            "time_seconds": self.time_seconds,
-            "throughput_kbps": self.throughput_kbps,
-            "speedup": self.speedup,
-            "modeled_cycles": self.modeled_cycles,
-            "breakdown": dict(self.breakdown),
-            "extras": dict(self.extras),
-        }
-
 
 @dataclass(frozen=True)
 class IterationCost:
@@ -440,13 +428,19 @@ def calibrate(
     the rest of its sweep and their neighbours, in one call: that changes
     how often the formula runs, never an error or a decision.
 
-    Raises ValueError when there is no target, DegenerateCostModel when a
-    scenario's modeled iteration time is zero, and NoFeasiblePoint when the
-    best fit misses some target by more than `tolerance`.  Compute costs
-    are taken from `cm` unchanged.
+    Raises ValueError when there is no target, or one for fewer than 2
+    processors or of a speedup that is not finite and > 0,
+    DegenerateCostModel when a scenario's modeled iteration time is zero,
+    and NoFeasiblePoint when the best fit misses some target by more than
+    `tolerance`.  Compute costs are taken from `cm` unchanged.
     """
     if not targets:
         raise ValueError("calibration needs at least one target")
+    for procs, speedup in targets.items():
+        if procs < 2:
+            raise ValueError(f"target_{procs}: a target needs at least 2 processors")
+        if not 0 < speedup < math.inf:
+            raise ValueError(f"target_{procs} = {speedup}: a speedup must be finite and > 0")
     slave_counts = [procs - 1 for procs in sorted(targets)]
     goal = np.array([targets[s + 1] for s in slave_counts])
     # The geometry does not depend on the fitted costs: build it once.

@@ -36,6 +36,9 @@ each child's result, pickled in one frame; the BER sweep splits its
 decoder calls this way.  Both start and stop their children through
 `_forked` and read every frame through `_read`, which raises WorkerError
 on a timeout, on a worker that exited and on a worker's failure frame.
+A worker lives as long as its pipe: each child closes the parent's ends
+it inherited, so the parent's close, exit or death reaches it as EOF and
+it ends; a killed master takes its workers with it.
 `worker_count` gives the number of processes both honor:
 LDPC_PARSIM_THREADS, else the CPUs this process may run on.
 """
@@ -81,11 +84,9 @@ _WAIT_SECONDS = 120.0
 _ACK = b"k"
 # Frames are typed by their first byte so a failure is recognizable in
 # any protocol state: D = difference block, R = result block or share,
-# Q = quit, E = worker failure text.  Closing a slave's pipe does not stop
-# it, as its forked siblings hold copies of the parent's ends.
+# E = worker failure text.
 _DATA = b"D"
 _RESULT = b"R"
-_QUIT = b"Q"
 _FAILURE = b"E"
 
 
@@ -153,44 +154,39 @@ def _read(conn, timeout: float, what: str) -> bytes:
     return frame
 
 
-class _Channel:
-    """Rendezvous over a duplex pipe: send returns only after the peer has
-    taken the frame and acknowledged it within _WAIT_SECONDS."""
+def _put(conn, frame: bytes) -> None:
+    try:
+        conn.send_bytes(frame)
+    except OSError as exc:
+        raise WorkerError(f"worker hung up: {exc}") from exc
 
-    def __init__(self, conn):
-        self.conn = conn
 
-    def _put(self, frame: bytes) -> None:
-        try:
-            self.conn.send_bytes(frame)
-        except OSError as exc:
-            raise WorkerError(f"worker hung up: {exc}") from exc
-
-    def send(self, frame: bytes) -> None:
-        self._put(frame)
-        ack = _read(self.conn, _WAIT_SECONDS, "acknowledgement")
-        if ack != _ACK:
-            raise WorkerError(f"unexpected acknowledgement {ack!r}")
-
-    def recv(self, timeout: float = _WAIT_SECONDS) -> bytes:
-        frame = _read(self.conn, timeout, "message")
-        self._put(_ACK)
-        return frame
+def _send(conn, frame: bytes) -> None:
+    """Rendezvous send: returns only after the peer has taken the frame
+    and acknowledged it within _WAIT_SECONDS."""
+    _put(conn, frame)
+    ack = _read(conn, _WAIT_SECONDS, "acknowledgement")
+    if ack != _ACK:
+        raise WorkerError(f"unexpected acknowledgement {ack!r}")
 
 
 def _slave_loop(conn, degs: list[int], clamp: float | None, wire: dict) -> None:
-    chan = _Channel(conn)
+    """Answer each difference block with its check messages until EOF."""
     while True:
-        frame = chan.recv(timeout=300.0)
-        if frame.startswith(_QUIT):
-            return
+        frame = conn.recv_bytes()
+        _put(conn, _ACK)
         d = unpack_llrs(split_packets(frame, offset=len(_DATA)), **wire).tolist()
         msgs = check_block_messages(d, degs, clamp, wire["qformat"])
-        chan.send(_frame(_RESULT, pack_llrs(msgs, **wire)))
+        _send(conn, _frame(_RESULT, pack_llrs(msgs, **wire)))
 
 
-def _child(conn, target, args: tuple) -> None:
-    """Run target(conn, *args), sending any exception as a failure frame."""
+def _child(inherited: list, conn, target, args: tuple) -> None:
+    """Close the parent's pipe ends this fork inherited, so the parent's
+    close or death reaches every child as EOF; then run target(conn,
+    *args), sending any exception as a failure frame.  EOF ends it
+    quietly."""
+    for end in inherited:
+        end.close()
     try:
         target(conn, *args)
     except (EOFError, KeyboardInterrupt):
@@ -209,7 +205,8 @@ def _forked(jobs: list[tuple]):
     """Fork one daemon child per (target, args) in `jobs` to run
     target(conn, *args) on its end of a duplex pipe; yield the parent's
     ends.  On an exception every child is terminated first; then the pipes
-    are closed and each child joined, and killed if alive after 5 s."""
+    are closed, which ends each child at EOF, and each child is joined,
+    and killed if alive after 5 s."""
     conns: list = []
     children: list = []
     try:
@@ -217,7 +214,7 @@ def _forked(jobs: list[tuple]):
             conn, end = mp.Pipe(duplex=True)
             conns.append(conn)
             child = mp.get_context("fork").Process(
-                target=_child, args=(end, target, args), daemon=True
+                target=_child, args=(conns, end, target, args), daemon=True
             )
             child.start()
             end.close()
@@ -367,19 +364,22 @@ def run_sequential_baseline(
     return _master_decode(H, state, eff, [(0, H.edges)], exchange, reps, processors=1)
 
 
-def _slave_exchange(chans: list[_Channel], wire: dict, blocks) -> tuple[list, float]:
+def _slave_exchange(conns: list, wire: dict, blocks) -> tuple[list, float]:
     """Pack and rendezvous-send each block as it comes, so block s+1 is
     gathered and packed while slave s computes, then gather and unpack
     every slave's reply.  Also returns the seconds spent in the sends and
     in the gather."""
     messaging = 0.0
-    for chan, d in zip(chans, blocks):
+    for conn, d in zip(conns, blocks):
         frame = _frame(_DATA, pack_llrs(d, **wire))
         tsend = time.perf_counter()
-        chan.send(frame)
+        _send(conn, frame)
         messaging += time.perf_counter() - tsend
     tgather = time.perf_counter()
-    replies = [chan.recv() for chan in chans]
+    replies = []
+    for conn in conns:
+        replies.append(_read(conn, _WAIT_SECONDS, "message"))
+        _put(conn, _ACK)
     messaging += time.perf_counter() - tgather
     msgs = []
     for reply in replies:
@@ -416,10 +416,6 @@ def run_parallel_workers(
     wire = {"word_bytes": 8 if eff.qformat is None else 4, "qformat": eff.qformat}
     jobs = [(_slave_loop, (degs[lo:hi], eff.clamp, wire)) for lo, hi in p.group_bounds]
     with _forked(jobs) as conns:
-        chans = [_Channel(conn) for conn in conns]
         slices = list(zip(p.edge_bounds, p.edge_bounds[1:]))
-        exchange = functools.partial(_slave_exchange, chans, wire)
-        run = _master_decode(H, state, eff, slices, exchange, reps, p.num_slaves + 1)
-        for chan in chans:
-            chan.send(_QUIT)
-    return run
+        exchange = functools.partial(_slave_exchange, conns, wire)
+        return _master_decode(H, state, eff, slices, exchange, reps, p.num_slaves + 1)

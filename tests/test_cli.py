@@ -122,11 +122,14 @@ class TestDecode:
 
     @pytest.mark.parametrize(
         "flags, message",
-        [(["--max-iter", "0"], "max_iter"), (["--qformat", "8.9"], "Q8.9")],
+        [(["--max-iter", "0"], "max_iter"), (["--qformat", "8.9"], "Q8.9"),
+         (["--clamp=-5"], "clamp"), (["--clamp=0"], "clamp"), (["--clamp=nan"], "clamp")],
     )
     def test_invalid_decoder_flag_exits_2(self, flags, message, capsys):
         assert main(["decode", "--gen", "48", "3", "6", "--ebno", "3", *flags]) == 2
-        assert message in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
 
 class TestBer:
@@ -452,6 +455,18 @@ class TestScale:
         cfg.write_text(line + "\n")
         rc = main(["scale", "--gen", "48", "3", "6", "--seed", "1",
                    "--processors", "1,3", "--cost-config", str(cfg)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert line.split(" =")[0] in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("line", ["target_5 = nan", "target_5 = inf", "target_5 = 0",
+                                      "target_5 = -1.2", "target_1 = 1.0"])
+    def test_bad_calibration_target_exits_2(self, tmp_path, capsys, line):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(line + "\n")
+        rc = main(["scale", "--gen", "48", "3", "6", "--seed", "1",
+                   "--cost-config", str(cfg), "--calibrate"])
         assert rc == 2
         captured = capsys.readouterr()
         assert line.split(" =")[0] in captured.err

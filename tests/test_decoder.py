@@ -312,6 +312,15 @@ class TestDecode:
         with pytest.raises(ValueError):
             decode(hamming74, np.array([np.inf, 0, 0, 0, 0, 0, 0]))
 
+    @pytest.mark.parametrize("clamp", [-5.0, 0.0, -0.0, float("nan")])
+    def test_clamp_not_above_zero_rejected(self, clamp):
+        with pytest.raises(ConfigurationError, match="clamp"):
+            DecoderConfig(clamp=clamp)
+
+    @pytest.mark.parametrize("clamp", [None, 1e-9, float("inf")])
+    def test_clamp_none_or_above_zero_accepted(self, clamp):
+        assert DecoderConfig(clamp=clamp).clamp == clamp
+
     def test_degree_one_check_rejected(self):
         H = ParityCheckMatrix([[0, 1], [1]], 2)
         with pytest.raises(ConfigurationError):

@@ -416,6 +416,18 @@ class TestCalibrate:
             with pytest.raises(ValueError, match="at least one target"):
                 calibrate(CostModel(), {}, fixture252)
 
+    @pytest.mark.parametrize("targets, key", [
+        ({1: 1.0, 3: 0.97}, "target_1"),
+        ({0: 1.0}, "target_0"),
+        ({3: 0.97, 5: math.nan}, "target_5"),
+        ({5: math.inf}, "target_5"),
+        ({5: 0.0}, "target_5"),
+        ({5: -1.25}, "target_5"),
+    ])
+    def test_bad_target_rejected_by_key(self, fixture252, targets, key):
+        with pytest.raises(ValueError, match=f"^{key}[: ]"):
+            calibrate(CostModel(), targets, fixture252)
+
     def test_zero_compute_costs_are_degenerate(self, fixture252):
         # The grid scales with cycles_per_check_edge, so every point is
         # (0, 0, 0) and every scenario's iteration time is zero.

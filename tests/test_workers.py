@@ -1,5 +1,6 @@
 import multiprocessing as mp
 import os
+import signal
 import time
 
 import numpy as np
@@ -484,6 +485,79 @@ class TestParallelWorkers:
         assert parallel.breakdown["messaging"] > 0
         assert baseline.breakdown["messaging"] == 0.0
 
+    def test_gather_reads_the_wait_at_call_time(self, small_code, monkeypatch):
+        # The slaves acknowledge each block at once and then take 2 s over
+        # it; the master's wait for their results is the patched 0.2 s.
+        import ldpcsim.parsim.workers as workers_mod
+
+        def slow_kernel(*args):
+            time.sleep(2.0)
+
+        monkeypatch.setattr(workers_mod, "check_block_messages", slow_kernel)
+        monkeypatch.setattr(workers_mod, "_WAIT_SECONDS", 0.2)
+        prior = noisy_prior(small_code, ebno_db=2.0, seed=6)
+        t0 = time.perf_counter()
+        with pytest.raises(WorkerError, match="timed out"):
+            run_parallel_workers(
+                small_code, prior, DecoderConfig(), make_partition(small_code.m, 2), reps=1
+            )
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_killed_master_takes_its_slaves_with_it(self, small_code, monkeypatch):
+        monkeypatch.delenv(WORKER_CAP_ENV, raising=False)
+        prior = noisy_prior(small_code, ebno_db=2.0, seed=6)
+        report, report_end = mp.Pipe(duplex=False)
+        master = mp.get_context("fork").Process(
+            target=_master_reporting_slaves, args=(report_end, small_code, prior)
+        )
+        master.start()
+        report_end.close()
+        slaves = []
+        try:
+            assert report.poll(30.0), "the master did not report its slaves"
+            slaves = report.recv()
+            assert len(slaves) == 2
+            master.kill()
+            master.join()
+            deadline = time.monotonic() + 2.0
+            while time.monotonic() < deadline and any(map(_running, slaves)):
+                time.sleep(0.01)
+            assert [pid for pid in slaves if _running(pid)] == []
+        finally:
+            master.kill()
+            master.join()
+            report.close()
+            for pid in slaves:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+
+
+def _master_reporting_slaves(report, H, prior):
+    """A 2-slave run long enough to be killed in; the pids of its slaves
+    are sent on `report` once they have started."""
+    import ldpcsim.parsim.workers as workers_mod
+
+    decode_loop = workers_mod._master_decode
+
+    def reporting(*args):
+        report.send([child.pid for child in mp.active_children()])
+        return decode_loop(*args)
+
+    workers_mod._master_decode = reporting
+    run_parallel_workers(H, prior, DecoderConfig(), make_partition(H.m, 2), reps=100_000)
+
+
+def _running(pid: int) -> bool:
+    """True while `pid` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            stat = fh.read()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
 
 def test_send_without_acknowledgement_times_out(monkeypatch):
     # The far end takes the frame but never acknowledges it, like a worker
@@ -496,7 +570,7 @@ def test_send_without_acknowledgement_times_out(monkeypatch):
     near, far = mp.Pipe(duplex=True)
     try:
         with pytest.raises(WorkerError, match="acknowledgement"):
-            workers_mod._Channel(near).send(b"D1234")
+            workers_mod._send(near, b"D1234")
         assert far.recv_bytes() == b"D1234"
     finally:
         near.close()
