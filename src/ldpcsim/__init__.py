@@ -17,7 +17,6 @@ from .decoder import (
     DecoderState,
     QFormat,
     decode,
-    decode_minsum_reference,
     hard_decision,
     variable_node_update,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "Partition",
     "QFormat",
     "decode",
-    "decode_minsum_reference",
     "generate_regular",
     "hard_decision",
     "llr_init",

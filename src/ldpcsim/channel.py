@@ -3,7 +3,7 @@
 The decoder consumes log-likelihood ratios log(P(bit=0|y)/P(bit=1|y));
 positive values favor bit 0.  For BPSK (0 -> +1, 1 -> -1) on a real AWGN
 channel this reduces to 2*y/sigma^2.  LLRs are clamped to a finite range
-so the min-sum arithmetic never sees infinities.
+so the min-sum decoder never sees infinities.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from dataclasses import asdict, fields, replace
 
@@ -54,16 +53,21 @@ def _read_matrix(args) -> ParityCheckMatrix:
         return load_alist(fh.read())
 
 
+def _qformat(spec: str | None) -> QFormat | None:
+    if not spec:
+        return None
+    total, dot, frac = spec.partition(".")
+    if not (dot and total.isdecimal() and frac.isdecimal()):
+        raise ConfigurationError(f"--qformat expects TOTAL.FRAC, e.g. 8.4, got {spec!r}")
+    return QFormat(int(total), int(frac))
+
+
 def _decoder_config(args) -> DecoderConfig:
-    arithmetic: str | QFormat = "float64"
-    if getattr(args, "qformat", None):
-        total, frac = (int(x) for x in args.qformat.split("."))
-        arithmetic = QFormat(total, frac)
     return DecoderConfig(
         max_iter=args.max_iter,
         early_exit=not args.no_early_exit,
         clamp=args.clamp,
-        arithmetic=arithmetic,
+        qformat=_qformat(getattr(args, "qformat", None)),
     )
 
 
@@ -140,11 +144,6 @@ def cmd_decode(args) -> int:
     result = decode(H, prior, _decoder_config(args))
     _emit(json.dumps(_result_json(result, H.n), indent=2) + "\n", args.out)
     return 0
-
-
-def uncoded_bpsk_ber(ebno_db: float) -> float:
-    """Closed-form bit error rate of uncoded BPSK on AWGN."""
-    return 0.5 * math.erfc(math.sqrt(10.0 ** (ebno_db / 10.0)))
 
 
 # Most words per `decode` call in `ber_sweep`.  A batch shares numpy's
@@ -378,7 +377,7 @@ def _add_decoder_flags(sub) -> None:
     sub.add_argument("--max-iter", type=int, default=30)
     sub.add_argument("--no-early-exit", action="store_true")
     sub.add_argument("--clamp", type=float, default=64.0)
-    sub.add_argument("--qformat", help="fixed-point arithmetic, e.g. 8.4")
+    sub.add_argument("--qformat", help="fixed-point Q-format TOTAL.FRAC, e.g. 8.4")
 
 
 def _add_matrix_flags(sub) -> None:

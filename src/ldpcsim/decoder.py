@@ -24,22 +24,17 @@ The check-node update works on the code's rows padded to the largest row
 degree and stored slot-major (`ParityCheckMatrix.slots`), where each
 per-row reduction is one elementwise ufunc per slot.
 
-The classic min-sum decoder with explicit variable-to-check messages is
-kept as `decode_minsum_reference`, an independent cross-check.  Its check
-update is `check_row_oracle`, the literal product/min over each exclusion
-set of one row, which the tests also hold both two-minimum kernels to.
-
-Arithmetic is float64 with a configurable saturating clamp, or a
-saturating Q-format fixed-point grid for platforms without an FPU.  One
-rule, `saturate`, implements both for every path: the array decoder, the
-reference and the scalar worker kernel.
+Values are float64 with a configurable saturating clamp, or, with
+`DecoderConfig.qformat` set, on a saturating Q-format fixed-point grid
+for platforms without an FPU.  One rule, `saturate`, implements both for
+every path: the array decoder and the scalar worker kernel.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from typing import Union
 
 import numpy as np
 
@@ -78,31 +73,21 @@ class QFormat:
         return np.divide(out, scale, out=out)
 
 
-Arithmetic = Union[str, QFormat]
-
-
 @dataclass(frozen=True)
 class DecoderConfig:
     max_iter: int = 30
     early_exit: bool = True
     clamp: float | None = 64.0
-    arithmetic: Arithmetic = "float64"
+    qformat: QFormat | None = None
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ConfigurationError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.clamp is not None and not self.clamp > 0:
             raise ConfigurationError(f"clamp must be None or > 0, got {self.clamp}")
-        if isinstance(self.arithmetic, str) and self.arithmetic != "float64":
-            raise ConfigurationError(f"unknown arithmetic {self.arithmetic!r}")
-
-    @property
-    def qformat(self) -> QFormat | None:
-        """The fixed-point grid, or None in float64 mode."""
-        return self.arithmetic if isinstance(self.arithmetic, QFormat) else None
 
     def saturate(self, x: np.ndarray, in_place: bool = False) -> np.ndarray:
-        """`saturate` under this configuration's clamp and arithmetic."""
+        """`saturate` under this configuration's clamp and Q-format."""
         return saturate(x, self.clamp, self.qformat, in_place)
 
 
@@ -137,7 +122,6 @@ class DecoderState:
     total: np.ndarray
     check_msg: np.ndarray
     prior: np.ndarray
-    iteration: int = 0
     workspace: "_Workspace | None" = field(default=None, repr=False, compare=False)
 
 
@@ -154,8 +138,6 @@ class DecodeResult:
     bits: np.ndarray
     converged: bool | np.ndarray
     iterations_used: int
-    final_state: DecoderState | None = None
-    message_trace: list = field(default_factory=list)
     word_iterations: np.ndarray | None = None
 
 
@@ -280,27 +262,6 @@ def _drop_words(state: DecoderState, keep: np.ndarray) -> None:
     state.total, state.prior, state.check_msg = ws.total, ws.prior, ws.check_msg
 
 
-def check_row_oracle(d) -> list[float]:
-    """Messages of one check row from its edge differences d, unsaturated.
-
-    Literal product/min over each exclusion set: message i is the product
-    of sign(d_j) (sign(0) counts as +1) times the smallest |d_j| over
-    j != i.  O(deg^2) plain loops sharing no code with the two-minimum
-    kernels; the check update of `decode_minsum_reference`.
-    """
-    out = []
-    for i in range(len(d)):
-        sign = 1.0
-        mag = math.inf
-        for j, dv in enumerate(d):
-            if j == i:
-                continue
-            sign *= -1.0 if dv < 0 else 1.0
-            mag = min(mag, abs(dv))
-        out.append(sign * mag)
-    return out
-
-
 # Magnitude that fills the padding slots of short rows: no real |d| exceeds
 # it, so a row's two smallest magnitudes always come from its own edges.
 _PAD = np.finfo(np.float64).max
@@ -314,8 +275,8 @@ def check_node_update_block(
     Vectorized two-minimum update, for one word or every word of a batch,
     on H's padded slot-major row layout: the k-th edges of all rows form
     one contiguous slice, so each step over the rows is one elementwise
-    ufunc.  Pure selection arithmetic on finite values: results match the
-    scalar kernel `parsim.workers.check_block_messages` bit for bit.
+    ufunc.  Only selections and sign flips of finite values: results match
+    the scalar kernel `parsim.workers.check_block_messages` bit for bit.
     """
     ws, slots = state.workspace, H.slots
     d, mag, min1, min2 = ws.diff, ws.mag, ws.min1, ws.min2
@@ -376,8 +337,7 @@ def decode(
     H: ParityCheckMatrix,
     prior: np.ndarray,
     cfg: DecoderConfig | None = None,
-    record_messages: bool = False,
-    keep_state: bool = False,
+    observe: Callable[[DecoderState], None] | None = None,
 ) -> DecodeResult:
     """Flooding-schedule decode: all check nodes, all variables, decision.
 
@@ -385,27 +345,29 @@ def decode(
     Stops a word at its first valid syndrome when early_exit is set (the
     word leaves the batch), else after max_iter iterations.  Deterministic
     for identical inputs, and each word of a batch decodes exactly as it
-    would alone.  record_messages and keep_state take one word.
+    would alone.
+
+    `observe(state)`, when given, is called once per iteration after the
+    syndrome check and before finished words leave the batch: a batch's
+    state then holds, in batch order, every word decoding this iteration.
+    Its arrays are the decode's buffers and change in place, so copy what
+    must outlive the call.
     """
     cfg = cfg or DecoderConfig()
     state = init_state(H, prior, cfg)
     batch = state.total.ndim == 2
-    if batch and (record_messages or keep_state):
-        raise ConfigurationError("record_messages and keep_state need one word, not a batch")
     count = state.total.shape[1] if batch else 1
     bits_out = np.zeros((count, H.n), dtype=np.uint8)
     converged = np.zeros(count, dtype=bool)
     word_iterations = np.zeros(count, dtype=np.int64)
     active = np.arange(count)
-    trace: list = []
     for j in range(1, cfg.max_iter + 1):
         check_node_update_block(state, H, cfg)
-        if record_messages:
-            trace.append(state.check_msg.copy())
         variable_node_update(state, H, cfg)
-        state.iteration = j
         bits = hard_decision(state)
         ok = np.atleast_1d(syndrome_ok(H, bits.T, state.workspace.syndrome))
+        if observe is not None:
+            observe(state)
         done = ok if cfg.early_exit else np.zeros_like(ok)
         if j == cfg.max_iter:
             done = np.ones_like(ok)
@@ -429,67 +391,10 @@ def decode(
         bits=bits_out[0],
         converged=bool(converged[0]),
         iterations_used=int(word_iterations[0]),
-        final_state=state if keep_state else None,
-        message_trace=trace,
         word_iterations=word_iterations[0],
     )
 
 
-def decode_minsum_reference(
-    H: ParityCheckMatrix,
-    prior: np.ndarray,
-    cfg: DecoderConfig | None = None,
-    record_messages: bool = False,
-) -> DecodeResult:
-    """Classic min-sum with explicit variable-to-check messages.
-
-    Same schedule and stopping rule as `decode`, but the per-edge
-    variable-to-check message q is stored rather than recovered as a
-    difference.  Plain loops throughout; used as an oracle, so it shares
-    no kernel code with the reduced path.  Message equivalence holds when
-    clamping is off.
-    """
-    cfg = cfg or DecoderConfig()
-    prior = _validate(H, prior)
-    if prior.ndim != 1:
-        raise LengthMismatch(f"the reference decodes one word, got shape {prior.shape}")
-    prior = cfg.saturate(prior).copy()
-    E = H.edges
-    q = prior[H.edge_var].copy()
-    r = np.zeros(E, dtype=np.float64)
-    trace: list = []
-    bits = (prior < 0).astype(np.uint8)
-    converged = False
-    iterations = 0
-    for it in range(1, cfg.max_iter + 1):
-        for c in range(H.m):
-            lo, hi = int(H.row_ptr[c]), int(H.row_ptr[c + 1])
-            r[lo:hi] = check_row_oracle(q[lo:hi])
-        r = cfg.saturate(r)
-        if record_messages:
-            trace.append(r.copy())
-        totals = cfg.saturate(prior + np.bincount(H.edge_var, weights=r, minlength=H.n))
-        for v in range(H.n):
-            lo, hi = int(H.col_ptr[v]), int(H.col_ptr[v + 1])
-            for i in range(lo, hi):
-                e = int(H.col_edge[i])
-                acc = 0.0
-                for j in range(lo, hi):
-                    if j == i:
-                        continue
-                    acc += r[int(H.col_edge[j])]
-                q[e] = prior[v] + acc
-        iterations = it
-        bits = (totals < 0).astype(np.uint8)
-        converged = syndrome_ok(H, bits)
-        if cfg.early_exit and converged:
-            break
-    return DecodeResult(
-        bits=bits, converged=converged, iterations_used=iterations,
-        message_trace=trace,
-    )
-
-
 def worst_case_config(cfg: DecoderConfig) -> DecoderConfig:
-    """Same arithmetic, but always run the full iteration budget."""
+    """Same saturation, but always run the full iteration budget."""
     return replace(cfg, early_exit=False)

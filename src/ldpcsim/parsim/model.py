@@ -160,7 +160,7 @@ class SimReport:
     """Throughput/speedup record for one scenario.
 
     breakdown partitions the total time exactly: compute_master (the
-    master's own arithmetic), slave_stall (master idle on slaves, i.e. the
+    master's own computation), slave_stall (master idle on slaves, i.e. the
     un-overlapped portion of slave compute) and communication (send plus
     receive busy time).  extras carries non-additive diagnostics such as
     the raw max slave compute.

@@ -1,7 +1,7 @@
 """Real multi-worker execution of the partitioned decoder.
 
 One long-lived OS worker process per slave group plus the master in the
-calling process; CPython threads cannot run the update arithmetic in
+calling process; CPython threads cannot run the update computation in
 parallel, so the workers are processes connected by pipes.  Every block
 transfer is a blocking rendezvous: the sender waits for the receiver's
 acknowledgement, which serializes the master's scatter/gather exactly

@@ -1,0 +1,101 @@
+"""Test oracles: plain-loop implementations that share no kernel code with
+`ldpcsim`, against which the tests hold the package's decoder and kernels.
+
+`decode_minsum_reference` is classic min-sum with explicit
+variable-to-check messages; its check update is `check_row_oracle`, the
+literal product/min over each exclusion set of one row.
+`uncoded_bpsk_ber` is the closed-form bit error rate the BER tests compare
+coded rows with.  `traced_pair` runs `decode` and the reference side by
+side and keeps each one's messages of every iteration.
+"""
+
+import math
+
+import numpy as np
+
+from ldpcsim.code import syndrome_ok
+from ldpcsim.decoder import DecodeResult, DecoderConfig, _validate, decode
+from ldpcsim.errors import LengthMismatch
+
+
+def uncoded_bpsk_ber(ebno_db: float) -> float:
+    """Closed-form bit error rate of uncoded BPSK on AWGN."""
+    return 0.5 * math.erfc(math.sqrt(10.0 ** (ebno_db / 10.0)))
+
+
+def check_row_oracle(d) -> list[float]:
+    """Messages of one check row from its edge differences d, unsaturated.
+
+    Literal product/min over each exclusion set: message i is the product
+    of sign(d_j) (sign(0) counts as +1) times the smallest |d_j| over
+    j != i.  O(deg^2) plain loops sharing no code with the two-minimum
+    kernels; the check update of `decode_minsum_reference`.
+    """
+    out = []
+    for i in range(len(d)):
+        sign = 1.0
+        mag = math.inf
+        for j, dv in enumerate(d):
+            if j == i:
+                continue
+            sign *= -1.0 if dv < 0 else 1.0
+            mag = min(mag, abs(dv))
+        out.append(sign * mag)
+    return out
+
+
+def decode_minsum_reference(H, prior, cfg=None, observe=None) -> DecodeResult:
+    """Classic min-sum with explicit variable-to-check messages.
+
+    Same schedule and stopping rule as `decode`, but the per-edge
+    variable-to-check message q is stored rather than recovered as a
+    difference.  Plain loops throughout, so it shares no kernel code with
+    the reduced path.  Message equivalence holds when clamping is off.
+    `observe(r)`, when given, sees each iteration's saturated
+    check-to-variable messages r, an array the next iteration rewrites.
+    """
+    cfg = cfg or DecoderConfig()
+    prior = _validate(H, prior)
+    if prior.ndim != 1:
+        raise LengthMismatch(f"the reference decodes one word, got shape {prior.shape}")
+    prior = cfg.saturate(prior).copy()
+    E = H.edges
+    q = prior[H.edge_var].copy()
+    r = np.zeros(E, dtype=np.float64)
+    bits = (prior < 0).astype(np.uint8)
+    converged = False
+    iterations = 0
+    for it in range(1, cfg.max_iter + 1):
+        for c in range(H.m):
+            lo, hi = int(H.row_ptr[c]), int(H.row_ptr[c + 1])
+            r[lo:hi] = check_row_oracle(q[lo:hi])
+        r = cfg.saturate(r)
+        if observe is not None:
+            observe(r)
+        totals = cfg.saturate(prior + np.bincount(H.edge_var, weights=r, minlength=H.n))
+        for v in range(H.n):
+            lo, hi = int(H.col_ptr[v]), int(H.col_ptr[v + 1])
+            for i in range(lo, hi):
+                e = int(H.col_edge[i])
+                acc = 0.0
+                for j in range(lo, hi):
+                    if j == i:
+                        continue
+                    acc += r[int(H.col_edge[j])]
+                q[e] = prior[v] + acc
+        iterations = it
+        bits = (totals < 0).astype(np.uint8)
+        converged = syndrome_ok(H, bits)
+        if cfg.early_exit and converged:
+            break
+    return DecodeResult(bits=bits, converged=converged, iterations_used=iterations)
+
+
+def traced_pair(H, prior, cfg):
+    """`decode` and `decode_minsum_reference` on one word, each with a copy
+    of its check messages after every iteration: decode's own, taken
+    through its `observe` hook."""
+    ours, theirs = [], []
+    reduced = decode(H, prior, cfg, observe=lambda s: ours.append(s.check_msg.copy()))
+    ref = decode_minsum_reference(H, prior, cfg, observe=lambda r: theirs.append(r.copy()))
+    return reduced, ref, ours, theirs

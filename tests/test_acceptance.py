@@ -11,9 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from ldpcsim.cli import ber_sweep, scale_rows, uncoded_bpsk_ber
+from ldpcsim.cli import ber_sweep, scale_rows
 from ldpcsim.code import generate_regular
-from ldpcsim.decoder import DecoderConfig, decode, decode_minsum_reference, init_state
+from ldpcsim.decoder import DecoderConfig, decode, init_state
 from ldpcsim.parsim.model import (
     DEFAULT_SPEEDUP_TARGETS,
     CostModel,
@@ -32,6 +32,7 @@ from ldpcsim.partition import (
 )
 
 from conftest import SMALL_REGULAR_PARAMS, noisy_prior
+from oracles import traced_pair, uncoded_bpsk_ber
 
 SCENARIO_SLAVES = [2, 3, 4, 6, 7, 9]
 
@@ -92,11 +93,10 @@ def test_criterion_2_reduced_matches_classic_minsum():
     for seed, (n, wc, wr) in enumerate(params):
         H = generate_regular(n, wc, wr, seed=seed)
         prior = np.random.default_rng(seed).normal(0, 2, n)
-        reduced = decode(H, prior, cfg, record_messages=True)
-        ref = decode_minsum_reference(H, prior, cfg, record_messages=True)
-        assert len(reduced.message_trace) == len(ref.message_trace) == 10
-        for ours, theirs in zip(reduced.message_trace, ref.message_trace):
-            worst = max(worst, float(np.max(np.abs(ours - theirs))))
+        reduced, ref, ours, theirs = traced_pair(H, prior, cfg)
+        assert len(ours) == len(theirs) == 10
+        for a, b in zip(ours, theirs):
+            worst = max(worst, float(np.max(np.abs(a - b))))
         assert np.array_equal(reduced.bits, ref.bits)
     assert worst < 1e-9
     _announce(2, "reduced vs classic min-sum messages",

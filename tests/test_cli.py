@@ -18,7 +18,6 @@ from ldpcsim.cli import (
     ber_sweep,
     main,
     scale_rows,
-    uncoded_bpsk_ber,
 )
 from ldpcsim.code import CodeInfo, ParityCheckMatrix, generate_regular
 from ldpcsim.decoder import DecoderConfig, decode
@@ -27,6 +26,7 @@ from ldpcsim.parsim import WORKER_CAP_ENV, CostModel
 from ldpcsim.code import load_alist
 
 from conftest import DATA
+from oracles import uncoded_bpsk_ber
 
 SRC = str(Path(__file__).parent.parent / "src")
 
@@ -123,7 +123,10 @@ class TestDecode:
     @pytest.mark.parametrize(
         "flags, message",
         [(["--max-iter", "0"], "max_iter"), (["--qformat", "8.9"], "Q8.9"),
-         (["--clamp=-5"], "clamp"), (["--clamp=0"], "clamp"), (["--clamp=nan"], "clamp")],
+         (["--clamp=-5"], "clamp"), (["--clamp=0"], "clamp"), (["--clamp=nan"], "clamp"),
+         (["--qformat", "8"], "--qformat expects TOTAL.FRAC"),
+         (["--qformat", "8.4.2"], "--qformat expects TOTAL.FRAC"),
+         (["--qformat", "a.b"], "--qformat expects TOTAL.FRAC")],
     )
     def test_invalid_decoder_flag_exits_2(self, flags, message, capsys):
         assert main(["decode", "--gen", "48", "3", "6", "--ebno", "3", *flags]) == 2

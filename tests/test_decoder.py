@@ -8,9 +8,7 @@ from ldpcsim.decoder import (
     DecoderConfig,
     QFormat,
     check_node_update_block,
-    check_row_oracle,
     decode,
-    decode_minsum_reference,
     hard_decision,
     init_state,
     variable_node_update,
@@ -19,6 +17,7 @@ from ldpcsim.errors import ConfigurationError, LengthMismatch
 from ldpcsim.parsim.workers import check_block_messages
 
 from conftest import SMALL_REGULAR_PARAMS, adjacency, irregular_code, noisy_prior
+from oracles import check_row_oracle, decode_minsum_reference, traced_pair
 
 NO_CLAMP = DecoderConfig(clamp=None)
 
@@ -110,7 +109,7 @@ class TestCheckNodeUpdate:
         rng = np.random.default_rng(200 + seed)
         H = irregular_code(18, 30, seed)
         assert len(set(H.row_degrees().tolist())) > 1
-        for cfg in (NO_CLAMP, DecoderConfig(clamp=2.0), DecoderConfig(arithmetic=QFormat(6, 2))):
+        for cfg in (NO_CLAMP, DecoderConfig(clamp=2.0), DecoderConfig(qformat=QFormat(6, 2))):
             prior = rng.normal(0, 3, H.n)
             msgs = rng.normal(0, 1, H.edges)
             msgs[::5] = 0.0  # ties and zero differences
@@ -126,8 +125,8 @@ SATURATION_RULES = [
     DecoderConfig(clamp=64.0),
     DecoderConfig(clamp=2.0),
     DecoderConfig(clamp=None),
-    DecoderConfig(arithmetic=QFormat(8, 4)),
-    DecoderConfig(arithmetic=QFormat(5, 1)),
+    DecoderConfig(qformat=QFormat(8, 4)),
+    DecoderConfig(qformat=QFormat(5, 1)),
 ]
 
 # Multiples of 1/64 hold exact ties between grid points of both Q-formats
@@ -171,7 +170,7 @@ ROW_VALUE = st.one_of(
     cfg=st.sampled_from([
         DecoderConfig(clamp=None),
         DecoderConfig(clamp=6.0),
-        DecoderConfig(arithmetic=QFormat(8, 4)),
+        DecoderConfig(qformat=QFormat(8, 4)),
     ]),
     degs=st.lists(st.integers(2, 8), min_size=1, max_size=6),
     data=st.data(),
@@ -196,7 +195,6 @@ class TestInitState:
         assert state.total.tolist() == prior.tolist()
         assert not state.check_msg.any()
         assert state.check_msg.shape == (hamming74.edges,)
-        assert state.iteration == 0
 
     def test_priors_saturated_on_entry(self, hamming74):
         cfg = DecoderConfig(clamp=8.0)
@@ -327,12 +325,12 @@ class TestDecode:
             decode(H, np.zeros(2))
 
 
-# Arithmetic settings the batch property covers.
-BATCH_ARITHMETIC = [
+# Saturation settings the batch properties cover.
+BATCH_SATURATION = [
     {"clamp": 64.0},
     {"clamp": None},
-    {"arithmetic": QFormat(8, 4)},
-    {"arithmetic": QFormat(5, 1)},
+    {"qformat": QFormat(8, 4)},
+    {"qformat": QFormat(5, 1)},
 ]
 
 
@@ -347,15 +345,15 @@ class TestBatchDecode:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         code=st.integers(0, len(SMALL_REGULAR_PARAMS) + 1),
-        arithmetic=st.sampled_from(BATCH_ARITHMETIC),
+        saturation=st.sampled_from(BATCH_SATURATION),
         early_exit=st.booleans(),
         words=st.integers(1, 6),
         seed=st.integers(0, 2**16),
     )
-    def test_each_row_decodes_as_alone(self, batch_codes, code, arithmetic,
+    def test_each_row_decodes_as_alone(self, batch_codes, code, saturation,
                                        early_exit, words, seed):
         H = batch_codes[code]
-        cfg = DecoderConfig(max_iter=20, early_exit=early_exit, **arithmetic)
+        cfg = DecoderConfig(max_iter=20, early_exit=early_exit, **saturation)
         rng = np.random.default_rng(seed)
         # Per-word signal strength, so words converge at different iterations
         # and leave the batch at different times.
@@ -373,6 +371,24 @@ class TestBatchDecode:
             assert int(batch.word_iterations[w]) == alone.iterations_used
         verdicts = syndrome_ok(H, batch.bits)
         assert verdicts.tolist() == [syndrome_ok(H, b) for b in batch.bits]
+
+    @pytest.mark.parametrize("saturation", BATCH_SATURATION)
+    @pytest.mark.parametrize("code, words, seed",
+                             [(0, 2, 0), (3, 5, 1), (-2, 3, 2), (-2, 6, 3), (-1, 4, 4)])
+    def test_messages_match_one_word_at_every_iteration(self, batch_codes, saturation,
+                                                        code, words, seed):
+        # Without early exit no word leaves the batch, so column b of the
+        # batch's messages is word b's at every iteration.
+        H = batch_codes[code]
+        cfg = DecoderConfig(max_iter=12, early_exit=False, **saturation)
+        prior = np.random.default_rng(seed).normal(0.8, 2.0, size=(words, H.n))
+        batch = []
+        decode(H, prior, cfg, observe=lambda s: batch.append(s.check_msg.copy()))
+        assert len(batch) == cfg.max_iter
+        for b in range(words):
+            alone = []
+            decode(H, prior[b], cfg, observe=lambda s: alone.append(s.check_msg.copy()))
+            assert [m[:, b].tobytes() for m in batch] == [m.tobytes() for m in alone]
 
     def test_one_word_batch_keeps_batch_shapes(self, fixture252):
         prior = noisy_prior(fixture252, ebno_db=2.0, seed=3)
@@ -393,11 +409,6 @@ class TestBatchDecode:
         with pytest.raises(ValueError):
             decode(hamming74, prior)
 
-    @pytest.mark.parametrize("flag", ["record_messages", "keep_state"])
-    def test_one_word_options_refuse_a_batch(self, hamming74, flag):
-        with pytest.raises(ConfigurationError):
-            decode(hamming74, np.ones((2, 7)), **{flag: True})
-
     def test_reference_refuses_a_batch(self, hamming74):
         with pytest.raises(LengthMismatch):
             decode_minsum_reference(hamming74, np.ones((2, 7)))
@@ -410,11 +421,10 @@ class TestMinsumReference:
         rng = np.random.default_rng(n)
         prior = rng.normal(0, 2, n)
         cfg = DecoderConfig(max_iter=10, early_exit=False, clamp=None)
-        reduced = decode(H, prior, cfg, record_messages=True)
-        ref = decode_minsum_reference(H, prior, cfg, record_messages=True)
-        assert len(reduced.message_trace) == len(ref.message_trace) == 10
-        for ours, theirs in zip(reduced.message_trace, ref.message_trace):
-            assert np.max(np.abs(ours - theirs)) < 1e-9
+        reduced, ref, ours, theirs = traced_pair(H, prior, cfg)
+        assert len(ours) == len(theirs) == 10
+        for a, b in zip(ours, theirs):
+            assert np.max(np.abs(a - b)) < 1e-9
         assert np.array_equal(reduced.bits, ref.bits)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -422,10 +432,9 @@ class TestMinsumReference:
         H = irregular_code(12, 20, seed)
         prior = np.random.default_rng(seed).normal(0.5, 2, H.n)
         cfg = DecoderConfig(max_iter=8, early_exit=False, clamp=None)
-        reduced = decode(H, prior, cfg, record_messages=True)
-        ref = decode_minsum_reference(H, prior, cfg, record_messages=True)
-        for ours, theirs in zip(reduced.message_trace, ref.message_trace):
-            assert np.max(np.abs(ours - theirs)) < 1e-9
+        reduced, ref, ours, theirs = traced_pair(H, prior, cfg)
+        for a, b in zip(ours, theirs):
+            assert np.max(np.abs(a - b)) < 1e-9
         assert np.array_equal(reduced.bits, ref.bits)
 
     def test_noiseless_agreement(self, hamming74):
@@ -451,10 +460,6 @@ class TestFixedPoint:
         with pytest.raises(ConfigurationError):
             QFormat(4, 4)
 
-    def test_unknown_arithmetic_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DecoderConfig(arithmetic="float16")
-
     def test_q84_saturation_bound(self):
         q = QFormat(8, 4)
         assert q.max_value == 7.9375
@@ -462,15 +467,17 @@ class TestFixedPoint:
         assert out.tolist() == [7.9375, -7.9375, 0.125]
 
     def test_decode_stays_on_grid(self, fixture252):
-        cfg = DecoderConfig(arithmetic=QFormat(8, 4))
+        cfg = DecoderConfig(qformat=QFormat(8, 4))
         prior = noisy_prior(fixture252, ebno_db=3.0, seed=5)
-        result = decode(fixture252, prior, cfg, keep_state=True)
-        scaled = result.final_state.total * 16.0
+        seen = []
+        decode(fixture252, prior, cfg, observe=seen.append)
+        total = seen[-1].total
+        scaled = total * 16.0
         assert np.array_equal(scaled, np.round(scaled))
-        assert np.max(np.abs(result.final_state.total)) <= 7.9375
+        assert np.max(np.abs(total)) <= 7.9375
 
     def test_fixed_point_still_corrects_at_high_snr(self, fixture252):
-        cfg = DecoderConfig(arithmetic=QFormat(8, 4))
+        cfg = DecoderConfig(qformat=QFormat(8, 4))
         prior = noisy_prior(fixture252, ebno_db=4.0, seed=6)
         result = decode(fixture252, prior, cfg)
         assert result.converged

@@ -54,7 +54,7 @@ class TestScalarKernel:
             DecoderConfig(max_iter=12, early_exit=False),
             DecoderConfig(max_iter=12, early_exit=False, clamp=None),
             DecoderConfig(max_iter=12, early_exit=False, clamp=6.0),
-            DecoderConfig(max_iter=12, early_exit=False, arithmetic=QFormat(8, 4)),
+            DecoderConfig(max_iter=12, early_exit=False, qformat=QFormat(8, 4)),
         ],
     )
     def test_full_trajectory_matches_array_decoder(self, cfg):
@@ -69,7 +69,14 @@ class TestScalarKernel:
         for seed in range(6):
             H = generate_regular(36, 3, 6, seed=seed)
             prior = np.random.default_rng(seed).normal(0, 3, 36)
-            array = decode(H, prior, cfg, record_messages=True, keep_state=True)
+            # decode's messages of every iteration and its last state
+            array_trace, states = [], []
+
+            def observe(s):
+                array_trace.append(s.check_msg.tobytes())
+                states.append(s)
+
+            array = decode(H, prior, cfg, observe=observe)
 
             part = attach_edge_counts(make_partition(H.m, 3), H)
             degs = H.row_degrees().tolist()
@@ -87,15 +94,15 @@ class TestScalarKernel:
             state = init_state(H, prior, cfg)
             slices = list(zip(part.edge_bounds, part.edge_bounds[1:]))
             result, _ = _master_decode(H, state, cfg, slices, exchange, 1, processors=4)
-            assert trace == [t.tobytes() for t in array.message_trace]
-            assert state.total.tolist() == array.final_state.total.tolist()
+            assert trace == array_trace
+            assert state.total.tolist() == states[-1].total.tolist()
             assert result.bits.tolist() == array.bits.tolist()
 
 
 EQUIVALENCE_CONFIGS = [
     DecoderConfig(),
     DecoderConfig(clamp=None),
-    DecoderConfig(arithmetic=QFormat(8, 4)),
+    DecoderConfig(qformat=QFormat(8, 4)),
 ]
 
 
@@ -138,7 +145,7 @@ def test_blocks_of_unequal_degree_match_decode(seed):
     part = Partition(check_bounds=(0, 5, 6, 18))
     prior = np.random.default_rng(300 + seed).normal(1.5, 2.0, H.n)
     for cfg in (DecoderConfig(clamp=None), DecoderConfig(clamp=2.0),
-                DecoderConfig(arithmetic=QFormat(6, 2))):
+                DecoderConfig(qformat=QFormat(6, 2))):
         for worst_case in (True, False):
             ref = decode(H, prior, worst_case_config(cfg) if worst_case else cfg)
             live, _ = run_parallel_workers(H, prior, cfg, part, reps=1, worst_case=worst_case)
@@ -307,7 +314,7 @@ class TestParallelWorkers:
         assert one.converged == many.converged
 
     def test_fixed_point_wire_stays_exact(self, fixture252):
-        cfg = DecoderConfig(arithmetic=QFormat(8, 4))
+        cfg = DecoderConfig(qformat=QFormat(8, 4))
         prior = noisy_prior(fixture252, ebno_db=3.0, seed=8)
         result, _ = run_parallel_workers(
             fixture252, prior, cfg, make_partition(252, 3), reps=1, worst_case=True
@@ -317,7 +324,7 @@ class TestParallelWorkers:
 
     @pytest.mark.parametrize("slaves", [1, 2])
     def test_fixed_point_run_matches_decode(self, fixture252, slaves):
-        cfg = DecoderConfig(arithmetic=QFormat(8, 4))
+        cfg = DecoderConfig(qformat=QFormat(8, 4))
         prior = noisy_prior(fixture252, ebno_db=2.0, seed=9)
         result, _ = run_parallel_workers(
             fixture252, prior, cfg, make_partition(252, slaves), reps=1, worst_case=True
