@@ -8,6 +8,7 @@ so the min-sum decoder never sees infinities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,8 @@ class ChannelConfig:
     llr_clamp: float = 64.0
 
     def __post_init__(self):
+        if not math.isfinite(self.ebno_db):
+            raise ValueError(f"ebno_db must be finite, got {self.ebno_db}")
         if not 0.0 < self.rate < 1.0:
             raise ValueError(f"rate must be in (0,1), got {self.rate}")
 

@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
+from collections.abc import Iterator
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -146,8 +148,8 @@ def cmd_decode(args) -> int:
     return 0
 
 
-# Most words per `decode` call in `ber_sweep`.  A batch shares numpy's
-# per-call cost over its words.  On the 504-bit (3,6) code a 2-point,
+# Most words resident in a share's workspace in `ber_sweep`.  A batch shares
+# numpy's per-call cost over its words.  On the 504-bit (3,6) code a 2-point,
 # 100k-bit sweep ran 2.5x faster than one word at a time with 8 words
 # (+1.0 MB peak RSS), 3.4x with 16 (+1.7 MB) and 4.1x with 32 (+3.1 MB);
 # 16 keeps the growth under 5% of the 40 MB process.  The workspace grows
@@ -158,44 +160,52 @@ _BATCH_SLOTS = BER_BATCH * 1512
 
 
 def ber_batch_width(H: ParityCheckMatrix) -> int:
-    """Words per `decode` call of `ber_sweep` on H: BER_BATCH, scaled down
-    on codes with more than 1,512 row slots, and at least one."""
+    """Words resident in a share's workspace in `ber_sweep` on H, and
+    words per chunk of noise: BER_BATCH, scaled down on codes with more
+    than 1,512 row slots, and at least one."""
     return max(1, min(BER_BATCH, _BATCH_SLOTS // H.slots.var.size))
+
+
+def _share_priors(
+    H: ParityCheckMatrix, channels: list[ChannelConfig], sizes: list[int], rank: int, procs: int
+) -> Iterator[np.ndarray]:
+    """The priors of the chunks i with i % procs == rank of every point,
+    in order, one (size, n) array per chunk.
+
+    Every chunk's noise is drawn, so each point's stream stays in step
+    whichever chunks this share decodes.
+    """
+    symbols = modulate(np.zeros(H.n, dtype=np.uint8))
+    for idx, ch in enumerate(channels):
+        rng = np.random.default_rng([ch.seed, idx])
+        for chunk, size in enumerate(sizes):
+            received = transmit(np.broadcast_to(symbols, (size, H.n)), ch, rng=rng)
+            if chunk % procs == rank:
+                yield llr_init(received, ch)
 
 
 def _sweep_share(
     H: ParityCheckMatrix,
-    ebno_list: list[float],
-    words: int,
-    width: int,
-    seed: int,
+    channels: list[ChannelConfig],
+    sizes: list[int],
     cfg: DecoderConfig,
-    rate: float,
     rank: int,
     procs: int,
 ) -> list[tuple[int, int, int]]:
     """(bit errors, frame errors, iterations) per point, summed over the
-    chunks i of `width` words with i % procs == rank.
-
-    Every chunk's noise is drawn, so the point's stream stays in step
-    whichever chunks this share decodes.
-    """
-    symbols = modulate(np.zeros(H.n, dtype=np.uint8))
+    chunks i with i % procs == rank, whose words one `decode` call streams
+    through one workspace.  A point's words are a contiguous run of the
+    result."""
+    result = decode(H, _share_priors(H, channels, sizes, rank, procs), cfg)
+    words = sum(sizes[rank::procs])
     totals = []
-    for idx, ebno in enumerate(ebno_list):
-        ch = ChannelConfig(ebno_db=ebno, rate=rate, seed=seed)
-        rng = np.random.default_rng([seed, idx])
-        errors = frame_errors = iters = 0
-        for chunk, first in enumerate(range(0, words, width)):
-            batch = np.broadcast_to(symbols, (min(width, words - first), H.n))
-            received = transmit(batch, ch, rng=rng)
-            if chunk % procs != rank:
-                continue
-            result = decode(H, llr_init(received, ch), cfg)
-            errors += int(result.bits.sum())
-            frame_errors += int(result.bits.any(axis=1).sum())
-            iters += result.iterations_used
-        totals.append((errors, frame_errors, iters))
+    for first in range(0, len(channels) * words, words):
+        bits = result.bits[first : first + words]
+        totals.append((
+            int(bits.sum()),
+            int(bits.any(axis=1).sum()),
+            int(result.word_iterations[first : first + words].sum()),
+        ))
     return totals
 
 
@@ -208,25 +218,28 @@ def ber_sweep(
 ) -> list[dict]:
     """Monte-Carlo BER rows, all-zero codeword, one rng substream per point.
 
-    Each point decodes ceil(min_bits / n) words in chunks of
-    `ber_batch_width(H)` words, one `decode` call each.  The chunks are
-    spread over `worker_count()` processes (LDPC_PARSIM_THREADS when set,
-    else this process's CPUs; at most one per chunk of a point): process r
-    decodes chunks i with i % processes == r, this one is r = 0 and the
-    others are forked.  The counts are integer sums, so the rows do not
-    depend on the process count.
+    Each point decodes ceil(min_bits / n) words, whose noise is drawn in
+    chunks of `ber_batch_width(H)` words.  The chunks are spread over
+    `worker_count()` processes (LDPC_PARSIM_THREADS when set, else this
+    process's CPUs; at most one per chunk of a point): process r decodes
+    chunks i with i % processes == r of every point, in one `decode`
+    stream; this one is r = 0 and the others are forked.  The counts are
+    integer sums of per-word outcomes, so the rows do not depend on the
+    process count.
     frame_errors counts the words with at least one wrong bit.
     """
     if min_bits < 1:
         raise ValueError(f"min_bits must be >= 1, got {min_bits}")
+    if not ebno_list:
+        raise ValueError("ebno_list names no Eb/N0 point")
     cfg = cfg or DecoderConfig()
     rate = CodeInfo.from_matrix(H).rate
+    channels = [ChannelConfig(ebno_db=ebno, rate=rate, seed=seed) for ebno in ebno_list]
     words = -(-min_bits // H.n)
     width = ber_batch_width(H)
-    procs = min(worker_count(), -(-words // width))
-    shares = fork_shares(
-        functools.partial(_sweep_share, H, ebno_list, words, width, seed, cfg, rate), procs
-    )
+    sizes = [min(width, words - first) for first in range(0, words, width)]
+    procs = min(worker_count(), len(sizes))
+    shares = fork_shares(functools.partial(_sweep_share, H, channels, sizes, cfg), procs)
     rows = []
     bits = words * H.n
     for ebno, point in zip(ebno_list, zip(*shares)):
@@ -244,11 +257,23 @@ def ber_sweep(
     return rows
 
 
+def _ebno_list(spec: str) -> list[float]:
+    try:
+        ebno_list = [float(x) for x in spec.split(",")]
+        if all(math.isfinite(x) for x in ebno_list):
+            return ebno_list
+    except ValueError:
+        pass
+    raise InfeasibleParameters(
+        f"--ebno expects comma-separated finite dB values, e.g. 0,1.5,3, got {spec!r}"
+    )
+
+
 def cmd_ber(args) -> int:
     if args.min_bits < 10_000:
         raise InfeasibleParameters("--min-bits must be at least 10000")
+    ebno_list = _ebno_list(args.ebno)
     H = _read_matrix(args)
-    ebno_list = [float(x) for x in args.ebno.split(",")]
     rows = ber_sweep(H, ebno_list, args.min_bits, args.seed, _decoder_config(args))
     lines = ["ebno_db,bits,errors,ber,avg_iters,frame_errors"]
     for r in rows:

@@ -11,15 +11,19 @@ difference d = total - check_msg.  One iteration is:
     3. hard decision (total >= 0 -> bit 0) and syndrome check
 
 `decode` runs a flooding schedule with this state layout on one word,
-priors shaped (n,), or a batch of words, (B, n), through one iteration
-loop.  A batch keeps the word axis last (totals (n, B), messages (E, B)),
-so every gather copies one contiguous row of words; one word is the same
-code with that axis absent.  Under early exit a word whose syndrome
-passes leaves the batch: its column is dropped from the state.  State and
-scratch live in one workspace allocated per `decode` call and written with
-out= ufuncs (the syndrome check included), so the only arrays an iteration
-allocates in proportion to the code and the batch are `np.bincount`'s
-result and, once words finish, the copy of their bits into the result.
+priors shaped (n,), a batch of words, (B, n), or a stream of such batches,
+through one iteration loop.  A batch keeps the word axis last (totals
+(n, B), messages (E, B)), so every gather copies one contiguous row of
+words; one word is the same code with that axis absent.  A stream keeps
+as many words resident as its first chunk holds: when a word finishes
+(its syndrome passes under early exit, or it reaches max_iter), the next
+queued word takes its column, and only once the stream runs out are
+finished columns dropped from the state.  State and scratch live in one
+workspace allocated once per `decode` call and written with out= ufuncs
+(the syndrome check included), so the only arrays an iteration allocates
+in proportion to the code and the batch are `np.bincount`'s result and,
+once words finish, the copy of their bits into the result and the next
+chunk read from a stream.
 The check-node update works on the code's rows padded to the largest row
 degree and stored slot-major (`ParityCheckMatrix.slots`), where each
 per-row reduction is one elementwise ufunc per slot.
@@ -33,7 +37,7 @@ every path: the array decoder and the scalar worker kernel.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -131,8 +135,8 @@ class DecodeResult:
 
     For one word, bits is (n,), converged a bool, iterations_used an int
     and word_iterations the same count as a numpy scalar.  For a batch of
-    B words, bits is (B, n) uint8, converged (B,) and word_iterations (B,),
-    with iterations_used their int sum.
+    B words, or a stream of B words in all, bits is (B, n) uint8, converged
+    (B,) and word_iterations (B,), with iterations_used their int sum.
     """
 
     bits: np.ndarray
@@ -333,53 +337,99 @@ def hard_decision(state: DecoderState) -> np.ndarray:
     return np.less(state.total, 0.0, out=state.workspace.bits)
 
 
+def _queued(H: ParityCheckMatrix, chunk, cfg: DecoderConfig) -> np.ndarray:
+    """A stream chunk's priors, checked and saturated, one word per row."""
+    chunk = _validate(H, chunk)
+    if chunk.ndim != 2:
+        raise LengthMismatch(f"stream chunk shape {chunk.shape} is not (B, n), n={H.n}")
+    return cfg.saturate(chunk)
+
+
 def decode(
     H: ParityCheckMatrix,
-    prior: np.ndarray,
+    prior: np.ndarray | Iterable[np.ndarray],
     cfg: DecoderConfig | None = None,
     observe: Callable[[DecoderState], None] | None = None,
 ) -> DecodeResult:
     """Flooding-schedule decode: all check nodes, all variables, decision.
 
-    `prior` is one word (n,) or a batch (B, n); both run this one loop.
-    Stops a word at its first valid syndrome when early_exit is set (the
-    word leaves the batch), else after max_iter iterations.  Deterministic
-    for identical inputs, and each word of a batch decodes exactly as it
-    would alone.
+    `prior` is one word (n,), a batch (B, n) or any other iterable of
+    (B_i, n) chunks, read as it is needed; all three run this one loop.  The
+    workspace holds the words of the array, or of the first chunk.  Stops
+    a word at its first valid syndrome when early_exit is set, else after
+    max_iter iterations; the next word of the stream then takes its
+    column, and once the stream runs out the column leaves the batch.
+    Deterministic for identical inputs, and each word decodes exactly as
+    it would alone.  A stream's result is a batch's, its words in stream
+    order.  A chunk that is not (B_i, n) or holds a non-finite prior
+    raises when it is read, as the array does; an empty stream raises
+    LengthMismatch.
 
     `observe(state)`, when given, is called once per iteration after the
-    syndrome check and before finished words leave the batch: a batch's
-    state then holds, in batch order, every word decoding this iteration.
-    Its arrays are the decode's buffers and change in place, so copy what
-    must outlive the call.
+    syndrome check and before finished words leave or are replaced: a
+    batch's state then holds every word decoding this iteration, in
+    column order, which for an array is batch order.  Its arrays are the
+    decode's buffers and change in place, so copy what must outlive the
+    call.
     """
     cfg = cfg or DecoderConfig()
-    state = init_state(H, prior, cfg)
+    if isinstance(prior, np.ndarray):
+        chunks = iter(())
+        state = init_state(H, prior, cfg)
+    else:
+        chunks = iter(prior)
+        first = next(chunks, None)
+        if first is None:
+            raise LengthMismatch(f"prior stream holds no chunk of (B, n) priors, n={H.n}")
+        state = init_state(H, _queued(H, first, cfg), cfg)
+    ws = state.workspace
     batch = state.total.ndim == 2
-    count = state.total.shape[1] if batch else 1
-    bits_out = np.zeros((count, H.n), dtype=np.uint8)
-    converged = np.zeros(count, dtype=bool)
-    word_iterations = np.zeros(count, dtype=np.int64)
-    active = np.arange(count)
-    for j in range(1, cfg.max_iter + 1):
+    width = state.total.shape[1] if batch else 1
+    # Result index of the word in each column, and the iteration before
+    # it started.
+    active = np.arange(width)
+    start = np.zeros(width, dtype=np.int64)
+    j = 0
+    queue = np.empty((0, H.n))
+    count = width  # words read so far
+    finished = []  # (result index, bits, converged, iterations) of finished words
+    while True:
+        j += 1
         check_node_update_block(state, H, cfg)
         variable_node_update(state, H, cfg)
         bits = hard_decision(state)
-        ok = np.atleast_1d(syndrome_ok(H, bits.T, state.workspace.syndrome))
+        ok = np.atleast_1d(syndrome_ok(H, bits.T, ws.syndrome))
         if observe is not None:
             observe(state)
-        done = ok if cfg.early_exit else np.zeros_like(ok)
-        if j == cfg.max_iter:
-            done = np.ones_like(ok)
+        done = start == j - cfg.max_iter
+        if cfg.early_exit:
+            done |= ok
+        if not done.any():
+            continue
+        finished.append((active[done], bits.reshape(H.n, -1).T[done], ok[done], j - start[done]))
+        free = np.flatnonzero(done)
+        while len(queue) < len(free) and (chunk := next(chunks, None)) is not None:
+            queue = np.concatenate([queue, _queued(H, chunk, cfg)])
+        if len(queue):
+            cols, queue_head = free[: len(queue)], queue[: len(free)]
+            queue = queue[len(cols) :]
+            ws.prior[:, cols] = queue_head.T
+            ws.total[:, cols] = queue_head.T
+            ws.check_msg[:, cols] = 0.0
+            active[cols] = np.arange(count, count + len(cols))
+            start[cols] = j
+            done[cols] = False
+            count += len(cols)
+        if done.all():
+            break
         if done.any():
-            finished = active[done]
-            bits_out[finished] = bits.reshape(H.n, -1).T[done]
-            converged[finished] = ok[done]
-            word_iterations[finished] = j
-            if done.all():
-                break
-            active = active[~done]
+            active, start = active[~done], start[~done]
             _drop_words(state, ~done)
+    bits_out = np.empty((count, H.n), dtype=np.uint8)
+    converged = np.empty(count, dtype=bool)
+    word_iterations = np.empty(count, dtype=np.int64)
+    for index, *outcome in finished:
+        bits_out[index], converged[index], word_iterations[index] = outcome
     if batch:
         return DecodeResult(
             bits=bits_out,

@@ -65,6 +65,11 @@ class TestTransmit:
         with pytest.raises(ValueError):
             ChannelConfig(ebno_db=1.0, rate=1.5)
 
+    @pytest.mark.parametrize("ebno_db", [math.nan, math.inf, -math.inf])
+    def test_non_finite_ebno_rejected(self, ebno_db):
+        with pytest.raises(ValueError, match="ebno_db must be finite"):
+            ChannelConfig(ebno_db=ebno_db, rate=0.5)
+
     def test_shared_stream_advances_but_reproduces(self):
         cfg = ChannelConfig(ebno_db=2.0, rate=0.5, seed=13)
         s = modulate(np.zeros(50, dtype=np.uint8))

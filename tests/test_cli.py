@@ -158,6 +158,15 @@ class TestBer:
         # Q(sqrt(2*Eb/N0)) at 3 dB, from the closed form.
         assert uncoded_bpsk_ber(3.0) == pytest.approx(0.0228784, rel=1e-4)
 
+    @pytest.mark.parametrize("ebno", ["nan", "inf", "-inf", "1,,2", "1,nan", "", "1;2"])
+    def test_bad_ebno_exits_2_before_any_fork(self, monkeypatch, capsys, ebno):
+        monkeypatch.setattr("ldpcsim.cli.fork_shares", None)  # a fork would fail
+        assert main(["ber", "--gen", "48", "3", "6", f"--ebno={ebno}"]) == 2
+        message = f"--ebno expects comma-separated finite dB values, e.g. 0,1.5,3, got {ebno!r}"
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_deterministic_per_seed(self, fixture_alist, capsys):
         outputs = []
         for _ in range(2):
@@ -188,6 +197,21 @@ def ber_rows_one_word_at_a_time(H, ebno_list, min_bits, seed, cfg):
     return rows
 
 
+def recording_decode(record):
+    """A `decode` that calls `record(chunk)` on every chunk it pulls from
+    its prior stream, as it pulls it."""
+
+    def decode_recorded(H, prior, cfg):
+        def pulled():
+            for chunk in prior:
+                record(chunk)
+                yield chunk
+
+        return decode(H, pulled(), cfg)
+
+    return decode_recorded
+
+
 class TestBerSweep:
     def test_stream_pinned_to_golden_rows(self, fixture252):
         # The rows bench/golden.json holds for seed 1: any change to the
@@ -203,6 +227,17 @@ class TestBerSweep:
         with pytest.raises(ValueError, match="min_bits"):
             ber_sweep(hamming74, [1.0], min_bits, seed=1)
 
+    def test_no_point_requested_is_rejected(self, hamming74, monkeypatch):
+        monkeypatch.setattr("ldpcsim.cli.fork_shares", None)  # a fork would fail
+        with pytest.raises(ValueError, match="no Eb/N0 point"):
+            ber_sweep(hamming74, [], 7, seed=1)
+
+    @pytest.mark.parametrize("ebno", [np.nan, np.inf])
+    def test_non_finite_point_is_rejected_before_any_fork(self, hamming74, monkeypatch, ebno):
+        monkeypatch.setattr("ldpcsim.cli.fork_shares", None)
+        with pytest.raises(ValueError, match="ebno_db must be finite"):
+            ber_sweep(hamming74, [1.0, ebno], 7, seed=1)
+
     @pytest.mark.parametrize(
         "min_bits",
         [
@@ -211,17 +246,14 @@ class TestBerSweep:
         ],
     )
     def test_batches_match_one_word_at_a_time(self, fixture252, monkeypatch, min_bits):
-        # One process, so the counting decode sees every call.
+        # One process, so the recording decode sees every chunk.
         monkeypatch.setenv(WORKER_CAP_ENV, "1")
         cfg = DecoderConfig(max_iter=12)
         expected = ber_rows_one_word_at_a_time(fixture252, [1.5, 3.0], min_bits, 4, cfg)
         decoded = []
-
-        def counting_decode(H, prior, cfg):
-            decoded.append(len(prior))
-            return decode(H, prior, cfg)
-
-        monkeypatch.setattr("ldpcsim.cli.decode", counting_decode)
+        monkeypatch.setattr(
+            "ldpcsim.cli.decode", recording_decode(lambda chunk: decoded.append(len(chunk)))
+        )
         rows = ber_sweep(fixture252, [1.5, 3.0], min_bits, 4, cfg)
         words = -(-min_bits // 504)
         assert rows == expected
@@ -248,12 +280,9 @@ class TestBerSweep:
         cfg = DecoderConfig(max_iter=8)
         expected = ber_rows_one_word_at_a_time(H, [2.5], 20 * 1008, 5, cfg)
         decoded = []
-
-        def counting_decode(H, prior, cfg):
-            decoded.append(len(prior))
-            return decode(H, prior, cfg)
-
-        monkeypatch.setattr("ldpcsim.cli.decode", counting_decode)
+        monkeypatch.setattr(
+            "ldpcsim.cli.decode", recording_decode(lambda chunk: decoded.append(len(chunk)))
+        )
         assert ber_sweep(H, [2.5], 20 * 1008, 5, cfg) == expected
         assert decoded == [8, 8, 4]
 
@@ -272,13 +301,8 @@ class TestBerSweep:
                                   ch[idx], rng=rng), ch[idx])
                 for f in range(0, words, BER_BATCH)
             ])
-        decoded = []
-
-        def recording_decode(H, prior, cfg):
-            decoded.append(prior)  # the children record into their own copies
-            return decode(H, prior, cfg)
-
-        monkeypatch.setattr("ldpcsim.cli.decode", recording_decode)
+        decoded = []  # the children record into their own copies
+        monkeypatch.setattr("ldpcsim.cli.decode", recording_decode(decoded.append))
         ber_sweep(H, ebno_list, words * H.n, seed, DecoderConfig(max_iter=5))
         expected = [c for point in chunks for c in point[::2]]
         assert len(decoded) == len(expected) == 6
@@ -293,14 +317,13 @@ class TestBerSweep:
         monkeypatch.setattr("ldpcsim.parsim.workers._WAIT_SECONDS", 30.0)
         parent = os.getpid()
 
-        def failing_decode(H, prior, cfg):
+        def fail_in_child(chunk):
             if os.getpid() != parent:
                 if failure == "exit":
                     os._exit(3)
                 raise RuntimeError("chunk decode failed in a child")
-            return decode(H, prior, cfg)
 
-        monkeypatch.setattr("ldpcsim.cli.decode", failing_decode)
+        monkeypatch.setattr("ldpcsim.cli.decode", recording_decode(fail_in_child))
         message = ("RuntimeError: chunk decode failed in a child" if failure == "raise"
                    else "exited without its share")
         with pytest.raises(WorkerError, match=message):
@@ -339,6 +362,15 @@ def test_rows_do_not_depend_on_process_count(code48, seed, ebno_list, chunks, la
         with mock.patch.dict(os.environ, {WORKER_CAP_ENV: procs}):
             assert ber_sweep(code48, ebno_list, min_bits, seed, cfg) == expected
     assert mp.active_children() == []
+
+
+@pytest.mark.parametrize("ebno", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", [["decode"], ["scale", "--processors", "1,3"]])
+def test_non_finite_ebno_exits_2(capsys, command, ebno):
+    assert main([*command, "--gen", "48", "3", "6", f"--ebno={ebno}"]) == 2
+    captured = capsys.readouterr()
+    assert "ebno_db must be finite" in captured.err
+    assert captured.out == ""
 
 
 class TestScale:

@@ -414,6 +414,64 @@ class TestBatchDecode:
             decode_minsum_reference(hamming74, np.ones((2, 7)))
 
 
+class TestStreamDecode:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        code=st.integers(0, len(SMALL_REGULAR_PARAMS) + 1),
+        qformat=st.sampled_from([None, QFormat(8, 4)]),
+        early_exit=st.booleans(),
+        max_iter=st.integers(1, 12),
+        sizes=st.lists(st.integers(1, 6), min_size=1, max_size=6),
+        seed=st.integers(0, 2**16),
+    )
+    def test_each_word_decodes_as_alone(self, batch_codes, code, qformat, early_exit,
+                                        max_iter, sizes, seed):
+        # Words of unequal strength finish at different iterations, so later
+        # words take freed columns at different times; the first chunk sets
+        # how many columns there are.
+        H = batch_codes[code]
+        cfg = DecoderConfig(max_iter=max_iter, early_exit=early_exit, qformat=qformat)
+        rng = np.random.default_rng(seed)
+        words = sum(sizes)
+        strength = rng.uniform(0.2, 3.0, size=(words, 1))
+        prior = strength + rng.normal(0.0, 1.5, size=(words, H.n))
+        chunks = np.split(prior, np.cumsum(sizes)[:-1])
+        stream = decode(H, iter(chunks), cfg)
+        assert stream.bits.shape == (words, H.n) and stream.bits.dtype == np.uint8
+        assert stream.converged.shape == stream.word_iterations.shape == (words,)
+        assert stream.iterations_used == int(stream.word_iterations.sum())
+        for w in range(words):
+            alone = decode(H, prior[w], cfg)
+            assert np.array_equal(stream.bits[w], alone.bits)
+            assert bool(stream.converged[w]) == alone.converged
+            assert int(stream.word_iterations[w]) == alone.iterations_used
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_prior_in_a_later_chunk(self, hamming74, bad):
+        # Strong priors converge at once, so every chunk is read.
+        chunk = np.full((2, 7), 8.0)
+        chunk[1, 3] = bad
+        with pytest.raises(ValueError) as first:
+            decode(hamming74, iter([chunk]))
+        with pytest.raises(ValueError) as later:
+            decode(hamming74, iter([np.full((3, 7), 8.0), np.full((1, 7), 8.0), chunk]))
+        assert str(later.value) == str(first.value) == "priors must be finite"
+
+    @pytest.mark.parametrize("stream", [[], iter(())])
+    def test_empty_stream(self, hamming74, stream):
+        with pytest.raises(LengthMismatch, match="no chunk"):
+            decode(hamming74, stream)
+
+    @pytest.mark.parametrize("shape", [(2, 6), (2, 8), (7,), (0, 7)])
+    @pytest.mark.parametrize("position", [0, 2])
+    def test_chunk_of_wrong_shape(self, hamming74, shape, position):
+        chunks = [np.full((2, 7), 8.0), np.full((1, 7), 8.0)]
+        chunks.insert(position, np.full(shape, 8.0))
+        with pytest.raises(LengthMismatch):
+            decode(hamming74, iter(chunks))
+
+
 class TestMinsumReference:
     @pytest.mark.parametrize("n,wc,wr", SMALL_REGULAR_PARAMS[:5])
     def test_per_iteration_message_equivalence(self, n, wc, wr):
