@@ -211,9 +211,11 @@ def parallel_iteration_cost(
 
     Sends go out back to back; slave s starts computing when its block has
     arrived and the master collects results in the same order, waiting
-    whenever the next slave is not done yet.  With array-valued cost fields
-    every phase is an array, one entry per cost point, each equal bit for
-    bit to the one-point call.
+    whenever the next slave is not done yet.  The live workers follow the
+    same contract: one data frame out and one result frame back per slave,
+    neither acknowledged, so only data packets are priced.  With
+    array-valued cost fields every phase is an array, one entry per cost
+    point, each equal bit for bit to the one-point call.
     """
     sends = [p * (cm.cycles_packet_fixed + h * cm.cycles_per_hop)
              for p, h in zip(packets, hops)]

@@ -2,10 +2,15 @@
 
 One long-lived OS worker process per slave group plus the master in the
 calling process; CPython threads cannot run the update computation in
-parallel, so the workers are processes connected by pipes.  Every block
-transfer is a blocking rendezvous: the sender waits for the receiver's
-acknowledgement, which serializes the master's scatter/gather exactly
-like the modeled star bottleneck.
+parallel, so the workers are processes connected by pipes.  Each
+iteration the master puts one `D` frame to every slave and then reads one
+`R` frame back from each, in slave order; nothing is acknowledged.  As a
+HeMPS kernel `Send` stores the message in the producer's pipe and returns,
+a put returns once the pipe has taken the frame, and only the reads block,
+each bounded by `_WAIT_SECONDS`: the contract
+`model.parallel_iteration_cost` prices.  It cannot deadlock, because a
+slave writes its result only after it has read its whole difference frame
+and the master reads results only after it has put every block.
 
 The master is numpy code written once, `_master_decode`, for the parallel
 run and for its sequential baseline alike: it keeps the decoder's own
@@ -79,9 +84,8 @@ from ..partition import (
 from .model import SimReport, _require_one_word
 
 WORKER_CAP_ENV = "LDPC_PARSIM_THREADS"
-# Bounded wait, in seconds, for a worker's message or acknowledgement.
+# Bounded wait, in seconds, for a worker's result block or share.
 _WAIT_SECONDS = 120.0
-_ACK = b"k"
 # Frames are typed by their first byte so a failure is recognizable in
 # any protocol state: D = difference block, R = result block or share,
 # E = worker failure text.
@@ -161,23 +165,20 @@ def _put(conn, frame: bytes) -> None:
         raise WorkerError(f"worker hung up: {exc}") from exc
 
 
-def _send(conn, frame: bytes) -> None:
-    """Rendezvous send: returns only after the peer has taken the frame
-    and acknowledged it within _WAIT_SECONDS."""
-    _put(conn, frame)
-    ack = _read(conn, _WAIT_SECONDS, "acknowledgement")
-    if ack != _ACK:
-        raise WorkerError(f"unexpected acknowledgement {ack!r}")
+def _unframe(frame: bytes, kind: bytes, wire: dict) -> np.ndarray:
+    """The words of a `kind` frame; WorkerError on a frame of any other
+    type."""
+    if not frame.startswith(kind):
+        raise WorkerError(f"unexpected frame {frame[:1]!r}")
+    return unpack_llrs(split_packets(frame, offset=len(kind)), **wire)
 
 
 def _slave_loop(conn, degs: list[int], clamp: float | None, wire: dict) -> None:
     """Answer each difference block with its check messages until EOF."""
     while True:
-        frame = conn.recv_bytes()
-        _put(conn, _ACK)
-        d = unpack_llrs(split_packets(frame, offset=len(_DATA)), **wire).tolist()
+        d = _unframe(conn.recv_bytes(), _DATA, wire).tolist()
         msgs = check_block_messages(d, degs, clamp, wire["qformat"])
-        _send(conn, _frame(_RESULT, pack_llrs(msgs, **wire)))
+        _put(conn, _frame(_RESULT, pack_llrs(msgs, **wire)))
 
 
 def _child(inherited: list, conn, target, args: tuple) -> None:
@@ -365,28 +366,22 @@ def run_sequential_baseline(
 
 
 def _slave_exchange(conns: list, wire: dict, blocks) -> tuple[list, float]:
-    """Pack and rendezvous-send each block as it comes, so block s+1 is
-    gathered and packed while slave s computes, then gather and unpack
-    every slave's reply.  Also returns the seconds spent in the sends and
-    in the gather."""
+    """Pack and put each block as it comes, so block s+1 is gathered and
+    packed while slave s computes, then read every slave's reply in slave
+    order and unpack it.  One frame goes each way per slave and none is
+    acknowledged: a put returns once the pipe has taken the frame, and
+    each read waits at most _WAIT_SECONDS.  Also returns the seconds spent
+    in the puts and in the gather."""
     messaging = 0.0
     for conn, d in zip(conns, blocks):
         frame = _frame(_DATA, pack_llrs(d, **wire))
         tsend = time.perf_counter()
-        _send(conn, frame)
+        _put(conn, frame)
         messaging += time.perf_counter() - tsend
     tgather = time.perf_counter()
-    replies = []
-    for conn in conns:
-        replies.append(_read(conn, _WAIT_SECONDS, "message"))
-        _put(conn, _ACK)
+    replies = [_read(conn, _WAIT_SECONDS, "message") for conn in conns]
     messaging += time.perf_counter() - tgather
-    msgs = []
-    for reply in replies:
-        if not reply.startswith(_RESULT):
-            raise WorkerError(f"unexpected frame {reply[:1]!r}")
-        msgs.append(unpack_llrs(split_packets(reply, offset=len(_RESULT)), **wire))
-    return msgs, messaging
+    return [_unframe(reply, _RESULT, wire) for reply in replies], messaging
 
 
 def run_parallel_workers(

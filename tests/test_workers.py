@@ -1,3 +1,4 @@
+import contextlib
 import multiprocessing as mp
 import os
 import signal
@@ -23,9 +24,33 @@ from ldpcsim.partition import Partition, make_partition
 from conftest import irregular_code, noisy_prior
 
 
+@contextlib.contextmanager
+def returns_within(seconds):
+    """Fail the block if it is still running after `seconds`: a put or a
+    slave's wait for its next frame, which no read timeout bounds, fails
+    the test rather than hanging it."""
+
+    def overdue(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, overdue)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.fixture(scope="module")
 def small_code():
     return generate_regular(48, 3, 6, seed=2)
+
+
+@pytest.fixture(scope="module")
+def long_code():
+    """The seed-1 n=20160 (3,6) code of the scale-model benchmark."""
+    return generate_regular(20160, 3, 6, seed=1)
 
 
 class TestScalarKernel:
@@ -368,6 +393,58 @@ class TestParallelWorkers:
             "unpack_llrs": slaves * 30 * reps,
         }
 
+    @pytest.mark.parametrize("slaves", [1, 2])
+    def test_one_unacknowledged_frame_each_way_per_block(
+        self, small_code, monkeypatch, slaves
+    ):
+        # The master puts one D frame per slave block per iteration and
+        # reads one R frame back, and sends and awaits nothing else.
+        import ldpcsim.parsim.workers as workers_mod
+
+        put, read = workers_mod._put, workers_mod._read
+        kinds = {"put": [], "read": []}
+
+        def counting_put(conn, frame):
+            kinds["put"].append(frame[:1])
+            put(conn, frame)
+
+        def counting_read(conn, timeout, what):
+            frame = read(conn, timeout, what)
+            kinds["read"].append(frame[:1])
+            return frame
+
+        monkeypatch.setattr(workers_mod, "_put", counting_put)
+        monkeypatch.setattr(workers_mod, "_read", counting_read)
+        reps = 2
+        prior = noisy_prior(small_code, ebno_db=2.0, seed=10)
+        result, _ = run_parallel_workers(
+            small_code, prior, DecoderConfig(), make_partition(small_code.m, slaves),
+            reps=reps, worst_case=True,
+        )
+        assert result.iterations_used == 30
+        assert kinds == {
+            "put": [b"D"] * (slaves * 30 * reps),
+            "read": [b"R"] * (slaves * 30 * reps),
+        }
+
+    @pytest.mark.parametrize("slaves", [1, 2, 3])
+    def test_frames_larger_than_the_pipe_buffer(self, long_code, monkeypatch, slaves):
+        # A 1-slave D frame of the n=20160 code holds 60,480 8-byte words,
+        # more than a socket buffer takes at once, so puts and results
+        # cross while the far end is still reading.
+        import ldpcsim.parsim.workers as workers_mod
+
+        monkeypatch.delenv(WORKER_CAP_ENV, raising=False)
+        cfg = DecoderConfig(max_iter=2)
+        prior = noisy_prior(long_code, ebno_db=1.0, seed=3)
+        ref = decode(long_code, prior, cfg)
+        with returns_within(workers_mod._WAIT_SECONDS / 10):
+            result, _ = run_parallel_workers(
+                long_code, prior, cfg, make_partition(long_code.m, slaves),
+                reps=1, worst_case=False,
+            )
+        _same_decode(result, ref)
+
     def test_worker_cap_enforced(self, small_code, monkeypatch):
         monkeypatch.setenv(WORKER_CAP_ENV, "2")
         prior = noisy_prior(small_code, ebno_db=2.0, seed=1)
@@ -493,8 +570,9 @@ class TestParallelWorkers:
         assert baseline.breakdown["messaging"] == 0.0
 
     def test_gather_reads_the_wait_at_call_time(self, small_code, monkeypatch):
-        # The slaves acknowledge each block at once and then take 2 s over
-        # it; the master's wait for their results is the patched 0.2 s.
+        # The master's puts return at once and the slaves take 2 s over
+        # their blocks; the master's wait for their results is the patched
+        # 0.2 s.
         import ldpcsim.parsim.workers as workers_mod
 
         def slow_kernel(*args):
@@ -566,19 +644,20 @@ def _running(pid: int) -> bool:
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
-def test_send_without_acknowledgement_times_out(monkeypatch):
-    # The far end takes the frame but never acknowledges it, like a worker
-    # that is alive but stuck; no worker process is started.
-    import multiprocessing as mp
-
+def test_slave_refuses_a_frame_that_is_not_data():
+    # A slave handed anything but a D frame (here a stray one-byte frame)
+    # raises, so its failure frame reaches the master as a WorkerError; the
+    # slave runs in process, no worker process is started.
     import ldpcsim.parsim.workers as workers_mod
 
-    monkeypatch.setattr(workers_mod, "_WAIT_SECONDS", 0.2)
     near, far = mp.Pipe(duplex=True)
     try:
-        with pytest.raises(WorkerError, match="acknowledgement"):
-            workers_mod._send(near, b"D1234")
-        assert far.recv_bytes() == b"D1234"
+        near.send_bytes(b"k")
+        wire = {"word_bytes": 8, "qformat": None}
+        with returns_within(5.0):
+            workers_mod._child([], far, workers_mod._slave_loop, ([6], 64.0, wire))
+        with pytest.raises(WorkerError, match=r"WorkerError: unexpected frame b'k'"):
+            workers_mod._read(near, 1.0, "message")
     finally:
         near.close()
         far.close()
