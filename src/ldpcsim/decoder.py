@@ -349,7 +349,7 @@ def decode(
     H: ParityCheckMatrix,
     prior: np.ndarray | Iterable[np.ndarray],
     cfg: DecoderConfig | None = None,
-    observe: Callable[[DecoderState], None] | None = None,
+    check_update: Callable[[DecoderState], None] | None = None,
 ) -> DecodeResult:
     """Flooding-schedule decode: all check nodes, all variables, decision.
 
@@ -365,14 +365,18 @@ def decode(
     raises when it is read, as the array does; an empty stream raises
     LengthMismatch.
 
-    `observe(state)`, when given, is called once per iteration after the
-    syndrome check and before finished words leave or are replaced: a
-    batch's state then holds every word decoding this iteration, in
-    column order, which for an array is batch order.  Its arrays are the
-    decode's buffers and change in place, so copy what must outlive the
-    call.
+    `check_update(state)` is each iteration's check-node update, called
+    once per iteration before the variable update, on one word or on a
+    batch holding every word decoding this iteration in column order; it
+    must write the saturated message of every edge into state.check_msg.
+    By default it is `check_node_update_block(state, H, cfg)`, looked up
+    at each call.  The state's arrays are the decode's buffers and change
+    in place, so copy what must outlive the call.
     """
     cfg = cfg or DecoderConfig()
+    if check_update is None:
+        def check_update(state):
+            check_node_update_block(state, H, cfg)
     if isinstance(prior, np.ndarray):
         chunks = iter(())
         state = init_state(H, prior, cfg)
@@ -395,12 +399,10 @@ def decode(
     finished = []  # (result index, bits, converged, iterations) of finished words
     while True:
         j += 1
-        check_node_update_block(state, H, cfg)
+        check_update(state)
         variable_node_update(state, H, cfg)
         bits = hard_decision(state)
         ok = np.atleast_1d(syndrome_ok(H, bits.T, ws.syndrome))
-        if observe is not None:
-            observe(state)
         done = start == j - cfg.max_iter
         if cfg.early_exit:
             done |= ok

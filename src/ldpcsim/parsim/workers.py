@@ -12,11 +12,12 @@ each bounded by `_WAIT_SECONDS`: the contract
 slave writes its result only after it has read its whole difference frame
 and the master reads results only after it has put every block.
 
-The master is numpy code written once, `_master_decode`, for the parallel
-run and for its sequential baseline alike: it keeps the decoder's own
-state (`decoder.init_state`), gathers each block's differences in one
-step and runs the decoder's variable update, hard decision and syndrome
-check.  The check messages come from the scalar kernel
+The master of the parallel run and of its sequential baseline alike is
+`decoder.decode` itself, timed by `_timed_decode`, with only its check
+update passed in: each iteration that update gathers each edge block's
+differences in one step and writes back the block's check messages,
+while decode runs its own variable update, hard decision, syndrome check
+and stopping rule.  The check messages come from the scalar kernel
 `check_block_messages` (a per-edge loop over plain Python floats, the
 array decoder's results byte for byte): in the slaves, and in process on
 the whole code for the baseline.  It reads its block as a list, the one
@@ -61,16 +62,14 @@ import time
 
 import numpy as np
 
-from ..code import ParityCheckMatrix, syndrome_ok
+from ..code import ParityCheckMatrix
 from ..decoder import (
     DecodeResult,
     DecoderConfig,
-    DecoderState,
     QFormat,
-    hard_decision,
-    init_state,
+    _validate,
+    decode,
     saturate,
-    variable_node_update,
     worst_case_config,
 )
 from ..errors import ConfigurationError, WorkerError
@@ -144,10 +143,11 @@ def _frame(kind: bytes, packets: list[bytes]) -> bytes:
     return b"".join([kind, *packets])
 
 
-def _read(conn, timeout: float, what: str) -> bytes:
-    """The next frame on conn; WorkerError on a wait past `timeout` s, on
-    EOF and on a failure frame.  `what` names the frame in the error."""
-    if not conn.poll(timeout):
+def _read(conn, what: str) -> bytes:
+    """The next frame on conn; WorkerError on a wait past _WAIT_SECONDS
+    (looked up when the wait starts), on EOF and on a failure frame.
+    `what` names the frame in the error."""
+    if not conn.poll(_WAIT_SECONDS):
         raise WorkerError(f"timed out waiting for a worker {what}")
     try:
         frame = conn.recv_bytes()
@@ -270,79 +270,69 @@ def fork_shares(share, procs: int) -> list:
     with _forked(jobs) as conns:
         results = [share(0, procs)]
         for conn in conns:
-            frame = _read(conn, _WAIT_SECONDS, "share")
+            frame = _read(conn, "share")
             results.append(pickle.loads(frame[len(_RESULT):]))
     return results
 
 
-def _master_decode(
+def _timed_decode(
     H: ParityCheckMatrix,
-    state: DecoderState,
+    prior: np.ndarray,
     eff: DecoderConfig,
     slices: list[tuple[int, int]],
     exchange,
     reps: int,
     processors: int,
 ) -> tuple[DecodeResult, SimReport]:
-    """The master's side of `reps` decodes of the one word in `state`,
-    and the report of a run on `processors` processors.
+    """`reps` timed decodes of the one word `prior` under `eff`, and the
+    report of a run on `processors` processors.
 
-    Each iteration gathers the differences total - check_msg of every edge
-    block in `slices` and hands them to `exchange`, which returns the
-    blocks' check messages and the seconds it spent messaging; then the
-    decoder's own variable update, hard decision and syndrome check run on
-    the state.  The report's breakdown is in seconds summed over the reps,
-    like extras["total_seconds"], which it sums to: `messaging`, `other`
-    (resetting the state to the priors) and `compute_master` (the rest).
+    decode's check update gathers the differences total - check_msg of
+    every edge block in `slices` and hands them to `exchange`, which
+    returns the blocks' check messages and the seconds it spent
+    messaging.  The report's breakdown is in seconds summed over the reps,
+    like extras["total_seconds"], which it sums to: `messaging` and
+    `compute_master` (the rest).
     """
+    messaging = 0.0
+
+    def check_update(state):
+        nonlocal messaging
+        blocks, seconds = exchange(
+            state.total[H.edge_var[lo:hi]] - state.check_msg[lo:hi] for lo, hi in slices
+        )
+        messaging += seconds
+        for (lo, hi), msgs in zip(slices, blocks):
+            state.check_msg[lo:hi] = msgs
+
     times = []
-    reset = messaging = 0.0
     for _ in range(reps):
         t0 = time.perf_counter()
-        np.copyto(state.total, state.prior)
-        state.check_msg.fill(0.0)
-        t1 = time.perf_counter()
-        reset += t1 - t0
-        for it in range(1, eff.max_iter + 1):
-            blocks, seconds = exchange(
-                state.total[H.edge_var[lo:hi]] - state.check_msg[lo:hi] for lo, hi in slices
-            )
-            messaging += seconds
-            for (lo, hi), msgs in zip(slices, blocks):
-                state.check_msg[lo:hi] = msgs
-            variable_node_update(state, H, eff)
-            bits = hard_decision(state)
-            converged = syndrome_ok(H, bits, state.workspace.syndrome)
-            if eff.early_exit and converged:
-                break
+        result = decode(H, prior, eff, check_update)
         times.append(time.perf_counter() - t0)
     med = statistics.median(times)
     wall = sum(times)
     report = SimReport(
         processors=processors,
-        iterations=it,
+        iterations=result.iterations_used,
         time_seconds=med,
         throughput_kbps=H.n / med / 1000.0,
-        breakdown={
-            "compute_master": wall - messaging - reset,
-            "messaging": messaging,
-            "other": reset,
-        },
+        breakdown={"compute_master": wall - messaging, "messaging": messaging},
         extras={"repetitions": float(reps), "total_seconds": wall},
     )
-    return DecodeResult(bits=bits.copy(), converged=converged, iterations_used=it), report
+    return result, report
 
 
-def _one_word_state(
+def _checked_config(
     H: ParityCheckMatrix, prior: np.ndarray, cfg: DecoderConfig, reps: int, worst_case: bool
-) -> tuple[DecoderConfig, DecoderState]:
-    """The run's configuration and the state of its one word, whose prior
-    is checked as `decode` checks it."""
+) -> DecoderConfig:
+    """The run's configuration, once its reps and its one word's prior
+    are checked as `decode` checks them."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
     _require_one_word(prior)
-    eff = worst_case_config(cfg) if worst_case else cfg
-    return eff, init_state(H, prior, eff)
+    _validate(H, prior)
+    return worst_case_config(cfg) if worst_case else cfg
 
 
 def run_sequential_baseline(
@@ -352,17 +342,17 @@ def run_sequential_baseline(
     reps: int = 100,
     worst_case: bool = True,
 ) -> tuple[DecodeResult, SimReport]:
-    """Unpartitioned decode, timed over `reps` repetitions: the parallel
-    run's master loop, with the scalar check kernel run in process on the
-    whole code once per iteration."""
-    eff, state = _one_word_state(H, prior, cfg, reps, worst_case)
+    """Unpartitioned decode, timed over `reps` repetitions: `decode` with
+    the scalar check kernel run in process on the whole code once per
+    iteration."""
+    eff = _checked_config(H, prior, cfg, reps, worst_case)
     degs = H.row_degrees().tolist()
 
     def exchange(blocks):
         (d,) = blocks
         return [check_block_messages(d.tolist(), degs, eff.clamp, eff.qformat)], 0.0
 
-    return _master_decode(H, state, eff, [(0, H.edges)], exchange, reps, processors=1)
+    return _timed_decode(H, prior, eff, [(0, H.edges)], exchange, reps, processors=1)
 
 
 def _slave_exchange(conns: list, wire: dict, blocks) -> tuple[list, float]:
@@ -379,7 +369,7 @@ def _slave_exchange(conns: list, wire: dict, blocks) -> tuple[list, float]:
         _put(conn, frame)
         messaging += time.perf_counter() - tsend
     tgather = time.perf_counter()
-    replies = [_read(conn, _WAIT_SECONDS, "message") for conn in conns]
+    replies = [_read(conn, "message") for conn in conns]
     messaging += time.perf_counter() - tgather
     return [_unframe(reply, _RESULT, wire) for reply in replies], messaging
 
@@ -394,13 +384,13 @@ def run_parallel_workers(
 ) -> tuple[DecodeResult, SimReport]:
     """Partitioned decode on live worker processes, timed over `reps`.
 
-    The master loop of the sequential baseline, exchanging each slave's
+    `decode`, as in the sequential baseline, exchanging each slave's
     block over the wire (`_slave_exchange`).  Workers are stateless
     between iterations, so repetitions just replay the message pattern.
     Raises WorkerError on a LDPC_PARSIM_THREADS cap below the slave count
     and on a worker that fails, exits or stalls, stopping every worker.
     """
-    eff, state = _one_word_state(H, prior, cfg, reps, worst_case)
+    eff = _checked_config(H, prior, cfg, reps, worst_case)
     p = attach_edge_counts(p, H)
     cap = _worker_cap()
     if cap is not None and p.num_slaves > cap:
@@ -413,4 +403,4 @@ def run_parallel_workers(
     with _forked(jobs) as conns:
         slices = list(zip(p.edge_bounds, p.edge_bounds[1:]))
         exchange = functools.partial(_slave_exchange, conns, wire)
-        return _master_decode(H, state, eff, slices, exchange, reps, p.num_slaves + 1)
+        return _timed_decode(H, prior, eff, slices, exchange, reps, p.num_slaves + 1)

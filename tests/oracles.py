@@ -6,13 +6,17 @@ variable-to-check messages; its check update is `check_row_oracle`, the
 literal product/min over each exclusion set of one row.
 `uncoded_bpsk_ber` is the closed-form bit error rate the BER tests compare
 coded rows with.  `traced_pair` runs `decode` and the reference side by
-side and keeps each one's messages of every iteration.
+side and keeps each one's messages of every iteration; `recording` is how
+tests see decode's state at every iteration.
 """
 
+import contextlib
 import math
+from unittest.mock import patch
 
 import numpy as np
 
+import ldpcsim.decoder
 from ldpcsim.code import syndrome_ok
 from ldpcsim.decoder import DecodeResult, DecoderConfig, _validate, decode
 from ldpcsim.errors import LengthMismatch
@@ -91,11 +95,29 @@ def decode_minsum_reference(H, prior, cfg=None, observe=None) -> DecodeResult:
     return DecodeResult(bits=bits, converged=converged, iterations_used=iterations)
 
 
+@contextlib.contextmanager
+def recording(kernel: str, record):
+    """Within the block, wrap decode's kernel `ldpcsim.decoder.<kernel>`,
+    whose first argument is the decode's state, so that record(state) is
+    called after each call of it.  The state's arrays change in place, so
+    `record` copies what must outlive the call."""
+    original = getattr(ldpcsim.decoder, kernel)
+
+    def wrapper(state, *args):
+        out = original(state, *args)
+        record(state)
+        return out
+
+    with patch.object(ldpcsim.decoder, kernel, wrapper):
+        yield
+
+
 def traced_pair(H, prior, cfg):
     """`decode` and `decode_minsum_reference` on one word, each with a copy
-    of its check messages after every iteration: decode's own, taken
-    through its `observe` hook."""
+    of its check messages after every iteration: decode's own, taken after
+    each call of its default check update."""
     ours, theirs = [], []
-    reduced = decode(H, prior, cfg, observe=lambda s: ours.append(s.check_msg.copy()))
+    with recording("check_node_update_block", lambda s: ours.append(s.check_msg.copy())):
+        reduced = decode(H, prior, cfg)
     ref = decode_minsum_reference(H, prior, cfg, observe=lambda r: theirs.append(r.copy()))
     return reduced, ref, ours, theirs

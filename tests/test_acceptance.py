@@ -13,7 +13,7 @@ import pytest
 
 from ldpcsim.cli import ber_sweep, scale_rows
 from ldpcsim.code import generate_regular
-from ldpcsim.decoder import DecoderConfig, decode, init_state
+from ldpcsim.decoder import DecoderConfig, decode
 from ldpcsim.parsim.model import (
     DEFAULT_SPEEDUP_TARGETS,
     CostModel,
@@ -22,7 +22,7 @@ from ldpcsim.parsim.model import (
     simulate_parallel,
     simulate_sequential,
 )
-from ldpcsim.parsim.workers import _master_decode, check_block_messages
+from ldpcsim.parsim.workers import _timed_decode, check_block_messages
 from ldpcsim.partition import (
     PACKET_BYTES,
     attach_edge_counts,
@@ -43,7 +43,7 @@ def _announce(num: int, label: str, detail: str = "") -> None:
 
 
 def _partitioned_in_process(H, prior, cfg, part):
-    """The live executors' master loop with each slave block's check
+    """The live executors' timed decode with each slave block's check
     update run in process by the scalar kernel: the partitioned schedule
     without workers or wire."""
     part = attach_edge_counts(part, H)
@@ -55,8 +55,7 @@ def _partitioned_in_process(H, prior, cfg, part):
                 for d, bd in zip(blocks, block_degs)], 0.0
 
     slices = list(zip(part.edge_bounds, part.edge_bounds[1:]))
-    state = init_state(H, prior, cfg)
-    result, _ = _master_decode(H, state, cfg, slices, exchange, 1, part.num_slaves + 1)
+    result, _ = _timed_decode(H, prior, cfg, slices, exchange, 1, part.num_slaves + 1)
     return result
 
 

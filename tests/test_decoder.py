@@ -17,7 +17,7 @@ from ldpcsim.errors import ConfigurationError, LengthMismatch
 from ldpcsim.parsim.workers import check_block_messages
 
 from conftest import SMALL_REGULAR_PARAMS, adjacency, irregular_code, noisy_prior
-from oracles import check_row_oracle, decode_minsum_reference, traced_pair
+from oracles import check_row_oracle, decode_minsum_reference, recording, traced_pair
 
 NO_CLAMP = DecoderConfig(clamp=None)
 
@@ -383,11 +383,14 @@ class TestBatchDecode:
         cfg = DecoderConfig(max_iter=12, early_exit=False, **saturation)
         prior = np.random.default_rng(seed).normal(0.8, 2.0, size=(words, H.n))
         batch = []
-        decode(H, prior, cfg, observe=lambda s: batch.append(s.check_msg.copy()))
+        with recording("check_node_update_block", lambda s: batch.append(s.check_msg.copy())):
+            decode(H, prior, cfg)
         assert len(batch) == cfg.max_iter
         for b in range(words):
             alone = []
-            decode(H, prior[b], cfg, observe=lambda s: alone.append(s.check_msg.copy()))
+            with recording("check_node_update_block",
+                           lambda s: alone.append(s.check_msg.copy())):
+                decode(H, prior[b], cfg)
             assert [m[:, b].tobytes() for m in batch] == [m.tobytes() for m in alone]
 
     def test_one_word_batch_keeps_batch_shapes(self, fixture252):
@@ -446,6 +449,29 @@ class TestStreamDecode:
             assert np.array_equal(stream.bits[w], alone.bits)
             assert bool(stream.converged[w]) == alone.converged
             assert int(stream.word_iterations[w]) == alone.iterations_used
+
+    @pytest.mark.parametrize("qformat", [None, QFormat(8, 4)], ids=["float64", "q8.4"])
+    @pytest.mark.parametrize("form", ["word", "batch", "stream"])
+    def test_passed_check_update_decodes_as_the_default(self, fixture252, form, qformat):
+        # The default check update passed in as decode's hook: words of
+        # unequal strength finish at different iterations, so the hook sees
+        # the batch shrink and, in a stream, columns change words.
+        H = fixture252
+        cfg = DecoderConfig(qformat=qformat)
+        words = np.stack([noisy_prior(H, ebno_db, seed)
+                          for seed, ebno_db in enumerate([1.0, 3.0, 1.5, 4.0, 2.0])])
+
+        def prior():
+            return {"word": words[0], "batch": words,
+                    "stream": iter(np.split(words, [2, 3]))}[form]
+
+        hooked = decode(H, prior(), cfg, lambda s: check_node_update_block(s, H, cfg))
+        plain = decode(H, prior(), cfg)
+        assert np.array_equal(hooked.bits, plain.bits)
+        assert np.array_equal(hooked.converged, plain.converged)
+        assert np.array_equal(hooked.word_iterations, plain.word_iterations)
+        if form != "word":
+            assert len(set(plain.word_iterations.tolist())) > 1
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_prior_in_a_later_chunk(self, hamming74, bad):
@@ -528,7 +554,8 @@ class TestFixedPoint:
         cfg = DecoderConfig(qformat=QFormat(8, 4))
         prior = noisy_prior(fixture252, ebno_db=3.0, seed=5)
         seen = []
-        decode(fixture252, prior, cfg, observe=seen.append)
+        with recording("check_node_update_block", seen.append):
+            decode(fixture252, prior, cfg)
         total = seen[-1].total
         scaled = total * 16.0
         assert np.array_equal(scaled, np.round(scaled))

@@ -22,6 +22,7 @@ from ldpcsim.parsim.workers import (
 from ldpcsim.partition import Partition, make_partition
 
 from conftest import irregular_code, noisy_prior
+from oracles import recording
 
 
 @contextlib.contextmanager
@@ -85,10 +86,9 @@ class TestScalarKernel:
     def test_full_trajectory_matches_array_decoder(self, cfg):
         # The worker mode's bit-exactness rests on the scalar kernel
         # producing the same float64 values as the array path at every
-        # iteration, so run the live executors' master loop with the scalar
+        # iteration, so run the live executors' timed decode with the scalar
         # kernel in process on three blocks and compare whole trajectories.
-        from ldpcsim.decoder import init_state
-        from ldpcsim.parsim.workers import _master_decode
+        from ldpcsim.parsim.workers import _timed_decode
         from ldpcsim.partition import attach_edge_counts
 
         for seed in range(6):
@@ -97,16 +97,17 @@ class TestScalarKernel:
             # decode's messages of every iteration and its last state
             array_trace, states = [], []
 
-            def observe(s):
+            def record(s):
                 array_trace.append(s.check_msg.tobytes())
                 states.append(s)
 
-            array = decode(H, prior, cfg, observe=observe)
+            with recording("check_node_update_block", record):
+                array = decode(H, prior, cfg)
 
             part = attach_edge_counts(make_partition(H.m, 3), H)
             degs = H.row_degrees().tolist()
             block_degs = [degs[lo:hi] for lo, hi in part.group_bounds]
-            trace = []
+            trace, live_states = [], []
 
             def exchange(blocks):
                 msgs = [
@@ -116,9 +117,10 @@ class TestScalarKernel:
                 trace.append(np.concatenate(msgs).tobytes())
                 return msgs, 0.0
 
-            state = init_state(H, prior, cfg)
             slices = list(zip(part.edge_bounds, part.edge_bounds[1:]))
-            result, _ = _master_decode(H, state, cfg, slices, exchange, 1, processors=4)
+            with recording("variable_node_update", live_states.append):
+                result, _ = _timed_decode(H, prior, cfg, slices, exchange, 1, processors=4)
+            state = live_states[-1]
             assert trace == array_trace
             assert state.total.tolist() == states[-1].total.tolist()
             assert result.bits.tolist() == array.bits.tolist()
@@ -192,6 +194,21 @@ def test_baseline_matches_decode_on_negative_zero_priors(small_code, cfg, worst_
     ref = decode(small_code, prior, eff)
     result, _ = run_sequential_baseline(small_code, prior, cfg, reps=1, worst_case=worst_case)
     _same_decode(result, ref)
+
+
+@pytest.mark.parametrize("slaves", [0, 1])
+def test_the_one_loop_is_decode(small_code, slaves):
+    # The live executors run decode's own variable update, once per
+    # iteration of each rep: 30 worst-case iterations times 2 reps.
+    prior = noisy_prior(small_code, ebno_db=2.0, seed=11)
+    calls = []
+    with recording("variable_node_update", calls.append):
+        if slaves:
+            run_parallel_workers(small_code, prior, DecoderConfig(),
+                                 make_partition(small_code.m, slaves), reps=2, worst_case=True)
+        else:
+            run_sequential_baseline(small_code, prior, DecoderConfig(), reps=2, worst_case=True)
+    assert len(calls) == 60
 
 
 def nonzero_codeword(H, seed):
@@ -408,8 +425,8 @@ class TestParallelWorkers:
             kinds["put"].append(frame[:1])
             put(conn, frame)
 
-        def counting_read(conn, timeout, what):
-            frame = read(conn, timeout, what)
+        def counting_read(conn, what):
+            frame = read(conn, what)
             kinds["read"].append(frame[:1])
             return frame
 
@@ -560,7 +577,7 @@ class TestParallelWorkers:
             small_code, prior, DecoderConfig(), reps=3, worst_case=True
         )
         for report in (parallel, baseline):
-            assert set(report.breakdown) == {"compute_master", "messaging", "other"}
+            assert set(report.breakdown) == {"compute_master", "messaging"}
             assert sum(report.breakdown.values()) == pytest.approx(
                 report.extras["total_seconds"], rel=1e-9
             )
@@ -624,13 +641,13 @@ def _master_reporting_slaves(report, H, prior):
     are sent on `report` once they have started."""
     import ldpcsim.parsim.workers as workers_mod
 
-    decode_loop = workers_mod._master_decode
+    timed_decode = workers_mod._timed_decode
 
     def reporting(*args):
         report.send([child.pid for child in mp.active_children()])
-        return decode_loop(*args)
+        return timed_decode(*args)
 
-    workers_mod._master_decode = reporting
+    workers_mod._timed_decode = reporting
     run_parallel_workers(H, prior, DecoderConfig(), make_partition(H.m, 2), reps=100_000)
 
 
@@ -657,7 +674,7 @@ def test_slave_refuses_a_frame_that_is_not_data():
         with returns_within(5.0):
             workers_mod._child([], far, workers_mod._slave_loop, ([6], 64.0, wire))
         with pytest.raises(WorkerError, match=r"WorkerError: unexpected frame b'k'"):
-            workers_mod._read(near, 1.0, "message")
+            workers_mod._read(near, "message")
     finally:
         near.close()
         far.close()
