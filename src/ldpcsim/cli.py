@@ -81,6 +81,8 @@ def _prior_from_args(H: ParityCheckMatrix, args) -> np.ndarray:
     if args.llr_file:
         with open(args.llr_file, "r", encoding="ascii") as fh:
             values = [float(line) for line in fh if line.strip()]
+        if len(values) != H.n:
+            raise InfeasibleParameters(f"--llr-file holds {len(values)} LLRs, need n={H.n}")
         return np.asarray(values, dtype=np.float64)
     ch = _channel_for(H, args.ebno, args.seed)
     return llr_init(transmit(modulate(np.zeros(H.n, dtype=np.uint8)), ch), ch)

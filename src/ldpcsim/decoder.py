@@ -37,6 +37,7 @@ every path: the array decoder and the scalar worker kernel.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, replace
 
@@ -85,8 +86,12 @@ class DecoderConfig:
     qformat: QFormat | None = None
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ConfigurationError(f"max_iter must be >= 1, got {self.max_iter}")
+        try:
+            counts = operator.index(self.max_iter) >= 1
+        except TypeError:  # 2.5, nan, inf: `decode` would never stop
+            counts = False
+        if not counts:
+            raise ConfigurationError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if self.clamp is not None and not self.clamp > 0:
             raise ConfigurationError(f"clamp must be None or > 0, got {self.clamp}")
 
@@ -157,10 +162,6 @@ _BUFFERS = (
     ("diff", lambda H: H.slots.var.shape, np.float64),
     ("mag", lambda H: H.slots.var.shape, np.float64),
     ("neg", lambda H: H.slots.var.shape, np.bool_),
-    ("is_min", lambda H: H.slots.var.shape, np.bool_),
-    ("min1", lambda H: (H.m,), np.float64),
-    ("min2", lambda H: (H.m,), np.float64),
-    ("spare", lambda H: (H.m,), np.float64),
     ("parity", lambda H: (H.m,), np.bool_),
     ("syndrome", lambda H: (H.slots.var.shape[0] + 1, H.m), np.uint8),
 )
@@ -204,6 +205,7 @@ class _Workspace:
         self.mag_flat = self.mag.reshape((-1,) + self.words)
         self.diff_flat = self.diff.reshape(self.mag_flat.shape)
         self.diff_slots = list(self.diff)
+        self.mag_slots = list(self.mag)
         if width is None:
             self.var_index = H.edge_var
         else:
@@ -267,7 +269,7 @@ def _drop_words(state: DecoderState, keep: np.ndarray) -> None:
 
 
 # Magnitude that fills the padding slots of short rows: no real |d| exceeds
-# it, so a row's two smallest magnitudes always come from its own edges.
+# it, so a slot's smallest other magnitude always comes from its own row.
 _PAD = np.finfo(np.float64).max
 
 
@@ -276,34 +278,32 @@ def check_node_update_block(
 ) -> None:
     """Update every check node from the previous totals.
 
-    Vectorized two-minimum update, for one word or every word of a batch,
-    on H's padded slot-major row layout: the k-th edges of all rows form
-    one contiguous slice, so each step over the rows is one elementwise
-    ufunc.  Only selections and sign flips of finite values: results match
-    the scalar kernel `parsim.workers.check_block_messages` bit for bit.
+    Vectorized exclusion-minimum update, for one word or every word of a
+    batch, on H's padded slot-major row layout: the k-th edges of all rows
+    form one contiguous slice, so each step over the rows is one ufunc.
+    Only selections and sign flips of finite values: results match the
+    scalar kernel `parsim.workers.check_block_messages` bit for bit.
     """
     ws, slots = state.workspace, H.slots
-    d, mag, min1, min2 = ws.diff, ws.mag, ws.min1, ws.min2
+    d, mag = ws.diff, ws.mag
     np.take(state.total, slots.var, axis=0, out=d, mode="clip")
     np.take(state.check_msg, slots.edge, axis=0, out=mag, mode="clip")
     np.subtract(d, mag, out=d)
     ws.diff_flat[ws.pads] = _PAD
     np.less(d, 0.0, out=ws.neg)
     np.absolute(d, out=d)
-    # The two smallest magnitudes per row, counted with multiplicity: a
-    # repeated minimum is also the second minimum.
-    first, second, *rest = ws.diff_slots
-    np.minimum(first, second, out=min1)
-    np.maximum(first, second, out=min2)
-    for slot in rest:
-        np.maximum(min1, slot, out=ws.spare)
-        np.minimum(min2, ws.spare, out=min2)
-        np.minimum(min1, slot, out=min1)
-    # A slot at the row minimum gets the second minimum, every other slot
-    # the minimum: max(min1, [|d| == min1] * min2), exact as min2 >= min1 >= 0.
-    np.equal(d, min1, out=ws.is_min)
-    np.multiply(ws.is_min, min2, out=mag)
-    np.maximum(mag, min1, out=mag)
+    # Slot k gets min(prefix[k-1], suffix[k+1]), the least |d| of the other
+    # slots: prefix minima fill mag[1:-1]; mag[0] folds the suffix minimum.
+    dk, mk = ws.diff_slots, ws.mag_slots
+    last = len(dk) - 1
+    prefix = [dk[0]] + mk[1:last]
+    for k in range(1, last):
+        np.minimum(prefix[k - 1], dk[k], out=prefix[k])
+    np.copyto(mk[last], prefix[last - 1])
+    np.copyto(mk[0], dk[last])
+    for k in range(last - 1, 0, -1):
+        np.minimum(prefix[k - 1], mk[0], out=mk[k])
+        np.minimum(mk[0], dk[k], out=mk[0])
     # Sign: negative when the row's other slots hold an odd number of
     # negative differences.
     np.bitwise_xor.reduce(ws.neg, axis=0, out=ws.parity)
@@ -432,18 +432,14 @@ def decode(
     word_iterations = np.empty(count, dtype=np.int64)
     for index, *outcome in finished:
         bits_out[index], converged[index], word_iterations[index] = outcome
-    if batch:
-        return DecodeResult(
-            bits=bits_out,
-            converged=converged,
-            iterations_used=int(word_iterations.sum()),
-            word_iterations=word_iterations,
-        )
+    iterations_used = int(word_iterations.sum())
+    if not batch:
+        bits_out, converged, word_iterations = bits_out[0], bool(converged[0]), word_iterations[0]
     return DecodeResult(
-        bits=bits_out[0],
-        converged=bool(converged[0]),
-        iterations_used=int(word_iterations[0]),
-        word_iterations=word_iterations[0],
+        bits=bits_out,
+        converged=converged,
+        iterations_used=iterations_used,
+        word_iterations=word_iterations,
     )
 
 

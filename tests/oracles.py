@@ -32,8 +32,9 @@ def check_row_oracle(d) -> list[float]:
 
     Literal product/min over each exclusion set: message i is the product
     of sign(d_j) (sign(0) counts as +1) times the smallest |d_j| over
-    j != i.  O(deg^2) plain loops sharing no code with the two-minimum
-    kernels; the check update of `decode_minsum_reference`.
+    j != i.  O(deg^2) plain loops sharing no code with the decoder's
+    prefix/suffix kernel or the scalar two-minimum kernel; the check update
+    of `decode_minsum_reference`.
     """
     out = []
     for i in range(len(d)):

@@ -88,6 +88,15 @@ class TestDecode:
         assert payload["converged"] is True
         assert payload["iterations_used"] == 1
 
+    @pytest.mark.parametrize("count", [0, 2, 8])
+    def test_llr_file_of_wrong_length_exits_2(self, tmp_path, capsys, count):
+        llr = tmp_path / "llrs.txt"
+        llr.write_text("8.0\n" * count)
+        rc = main(["decode", "--matrix", str(DATA / "hamming_4x7.alist"),
+                   "--llr-file", str(llr)])
+        assert rc == 2
+        assert f"holds {count} LLRs" in capsys.readouterr().err
+
     def test_fixed_point_flag(self, fixture_alist, capsys):
         rc = main(["decode", "--matrix", str(fixture_alist), "--ebno", "5",
                    "--seed", "3", "--qformat", "8.4"])

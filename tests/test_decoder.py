@@ -78,6 +78,21 @@ class TestCheckNodeUpdate:
         for out in row_messages([-0.0, 1.0, 2.0]):
             assert out == as_bytes([1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("least", [0.0, -0.0, 0.5, -0.5])
+    @pytest.mark.parametrize("at", ["first", "last", "both"])
+    @pytest.mark.parametrize("degree", range(2, 8))
+    def test_minimum_at_the_end_slots(self, degree, at, least):
+        # The prefix and suffix scans start and end at the row's end slots;
+        # a minimum there, unique or tied across both, must reach every
+        # other slot, and the slot holding it gets the next smallest.
+        values = [1.25, -2.5, 3.75, -1.5, 2.0, -3.25, 2.75][:degree]
+        if at in ("first", "both"):
+            values[0] = least
+        if at in ("last", "both"):
+            values[-1] = -least if at == "both" else least
+        block, scalar, oracle = row_messages(values)
+        assert block == scalar == oracle
+
     @pytest.mark.parametrize("seed", range(10))
     def test_two_minimum_matches_bruteforce_exactly(self, seed):
         rng = np.random.default_rng(seed)
@@ -318,6 +333,17 @@ class TestDecode:
     @pytest.mark.parametrize("clamp", [None, 1e-9, float("inf")])
     def test_clamp_none_or_above_zero_accepted(self, clamp):
         assert DecoderConfig(clamp=clamp).clamp == clamp
+
+    @pytest.mark.parametrize("max_iter", [2.5, float("nan"), float("inf"), 0, "3"])
+    def test_max_iter_not_a_positive_integer_rejected(self, max_iter):
+        # A fractional or non-finite budget never equals a whole iteration
+        # count, so decode would never stop the word.
+        with pytest.raises(ConfigurationError, match="max_iter"):
+            DecoderConfig(max_iter=max_iter, early_exit=False)
+
+    def test_numpy_integer_max_iter_accepted(self, hamming74):
+        cfg = DecoderConfig(max_iter=np.int64(2), early_exit=False)
+        assert decode(hamming74, np.ones(7), cfg).iterations_used == 2
 
     def test_degree_one_check_rejected(self):
         H = ParityCheckMatrix([[0, 1], [1]], 2)
