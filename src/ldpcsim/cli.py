@@ -1,8 +1,8 @@
 """Command-line front end: code generation, single decodes, BER curves
 and the throughput/speedup scenario sweep.
 
-Exit codes: 0 success, 1 runtime error, 2 invalid arguments or infeasible
-parameters.
+Exit codes: 0 success, 1 runtime error, 2 invalid arguments, infeasible
+parameters or an input file that cannot be read or parsed.
 """
 
 from __future__ import annotations
@@ -22,8 +22,10 @@ from .code import CodeInfo, ParityCheckMatrix, generate_regular, load_alist, sav
 from .decoder import DecodeResult, DecoderConfig, QFormat, decode, worst_case_config
 from .errors import (
     ConfigurationError,
+    EmptyRowOrColumn,
     InfeasibleParameters,
     LdpcError,
+    MalformedAlist,
     NotDivisible,
     WorkerError,
 )
@@ -45,14 +47,26 @@ DEFAULT_PROCESSORS = [1, 3, 4, 5, 7, 8, 10]
 SCALE_MODES = ("costmodel", "threads")
 
 
+def _read_input(flag: str, path: str, parse):
+    """parse(text) of the input file `path` given by `flag`.  A file that
+    cannot be read, or that parse rejects, is bad input: it raises
+    InfeasibleParameters (exit 2) naming the flag."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return parse(fh.read())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InfeasibleParameters(f"{flag} {path}: cannot read: {exc}") from exc
+    except (MalformedAlist, EmptyRowOrColumn, ValueError) as exc:
+        raise InfeasibleParameters(f"{flag} {path}: {type(exc).__name__}: {exc}") from exc
+
+
 def _read_matrix(args) -> ParityCheckMatrix:
     if getattr(args, "gen", None):
         n, wc, wr = args.gen
         return generate_regular(n, wc, wr, seed=args.seed)
     if not args.matrix:
         raise InfeasibleParameters("need --matrix PATH or --gen N WC WR")
-    with open(args.matrix, "r", encoding="ascii") as fh:
-        return load_alist(fh.read())
+    return _read_input("--matrix", args.matrix, load_alist)
 
 
 def _qformat(spec: str | None) -> QFormat | None:
@@ -79,8 +93,11 @@ def _channel_for(H: ParityCheckMatrix, ebno_db: float, seed: int) -> ChannelConf
 
 def _prior_from_args(H: ParityCheckMatrix, args) -> np.ndarray:
     if args.llr_file:
-        with open(args.llr_file, "r", encoding="ascii") as fh:
-            values = [float(line) for line in fh if line.strip()]
+        values = _read_input(
+            "--llr-file",
+            args.llr_file,
+            lambda text: [float(line) for line in text.splitlines() if line.strip()],
+        )
         if len(values) != H.n:
             raise InfeasibleParameters(f"--llr-file holds {len(values)} LLRs, need n={H.n}")
         return np.asarray(values, dtype=np.float64)
@@ -115,23 +132,22 @@ def _cost_model(args) -> tuple[CostModel, dict[int, MeshPlacement], dict[int, fl
     if getattr(args, "cost_config", None):
         names = {f.name for f in fields(CostModel)}
         overrides = {}
-        with open(args.cost_config, "r", encoding="ascii") as fh:
-            for line in fh:
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, _, value = line.partition("=")
-                key = key.strip()
-                value = value.strip()
-                if key.startswith("placement_"):
-                    procs = int(key.removeprefix("placement_"))
-                    placements[procs] = MeshPlacement.from_spec(procs, value)
-                elif key.startswith("target_"):
-                    targets[int(key.removeprefix("target_"))] = float(value)
-                elif key in names:
-                    overrides[key] = float(value)
-                else:
-                    raise InfeasibleParameters(f"unknown cost model key {key!r}")
+        for line in _read_input("--cost-config", args.cost_config, str.splitlines):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, _, value = line.partition("=")
+            key = key.strip()
+            value = value.strip()
+            if key.startswith("placement_"):
+                procs = int(key.removeprefix("placement_"))
+                placements[procs] = MeshPlacement.from_spec(procs, value)
+            elif key.startswith("target_"):
+                targets[int(key.removeprefix("target_"))] = float(value)
+            elif key in names:
+                overrides[key] = float(value)
+            else:
+                raise InfeasibleParameters(f"unknown cost model key {key!r}")
         cm = replace(cm, **overrides)
     return cm, placements, targets
 
@@ -155,8 +171,9 @@ def cmd_decode(args) -> int:
 # 100k-bit sweep ran 2.5x faster than one word at a time with 8 words
 # (+1.0 MB peak RSS), 3.4x with 16 (+1.7 MB) and 4.1x with 32 (+3.1 MB);
 # 16 keeps the growth under 5% of the 40 MB process.  The workspace grows
-# with the words times H's padded row slots (`H.slots`, 1,512 on that code),
-# so `ber_batch_width` gives larger codes fewer words, the same memory.
+# with the words times H's padded row slots and column slots (`H.slots`,
+# 1,512 of each on that code); `ber_batch_width` scales the words by the
+# row slots, so larger codes get fewer words, the same memory.
 BER_BATCH = 16
 _BATCH_SLOTS = BER_BATCH * 1512
 

@@ -91,11 +91,18 @@ class ParityCheckMatrix:
         edge_slot = (np.arange(self.edges) - self.row_ptr[edge_row]) * self.m + edge_row
         edge = np.repeat(self.row_ptr[None, :-1], degs.max(), axis=0)
         edge.flat[edge_slot] = np.arange(self.edges)
+        # col_edge lists each variable v's edges in ascending id from entry
+        # col_ptr[v] on, so entry i is v's k-th edge, k = i - col_ptr[v].
+        cdegs = self.col_degrees()
+        k = np.arange(self.edges) - np.repeat(self.col_ptr[:-1], cdegs)
+        col = np.full((cdegs.max(), self.n), edge.size)
+        col[k, self.edge_var[self.col_edge]] = edge_slot[self.col_edge]
         return RowSlots(
             edge=edge,
             var=self.edge_var[edge],
             pad=np.arange(degs.max())[:, None] >= degs[None, :],
             edge_slot=edge_slot,
+            col=col,
         )
 
     @functools.cached_property
@@ -149,13 +156,18 @@ class RowSlots:
     Slot (k, c) holds the k-th edge of check c, so slot k of a run of rows
     is one contiguous run and a per-row reduction over the slots is one
     elementwise ufunc per slot.  Arrays are (max row degree, m) unless
-    noted.
+    noted.  `col` reads the same flat slots by column: col[k, v] is the
+    slot of variable v's k-th edge in ascending edge id, and a variable of
+    degree below the largest, dv_max, points its remaining entries at the
+    zero slot `edge.size`, one past the last row slot, which a decoder
+    holds at +0.0.
     """
 
     edge: np.ndarray  # edge id; a padding slot repeats its row's first edge
     var: np.ndarray  # variable of that edge
     pad: np.ndarray  # bool, True at padding slots (none when rows are regular)
     edge_slot: np.ndarray  # (E,) flat slot k * m + c of each edge
+    col: np.ndarray  # (dv_max, n) flat slot of each variable's k-th edge
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@
 The reduced formulation keeps one total LLR per variable node and one
 message per edge (check -> variable).  The variable-to-check message of
 classic min-sum is never stored: it is recovered per edge as the
-difference d = total - check_msg.  One iteration is:
+difference d = total - msg.  One iteration is:
 
     1. every check node c: for each neighbor v,
        new_msg(c->v) = prod(sign(d')) * min(|d'|) over the other neighbors
@@ -13,20 +13,21 @@ difference d = total - check_msg.  One iteration is:
 `decode` runs a flooding schedule with this state layout on one word,
 priors shaped (n,), a batch of words, (B, n), or a stream of such batches,
 through one iteration loop.  A batch keeps the word axis last (totals
-(n, B), messages (E, B)), so every gather copies one contiguous row of
-words; one word is the same code with that axis absent.  A stream keeps
+(n, B), messages (dmax, m, B)), so every gather copies one contiguous row
+of words; one word is the same code with that axis absent.  A stream keeps
 as many words resident as its first chunk holds: when a word finishes
 (its syndrome passes under early exit, or it reaches max_iter), the next
 queued word takes its column, and only once the stream runs out are
 finished columns dropped from the state.  State and scratch live in one
 workspace allocated once per `decode` call and written with out= ufuncs
-(the syndrome check included), so the only arrays an iteration allocates
-in proportion to the code and the batch are `np.bincount`'s result and,
-once words finish, the copy of their bits into the result and the next
-chunk read from a stream.
-The check-node update works on the code's rows padded to the largest row
-degree and stored slot-major (`ParityCheckMatrix.slots`), where each
-per-row reduction is one elementwise ufunc per slot.
+(the syndrome check included), so an iteration allocates nothing in
+proportion to the code and the batch but, once words finish, the copy of
+their bits into the result and the next chunk read from a stream.
+The messages live in the check-node update's own layout: the code's rows
+padded to the largest row degree dmax and stored slot-major
+(`ParityCheckMatrix.slots`), where each per-row reduction is one
+elementwise ufunc per slot.  The variable update gathers them by column
+(`RowSlots.col`) and adds each variable's slots in ascending edge order.
 
 Values are float64 with a configurable saturating clamp, or, with
 `DecoderConfig.qformat` set, on a saturating Q-format fixed-point grid
@@ -122,16 +123,33 @@ def saturate(
 class DecoderState:
     """Per-variable totals plus per-edge check-to-variable messages.
 
-    One word keeps 1-D arrays: total and prior (n,), check_msg (E,).  A
-    batch of B words adds a trailing word axis: (n, B) and (E, B).
+    One word keeps total and prior (n,) and msg (dmax, m), dmax the
+    largest row degree; a batch of B words adds a trailing word axis:
+    (n, B) and (dmax, m, B).  msg is in the slot-major row layout of
+    `ParityCheckMatrix.slots`: msg[k, c] is the message of check c's k-th
+    edge, and padding slots hold values that no update reads.  `check_msg`
+    reads the messages in edge order, (E,) or (E, B), as a read-only copy,
+    and assigning to it writes them back.
     `workspace` holds the decode's buffers, which every kernel writes
     into; `init_state` sets it.
     """
 
     total: np.ndarray
-    check_msg: np.ndarray
+    msg: np.ndarray
     prior: np.ndarray
     workspace: "_Workspace | None" = field(default=None, repr=False, compare=False)
+
+    @property
+    def check_msg(self) -> np.ndarray:
+        ws = self.workspace
+        out = np.take(ws.msg_flat, ws.H.slots.edge_slot, axis=0)
+        out.flags.writeable = False
+        return out
+
+    @check_msg.setter
+    def check_msg(self, values) -> None:
+        ws = self.workspace
+        ws.msg_flat[ws.H.slots.edge_slot] = values
 
 
 @dataclass
@@ -152,13 +170,15 @@ class DecodeResult:
 
 # Leading shape (as a function of H) and dtype of every buffer a decode
 # uses; each also has the word axis last when it decodes a batch.  The
-# slot buffers hold the whole code's rows in the slot-major layout.
+# slot buffers hold the whole code's rows in the slot-major layout;
+# msg_flat holds them flat, then the zero slot that `RowSlots.col` pads
+# with, and col the messages gathered by column.
 _BUFFERS = (
     ("total", lambda H: (H.n,), np.float64),
     ("prior", lambda H: (H.n,), np.float64),
-    ("check_msg", lambda H: (H.edges,), np.float64),
+    ("msg_flat", lambda H: (H.slots.var.size + 1,), np.float64),
+    ("col", lambda H: H.slots.col.shape, np.float64),
     ("bits", lambda H: (H.n,), np.uint8),
-    ("var_index", lambda H: (H.edges,), np.intp),
     ("diff", lambda H: H.slots.var.shape, np.float64),
     ("mag", lambda H: H.slots.var.shape, np.float64),
     ("neg", lambda H: H.slots.var.shape, np.bool_),
@@ -180,9 +200,8 @@ class _Workspace:
     def __init__(self, H: ParityCheckMatrix, width: int | None):
         self.H = H
         sizes = [
-            0 if width is None and name == "var_index"
-            else math.prod(lead(H)) * (width or 1) * np.dtype(dt).itemsize
-            for name, lead, dt in _BUFFERS
+            math.prod(lead(H)) * (width or 1) * np.dtype(dt).itemsize
+            for _, lead, dt in _BUFFERS
         ]
         spans = [-(-size // 64) * 64 for size in sizes]
         block = np.empty(sum(spans), dtype=np.uint8)
@@ -200,21 +219,12 @@ class _Workspace:
         H = self.H
         self.words = () if width is None else (width,)
         for name, lead, _ in _BUFFERS:
-            if name != "var_index":
-                self._view(name, lead(H))
-        self.mag_flat = self.mag.reshape((-1,) + self.words)
-        self.diff_flat = self.diff.reshape(self.mag_flat.shape)
+            self._view(name, lead(H))
+        self.msg = self.msg_flat[:-1].reshape(self.diff.shape)
+        self.diff_flat = self.diff.reshape(self.msg_flat[:-1].shape)
         self.diff_slots = list(self.diff)
         self.mag_slots = list(self.mag)
-        if width is None:
-            self.var_index = H.edge_var
-        else:
-            # bincount bin of (edge e, word b) is edge_var[e] * width + b, so
-            # each bin still sums its edges in ascending edge order.
-            index = self._view("var_index", (H.edges,))
-            np.multiply(H.edge_var[:, None], width, out=index)
-            index += np.arange(width)
-            self.var_index = index.reshape(-1)
+        self.col_slots = list(self.col)
 
     def _view(self, name: str, lead: tuple) -> np.ndarray:
         shape = lead + self.words
@@ -248,24 +258,28 @@ def init_state(H: ParityCheckMatrix, prior: np.ndarray, cfg: DecoderConfig) -> D
     ws.prior[...] = prior.T
     cfg.saturate(ws.prior, in_place=True)
     ws.total[...] = ws.prior
-    ws.check_msg.fill(0.0)
-    return DecoderState(
-        total=ws.total, check_msg=ws.check_msg, prior=ws.prior, workspace=ws
-    )
+    ws.msg_flat.fill(0.0)
+    return DecoderState(total=ws.total, msg=ws.msg, prior=ws.prior, workspace=ws)
 
 
 def _drop_words(state: DecoderState, keep: np.ndarray) -> None:
-    """Remove the words not in `keep` from a batch state, in its buffers."""
+    """Remove the words not in `keep` from a batch state, in its buffers.
+
+    Each buffer's kept columns pass through the diff buffer, which holds
+    the row slots of every word the workspace was made for; so the
+    messages move without their zero slot, which is written +0.0 again.
+    """
     ws = state.workspace
     kept = np.flatnonzero(keep)
-    for name in ("total", "prior", "check_msg"):
-        old = getattr(state, name)
+    moves = (("total", ws.total), ("prior", ws.prior), ("msg_flat", ws.msg_flat[:-1]))
+    for name, old in moves:
         shape = (old.shape[0], len(kept))
         moved = ws._flat["diff"][: shape[0] * shape[1]].reshape(shape)
-        np.take(old, kept, axis=1, out=moved)
+        np.take(old, kept, axis=1, out=moved, mode="clip")
         ws._flat[name][: moved.size].reshape(shape)[...] = moved
     ws.resize(len(kept))
-    state.total, state.prior, state.check_msg = ws.total, ws.prior, ws.check_msg
+    ws.msg_flat[-1] = 0.0
+    state.total, state.prior, state.msg = ws.total, ws.prior, ws.msg
 
 
 # Magnitude that fills the padding slots of short rows: no real |d| exceeds
@@ -279,16 +293,17 @@ def check_node_update_block(
     """Update every check node from the previous totals.
 
     Vectorized exclusion-minimum update, for one word or every word of a
-    batch, on H's padded slot-major row layout: the k-th edges of all rows
-    form one contiguous slice, so each step over the rows is one ufunc.
-    Only selections and sign flips of finite values: results match the
-    scalar kernel `parsim.workers.check_block_messages` bit for bit.
+    batch, on H's padded slot-major row layout, which state.msg shares:
+    the k-th edges of all rows form one contiguous slice, so each step
+    over the rows is one ufunc, and the saturated messages overwrite the
+    ones they were formed from.  Only selections and sign flips of finite
+    values: results match the scalar kernel
+    `parsim.workers.check_block_messages` bit for bit.
     """
-    ws, slots = state.workspace, H.slots
+    ws = state.workspace
     d, mag = ws.diff, ws.mag
-    np.take(state.total, slots.var, axis=0, out=d, mode="clip")
-    np.take(state.check_msg, slots.edge, axis=0, out=mag, mode="clip")
-    np.subtract(d, mag, out=d)
+    np.take(state.total, H.slots.var, axis=0, out=d, mode="clip")
+    np.subtract(d, state.msg, out=d)
     ws.diff_flat[ws.pads] = _PAD
     np.less(d, 0.0, out=ws.neg)
     np.absolute(d, out=d)
@@ -310,22 +325,29 @@ def check_node_update_block(
     np.not_equal(ws.neg, ws.parity, out=ws.neg)
     np.multiply(ws.neg, -2.0, out=d)
     np.add(d, 1.0, out=d)
-    np.multiply(mag, d, out=mag)
-    # edge_slot is each edge's flat slot, so this gathers the messages back
-    # into edge order.
-    np.take(ws.mag_flat, slots.edge_slot, axis=0, out=state.check_msg, mode="clip")
-    cfg.saturate(state.check_msg, in_place=True)
+    np.multiply(mag, d, out=state.msg)
+    cfg.saturate(state.msg, in_place=True)
 
 
 def variable_node_update(
     state: DecoderState, H: ParityCheckMatrix, cfg: DecoderConfig
 ) -> None:
-    """total_v = prior_v + sum of incoming check messages, saturated."""
-    incoming = np.bincount(
-        state.workspace.var_index, weights=state.check_msg.ravel(), minlength=state.total.size
-    )
-    np.add(state.prior, incoming.reshape(state.total.shape), out=state.total)
-    cfg.saturate(state.total, in_place=True)
+    """total_v = prior_v + sum of incoming check messages, saturated.
+
+    The messages are gathered by column (`RowSlots.col`) and each
+    variable's are added in ascending edge order to +0.0, then the prior:
+    the additions of a weighted `np.bincount` over the edges, in its
+    order.  A sum begun at +0.0 is never -0.0, so the zero slot's +0.0
+    padding changes no sum.
+    """
+    ws, total = state.workspace, state.total
+    np.take(ws.msg_flat, H.slots.col, axis=0, out=ws.col, mode="clip")
+    first, *rest = ws.col_slots
+    np.add(first, 0.0, out=total)
+    for slot in rest:
+        np.add(total, slot, out=total)
+    np.add(state.prior, total, out=total)
+    cfg.saturate(total, in_place=True)
 
 
 def hard_decision(state: DecoderState) -> np.ndarray:
@@ -368,7 +390,8 @@ def decode(
     `check_update(state)` is each iteration's check-node update, called
     once per iteration before the variable update, on one word or on a
     batch holding every word decoding this iteration in column order; it
-    must write the saturated message of every edge into state.check_msg.
+    must write the saturated message of every edge into its slot of
+    state.msg (flat: `workspace.msg_flat[H.slots.edge_slot]`).
     By default it is `check_node_update_block(state, H, cfg)`, looked up
     at each call.  The state's arrays are the decode's buffers and change
     in place, so copy what must outlive the call.
@@ -417,7 +440,7 @@ def decode(
             queue = queue[len(cols) :]
             ws.prior[:, cols] = queue_head.T
             ws.total[:, cols] = queue_head.T
-            ws.check_msg[:, cols] = 0.0
+            ws.msg_flat[:, cols] = 0.0
             active[cols] = np.arange(count, count + len(cols))
             start[cols] = j
             done[cols] = False

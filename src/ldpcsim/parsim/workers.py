@@ -23,7 +23,7 @@ array decoder's results byte for byte): in the slaves, and in process on
 the whole code for the baseline.  It reads its block as a list, the one
 `.tolist()` left on the worker path, and returns the messages saturated
 by `decoder.saturate` as a float64 array, which the slave hands to
-`pack_llrs` and the baseline assigns into `check_msg` as is.  So slave
+`pack_llrs` and the baseline assigns into the message slots as is.  So slave
 compute scales with edge count rather than with array-dispatch overhead,
 and speedups compare like with like.  Outputs are bit-identical to
 `decoder.decode`.
@@ -287,23 +287,24 @@ def _timed_decode(
     """`reps` timed decodes of the one word `prior` under `eff`, and the
     report of a run on `processors` processors.
 
-    decode's check update gathers the differences total - check_msg of
-    every edge block in `slices` and hands them to `exchange`, which
-    returns the blocks' check messages and the seconds it spent
-    messaging.  The report's breakdown is in seconds summed over the reps,
-    like extras["total_seconds"], which it sums to: `messaging` and
-    `compute_master` (the rest).
+    decode's check update gathers the differences total - msg of every
+    edge block in `slices`, through each edge's variable and message slot
+    (`H.slots.edge_slot`), and hands them to `exchange`, which returns the
+    blocks' check messages and the seconds it spent messaging; each
+    block's messages go back to its slots.  The report's breakdown is in
+    seconds summed over the reps, like extras["total_seconds"], which it
+    sums to: `messaging` and `compute_master` (the rest).
     """
     messaging = 0.0
+    blocks = [(H.edge_var[lo:hi], H.slots.edge_slot[lo:hi]) for lo, hi in slices]
 
     def check_update(state):
         nonlocal messaging
-        blocks, seconds = exchange(
-            state.total[H.edge_var[lo:hi]] - state.check_msg[lo:hi] for lo, hi in slices
-        )
+        msg = state.workspace.msg_flat
+        replies, seconds = exchange(state.total[var] - msg[slot] for var, slot in blocks)
         messaging += seconds
-        for (lo, hi), msgs in zip(slices, blocks):
-            state.check_msg[lo:hi] = msgs
+        for (_, slot), msgs in zip(blocks, replies):
+            msg[slot] = msgs
 
     times = []
     for _ in range(reps):

@@ -119,12 +119,38 @@ class TestDecode:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
 
-    def test_malformed_alist_exits_1(self, tmp_path, capsys):
-        bad = tmp_path / "bad.alist"
-        bad.write_text("3 3\n1 1\n")
-        rc = main(["decode", "--matrix", str(bad), "--ebno", "3"])
+    @pytest.mark.parametrize(
+        "flag, text, message",
+        [("--matrix", "3 2\n", "MalformedAlist"),
+         ("--matrix", "2 1\n1 1\n1 0\n1\n1\n0\n1\n", "EmptyRowOrColumn"),
+         ("--matrix", None, "No such file"),
+         ("--matrix", "dir", "Is a directory"),
+         ("--llr-file", None, "No such file"),
+         ("--llr-file", "dir", "Is a directory"),
+         ("--llr-file", "8.0\nabc\n", "ValueError")],
+        ids=["malformed", "empty-column", "missing-matrix", "unreadable-matrix",
+             "missing-llr-file", "unreadable-llr-file", "unparsable-llr-file"],
+    )
+    def test_bad_input_file_exits_2_naming_the_flag(self, tmp_path, capsys, flag, text,
+                                                    message):
+        path = tmp_path / "input"
+        if text == "dir":
+            path.mkdir()
+        elif text is not None:
+            path.write_text(text)
+        if flag == "--matrix":
+            argv = ["decode", "--matrix", str(path)]
+        else:
+            argv = ["decode", "--matrix", str(DATA / "hamming_4x7.alist"), flag, str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} {path}: ") and message in err
+
+    def test_unwritable_out_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "result.json"
+        rc = main(["decode", "--matrix", str(DATA / "hamming_4x7.alist"), "--out", str(out)])
         assert rc == 1
-        assert "MalformedAlist" in capsys.readouterr().err
+        assert "No such file" in capsys.readouterr().err
 
     def test_missing_matrix_exits_2(self):
         assert main(["decode", "--ebno", "3"]) == 2
@@ -515,6 +541,12 @@ class TestScale:
         captured = capsys.readouterr()
         assert line.split(" =")[0] in captured.err
         assert captured.out == ""
+
+    def test_missing_cost_config_exits_2(self, fixture_alist, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        assert main(["scale", "--matrix", str(fixture_alist),
+                     "--cost-config", str(missing)]) == 2
+        assert f"--cost-config {missing}: cannot read" in capsys.readouterr().err
 
     def test_unknown_cost_key_exits_2(self, fixture_alist, tmp_path):
         cfg = tmp_path / "cm.cfg"

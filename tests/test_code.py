@@ -20,7 +20,7 @@ from ldpcsim.errors import (
     MalformedAlist,
 )
 
-from conftest import SMALL_REGULAR_PARAMS, DATA, adjacency
+from conftest import SMALL_REGULAR_PARAMS, DATA, adjacency, irregular_code
 
 FIXTURE252_SHA256 = "3f9135b416d3c8815fd818a3d9cb5c8b17bd1e584472e6b8e0879491bf63e7cb"
 LONG_CODE_SHA256 = "58b803950feb128fbcb3a78a237b6e4e8dade8c14f3320d93f18a3e1b66de63a"
@@ -289,6 +289,26 @@ def test_col_edge_lists_edges_in_ascending_check_order(H):
         checks = np.searchsorted(H.row_ptr, edges, side="right") - 1
         assert (H.edge_var[edges] == v).all()
         assert checks.tolist() == sorted(checks.tolist()) == list(adjacency(H)[1][v])
+
+
+@pytest.mark.parametrize("code", ["hamming74", "fixture252", "irregular"])
+def test_col_slots_list_each_variables_edges_in_ascending_id(code, request):
+    H = irregular_code(40, 80, 3) if code == "irregular" else request.getfixturevalue(code)
+    slots = H.slots
+    zero = slots.var.size
+    degs = H.col_degrees()
+    assert slots.col.shape == (degs.max(), H.n)
+    for v in range(H.n):
+        edges = np.flatnonzero(H.edge_var == v)
+        own = slots.col[: len(edges), v]
+        assert slots.edge.flat[own].tolist() == edges.tolist()
+        assert own.tolist() == slots.edge_slot[edges].tolist()
+        assert (slots.col[len(edges) :, v] == zero).all()
+    # Every edge's slot is read once; only the padding reads the zero slot.
+    assert sorted(slots.col[slots.col != zero].tolist()) == sorted(slots.edge_slot.tolist())
+    assert (slots.col == zero).sum() == degs.size * degs.max() - H.edges
+    if code != "fixture252":
+        assert (degs < degs.max()).any()
 
 
 def _random_rows(draw_seed: int, m: int, n: int) -> list[list[int]]:

@@ -98,7 +98,7 @@ class TestCheckNodeUpdate:
         rng = np.random.default_rng(seed)
         H = generate_regular(24, 3, 6, seed=seed)
         state = init_state(H, rng.normal(0, 3, 24), NO_CLAMP)
-        state.check_msg[...] = rng.normal(0, 1, H.edges)
+        state.check_msg = rng.normal(0, 1, H.edges)
         d = differences(state, H)
         expected = []
         for c in range(H.m):
@@ -112,7 +112,7 @@ class TestCheckNodeUpdate:
         rng = np.random.default_rng(100 + seed)
         H = generate_regular(24, 3, 4, seed=seed)
         state = init_state(H, rng.normal(0, 3, 24), NO_CLAMP)
-        state.check_msg[...] = rng.normal(0, 1, H.edges)
+        state.check_msg = rng.normal(0, 1, H.edges)
         scalar = scalar_messages(state, H, NO_CLAMP)
         check_node_update_block(state, H, NO_CLAMP)
         assert state.check_msg.tobytes() == scalar.tobytes()
@@ -129,7 +129,7 @@ class TestCheckNodeUpdate:
             msgs = rng.normal(0, 1, H.edges)
             msgs[::5] = 0.0  # ties and zero differences
             state = init_state(H, prior, cfg)
-            state.check_msg[...] = msgs
+            state.check_msg = msgs
             scalar = scalar_messages(state, H, cfg)
             check_node_update_block(state, H, cfg)
             assert state.check_msg.tobytes() == scalar.tobytes()
@@ -166,7 +166,7 @@ def test_scalar_and_block_kernels_saturate_alike(cfg, code, data):
          ParityCheckMatrix([[0, 1], [0, 1, 2, 3, 4]], 5)][code]
     d = data.draw(st.lists(DIFFERENCE, min_size=H.edges, max_size=H.edges))
     state = init_state(H, np.zeros(H.n), cfg)
-    state.check_msg[...] = np.negative(d)  # total 0, so each difference is d
+    state.check_msg = np.negative(d)  # total 0, so each difference is d
     assert differences(state, H) == d
     scalar = scalar_messages(state, H, cfg)
     check_node_update_block(state, H, cfg)
@@ -239,6 +239,62 @@ class TestVariableNodeUpdate:
         state.check_msg = np.array([5.0, 0.0, 0.0, 0.0])
         variable_node_update(state, H, cfg)
         assert state.total[0] == 8.0
+
+
+def bincount_totals(state, H, cfg):
+    """Saturated prior + incoming messages, each variable's summed from
+    +0.0 in ascending edge order by a weighted np.bincount per word."""
+    msgs = state.check_msg.reshape(H.edges, -1)
+    incoming = np.stack(
+        [np.bincount(H.edge_var, weights=msgs[:, b], minlength=H.n) for b in range(msgs.shape[1])],
+        axis=1,
+    )
+    return cfg.saturate(np.add(state.prior, incoming.reshape(state.total.shape)))
+
+
+class TestColumnSum:
+    def test_negative_zeros_sum_to_positive_zero(self):
+        # Variable 0's messages are all -0.0 and so is its prior: the sum
+        # begins at +0.0, as bincount's bins do, so the total is +0.0.
+        H = ParityCheckMatrix([[0, 1], [0, 1]], 2)
+        state = init_state(H, np.array([-0.0, 0.5]), NO_CLAMP)
+        state.check_msg = np.array([-0.0, 1.0, -0.0, -0.25])
+        expected = bincount_totals(state, H, NO_CLAMP)
+        variable_node_update(state, H, NO_CLAMP)
+        assert state.total.tobytes() == expected.tobytes() == as_bytes([0.0, 1.25])
+
+    @pytest.mark.parametrize("words", [None, 1, 5])
+    @pytest.mark.parametrize("cfg", [NO_CLAMP, DecoderConfig(clamp=1.0),
+                                     DecoderConfig(qformat=QFormat(8, 4))])
+    def test_matches_bincount_with_signed_zeros(self, hamming74, fixture252, words, cfg):
+        rng = np.random.default_rng(7)
+        for H in (hamming74, fixture252, irregular_code(40, 80, 3)):
+            shape = (H.n,) if words is None else (words, H.n)
+            prior = rng.choice([-0.0, 0.0, -0.01, 0.75, -1.5], size=shape)
+            state = init_state(H, prior, cfg)
+            mshape = (H.edges,) if words is None else (H.edges, words)
+            state.check_msg = rng.choice([-0.0, 0.0, 0.5, -2.0, 1e-3], size=mshape)
+            expected = bincount_totals(state, H, cfg)
+            variable_node_update(state, H, cfg)
+            assert state.total.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("code", ["hamming74", "irregular"])
+    def test_zero_slot_stays_positive_zero_through_a_stream(self, hamming74, code):
+        # Words of unequal strength finish at different iterations: later
+        # chunks refill freed columns, and the stream's end drops them.
+        H = hamming74 if code == "hamming74" else irregular_code(40, 80, 3)
+        rng = np.random.default_rng(11)
+        prior = rng.uniform(0.2, 3.0, size=(30, 1)) + rng.normal(0.0, 1.5, size=(30, H.n))
+        zero_slots, widths = [], []
+
+        def record(state):
+            zero_slots.append(state.workspace.msg_flat[-1].tobytes())
+            widths.append(state.total.shape[1])
+
+        with recording("variable_node_update", record):
+            decode(H, iter(np.split(prior, [20, 24, 27])), DecoderConfig(max_iter=12))
+        assert zero_slots == [as_bytes(np.zeros(w)) for w in widths]
+        assert widths[0] == 20 and len(set(widths)) > 2
 
 
 class TestHardDecision:
