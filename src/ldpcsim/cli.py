@@ -172,17 +172,17 @@ def cmd_decode(args) -> int:
 # (+1.0 MB peak RSS), 3.4x with 16 (+1.7 MB) and 4.1x with 32 (+3.1 MB);
 # 16 keeps the growth under 5% of the 40 MB process.  The workspace grows
 # with the words times H's padded row slots and column slots (`H.slots`,
-# 1,512 of each on that code); `ber_batch_width` scales the words by the
-# row slots, so larger codes get fewer words, the same memory.
+# 1,512 of each on that code); `ber_batch_width` scales the words by both,
+# so larger codes get fewer words, the same memory.
 BER_BATCH = 16
-_BATCH_SLOTS = BER_BATCH * 1512
+_BATCH_SLOTS = BER_BATCH * (1512 + 1512)
 
 
 def ber_batch_width(H: ParityCheckMatrix) -> int:
     """Words resident in a share's workspace in `ber_sweep` on H, and
     words per chunk of noise: BER_BATCH, scaled down on codes with more
-    than 1,512 row slots, and at least one."""
-    return max(1, min(BER_BATCH, _BATCH_SLOTS // H.slots.var.size))
+    than 3,024 row and column slots, and at least one."""
+    return max(1, min(BER_BATCH, _BATCH_SLOTS // (H.slots.var.size + H.slots.col.size)))
 
 
 def _share_priors(

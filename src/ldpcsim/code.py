@@ -66,13 +66,15 @@ class ParityCheckMatrix:
         # the rows in order would find them; uncovered columns come last.
         edge_row = np.repeat(np.arange(m), degs)
         empty = m if degs.all() else int(np.argmin(degs))
+        # Only the entries before the first out-of-range one are searched for
+        # a duplicate: an out-of-range key can alias an edge of the next row.
         out = np.flatnonzero((edge_var < 0) | (edge_var >= n))
-        if out.size and edge_row[out[0]] < empty:
-            e = out[0]
-            raise MalformedAlist(f"variable index {edge_var[e]} out of range in row {edge_row[e]}")
-        dup = None if out.size else _duplicate_key(edge_row * n + edge_var)
+        e = out[0] if out.size else edge_var.size
+        dup = _duplicate_key(edge_row[:e] * n + edge_var[:e])
         if dup is not None and dup // n < empty:
             raise MalformedAlist(f"duplicate edge ({dup // n}, {dup % n})")
+        if out.size and edge_row[e] < empty:
+            raise MalformedAlist(f"variable index {edge_var[e]} out of range in row {edge_row[e]}")
         if empty < m:
             raise EmptyRowOrColumn(f"check node {empty} has no edges")
         cdegs = np.bincount(edge_var, minlength=n)
@@ -100,7 +102,7 @@ class ParityCheckMatrix:
         return RowSlots(
             edge=edge,
             var=self.edge_var[edge],
-            pad=np.arange(degs.max())[:, None] >= degs[None, :],
+            pad_slot=np.flatnonzero(np.arange(degs.max())[:, None] >= degs[None, :]),
             edge_slot=edge_slot,
             col=col,
         )
@@ -165,7 +167,7 @@ class RowSlots:
 
     edge: np.ndarray  # edge id; a padding slot repeats its row's first edge
     var: np.ndarray  # variable of that edge
-    pad: np.ndarray  # bool, True at padding slots (none when rows are regular)
+    pad_slot: np.ndarray  # flat slot of each padding slot (none when rows are regular)
     edge_slot: np.ndarray  # (E,) flat slot k * m + c of each edge
     col: np.ndarray  # (dv_max, n) flat slot of each variable's k-th edge
 
@@ -310,8 +312,9 @@ def syndrome_ok(
 
     `bits` is one word, shaped (n,), or a batch of words, shaped (B, n);
     a batch gets one verdict per word, a (B,) bool array.  `scratch`, a
-    uint8 array shaped (max row degree + 1, m) plus the batch's word axis,
-    takes the per-slot bits and the row parities instead of new arrays.
+    C-contiguous uint8 array shaped (max row degree + 1, m) plus the
+    batch's word axis, takes the per-slot bits and the row parities
+    instead of new arrays.
     """
     bits = np.asarray(bits)
     if bits.ndim not in (1, 2) or bits.shape[-1] != H.n:
@@ -322,6 +325,7 @@ def syndrome_ok(
     parity, per_slot = scratch[0], scratch[1:]
     bits = bits.T.astype(np.uint8, copy=False)
     np.take(bits, H.slots.var, axis=0, out=per_slot, mode="clip")
-    per_slot[H.slots.pad] = 0
-    odd = np.bitwise_xor.reduce(per_slot, axis=0, out=parity).max(axis=0)
-    return not odd if parity.ndim == 1 else odd == 0
+    if H.slots.pad_slot.size:
+        per_slot.reshape((-1,) + parity.shape[1:])[H.slots.pad_slot] = 0
+    odd = np.bitwise_xor.reduce(per_slot, axis=0, out=parity).any(axis=0)
+    return not odd if parity.ndim == 1 else ~odd

@@ -8,7 +8,9 @@ difference d = total - msg.  One iteration is:
     1. every check node c: for each neighbor v,
        new_msg(c->v) = prod(sign(d')) * min(|d'|) over the other neighbors
     2. every variable node v: total = prior + sum of incoming messages
-    3. hard decision (total >= 0 -> bit 0) and syndrome check
+    3. hard decision (total >= 0 -> bit 0) and syndrome check, on the
+       iterations where a word can stop: every one under early exit,
+       else only those where a word reaches max_iter
 
 `decode` runs a flooding schedule with this state layout on one word,
 priors shaped (n,), a batch of words, (B, n), or a stream of such batches,
@@ -210,8 +212,6 @@ class _Workspace:
             name: block[off : off + size].view(dt)
             for (name, _, dt), off, size in zip(_BUFFERS, offsets, sizes)
         }
-        # flat slot index of every padding slot
-        self.pads = np.flatnonzero(H.slots.pad)
         self.resize(width)
 
     def resize(self, width: int | None) -> None:
@@ -304,7 +304,7 @@ def check_node_update_block(
     d, mag = ws.diff, ws.mag
     np.take(state.total, H.slots.var, axis=0, out=d, mode="clip")
     np.subtract(d, state.msg, out=d)
-    ws.diff_flat[ws.pads] = _PAD
+    ws.diff_flat[H.slots.pad_slot] = _PAD
     np.less(d, 0.0, out=ws.neg)
     np.absolute(d, out=d)
     # Slot k gets min(prefix[k-1], suffix[k+1]), the least |d| of the other
@@ -381,6 +381,8 @@ def decode(
     a word at its first valid syndrome when early_exit is set, else after
     max_iter iterations; the next word of the stream then takes its
     column, and once the stream runs out the column leaves the batch.
+    The hard decision and syndrome run only on iterations where a word can
+    stop: every one under early exit, else where a word reaches max_iter.
     Deterministic for identical inputs, and each word decodes exactly as
     it would alone.  A stream's result is a batch's, its words in stream
     order.  A chunk that is not (B_i, n) or holds a non-finite prior
@@ -413,9 +415,10 @@ def decode(
     batch = state.total.ndim == 2
     width = state.total.shape[1] if batch else 1
     # Result index of the word in each column, and the iteration before
-    # it started.
+    # it started; without early exit no word can stop before iteration due.
     active = np.arange(width)
     start = np.zeros(width, dtype=np.int64)
+    due = cfg.max_iter
     j = 0
     queue = np.empty((0, H.n))
     count = width  # words read so far
@@ -424,6 +427,8 @@ def decode(
         j += 1
         check_update(state)
         variable_node_update(state, H, cfg)
+        if not cfg.early_exit and j < due:
+            continue
         bits = hard_decision(state)
         ok = np.atleast_1d(syndrome_ok(H, bits.T, ws.syndrome))
         done = start == j - cfg.max_iter
@@ -450,6 +455,7 @@ def decode(
         if done.any():
             active, start = active[~done], start[~done]
             _drop_words(state, ~done)
+        due = int(start.min()) + cfg.max_iter
     bits_out = np.empty((count, H.n), dtype=np.uint8)
     converged = np.empty(count, dtype=bool)
     word_iterations = np.empty(count, dtype=np.int64)

@@ -25,7 +25,7 @@ from ldpcsim.errors import ConfigurationError, WorkerError
 from ldpcsim.parsim import WORKER_CAP_ENV, CostModel
 from ldpcsim.code import load_alist
 
-from conftest import DATA
+from conftest import DATA, irregular_code
 from oracles import uncoded_bpsk_ber
 
 SRC = str(Path(__file__).parent.parent / "src")
@@ -306,8 +306,19 @@ class TestBerSweep:
         H = ParityCheckMatrix(
             [list(range(degree * c, degree * (c + 1))) for c in range(m)], degree * m
         )
-        assert H.slots.var.size == m * degree
+        assert H.slots.var.size == H.slots.col.size == m * degree
         assert ber_batch_width(H) == width
+
+    def test_batch_width_counts_the_column_slots(self, fixture252):
+        # Variable 0 is in each of the 100 rows, so every variable's column
+        # is padded to 100 slots: 10,100 column slots against 200 row slots.
+        H = ParityCheckMatrix([[0, c + 1] for c in range(100)], 101)
+        assert (H.slots.var.size, H.slots.col.size) == (200, 10100)
+        assert ber_batch_width(H) == 4
+        # The 504-bit code and the CI irregular code (480 row slots, 720
+        # column slots) keep the full width.
+        irregular = irregular_code(60, 120, 1)
+        assert ber_batch_width(fixture252) == ber_batch_width(irregular) == BER_BATCH
 
     def test_longer_code_decodes_narrower_batches(self, monkeypatch):
         monkeypatch.setenv(WORKER_CAP_ENV, "1")

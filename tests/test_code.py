@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ldpcsim.code import (
@@ -362,6 +362,9 @@ FAULTS = ("duplicate", "out_of_range", "empty_row", "uncovered_column", "no_rows
     n=st.integers(1, 8),
     faults=st.lists(st.sampled_from(FAULTS), max_size=3),
 )
+# Rows [[1, 1], [], [2]] over n=2: the duplicate in row 0 comes before the
+# empty row, and the out-of-range entry after it.
+@example(seed=0, m=3, n=2, faults=["out_of_range", "uncovered_column", "duplicate"])
 def test_constructor_rejects_as_the_tuple_constructor(seed, m, n, faults):
     rng = np.random.default_rng(seed)
     rows = _random_rows(seed, m, n)

@@ -580,6 +580,65 @@ class TestStreamDecode:
             decode(hamming74, iter(chunks))
 
 
+@pytest.fixture
+def stop_tests(monkeypatch):
+    """The words of each `syndrome_ok` call decode makes, one entry per call."""
+    calls = []
+
+    def counted(H, bits, scratch=None):
+        calls.append(np.atleast_2d(bits).shape[0])
+        return syndrome_ok(H, bits, scratch)
+
+    monkeypatch.setattr("ldpcsim.decoder.syndrome_ok", counted)
+    return calls
+
+
+class TestStopTest:
+    def test_worst_case_word_is_tested_once(self, fixture252, stop_tests):
+        prior = noisy_prior(fixture252, ebno_db=2.0, seed=1)
+        result = decode(fixture252, prior, DecoderConfig(max_iter=30, early_exit=False))
+        assert result.iterations_used == 30
+        assert stop_tests == [1]
+
+    def test_early_exit_tests_every_iteration(self, fixture252, stop_tests):
+        prior = noisy_prior(fixture252, ebno_db=2.0, seed=0)
+        result = decode(fixture252, prior)
+        assert result.converged and result.iterations_used == 13
+        assert stop_tests == [1] * result.iterations_used
+
+    def test_flat_stream_is_tested_once_per_finishing_iteration(self, fixture252, stop_tests):
+        # Without early exit the 4 columns finish together every max_iter
+        # iterations: 13 words take 4 rounds, the last one word wide.
+        H = fixture252
+        cfg = DecoderConfig(max_iter=7, early_exit=False)
+        words = np.stack([noisy_prior(H, ebno_db, seed)
+                          for seed, ebno_db in enumerate(np.linspace(-1.0, 4.0, 13))])
+        stream = decode(H, iter(np.split(words, [4, 7, 9])), cfg)
+        assert stop_tests == [4, 4, 4, 1]
+        assert stream.word_iterations.tolist() == [7] * 13
+        for w in range(13):
+            alone = decode(H, words[w], cfg)
+            assert np.array_equal(stream.bits[w], alone.bits)
+            assert bool(stream.converged[w]) == alone.converged
+
+    @pytest.mark.parametrize("form", ["word", "batch", "stream"])
+    def test_worst_case_verdict_is_the_final_syndrome(self, fixture252, form):
+        # At 2 dB the words converge, at -3 dB they do not; each verdict
+        # must be the syndrome of the bits decode returns.
+        H = fixture252
+        cfg = DecoderConfig(max_iter=30, early_exit=False)
+        words = np.stack([noisy_prior(H, ebno_db, seed)
+                          for seed, ebno_db in enumerate([2.0, -3.0, 2.0, -3.0, 2.0])])
+        if form == "word":
+            results = [decode(H, word, cfg) for word in words]
+            bits = np.stack([r.bits for r in results])
+            converged = [r.converged for r in results]
+        else:
+            result = decode(H, words if form == "batch" else iter(np.split(words, [2, 3])), cfg)
+            bits, converged = result.bits, result.converged.tolist()
+        assert converged == syndrome_ok(H, bits).tolist() == [True, False, True, False, True]
+
+
 class TestMinsumReference:
     @pytest.mark.parametrize("n,wc,wr", SMALL_REGULAR_PARAMS[:5])
     def test_per_iteration_message_equivalence(self, n, wc, wr):
