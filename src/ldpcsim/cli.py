@@ -276,22 +276,24 @@ def ber_sweep(
     return rows
 
 
-def _ebno_list(spec: str) -> list[float]:
+def _flag_list(flag: str, spec: str, kind, valid, expects: str) -> list:
+    """The comma-separated values of `flag`, each read by `kind`;
+    InfeasibleParameters naming the flag unless every one reads and is
+    `valid`."""
     try:
-        ebno_list = [float(x) for x in spec.split(",")]
-        if all(math.isfinite(x) for x in ebno_list):
-            return ebno_list
+        values = [kind(x) for x in spec.split(",")]
+        if all(valid(x) for x in values):
+            return values
     except ValueError:
         pass
-    raise InfeasibleParameters(
-        f"--ebno expects comma-separated finite dB values, e.g. 0,1.5,3, got {spec!r}"
-    )
+    raise InfeasibleParameters(f"{flag} expects comma-separated {expects}, got {spec!r}")
 
 
 def cmd_ber(args) -> int:
     if args.min_bits < 10_000:
         raise InfeasibleParameters("--min-bits must be at least 10000")
-    ebno_list = _ebno_list(args.ebno)
+    ebno_list = _flag_list("--ebno", args.ebno, float, math.isfinite,
+                           "finite dB values, e.g. 0,1.5,3")
     H = _read_matrix(args)
     rows = ber_sweep(H, ebno_list, args.min_bits, args.seed, _decoder_config(args))
     lines = ["ebno_db,bits,errors,ber,avg_iters,frame_errors"]
@@ -380,10 +382,9 @@ def _scale_csv(rows: list[dict]) -> str:
 
 
 def cmd_scale(args) -> int:
+    processors = _flag_list("--processors", args.processors, int, lambda p: p >= 1,
+                            "processor counts >= 1, e.g. 1,3,5")
     H = _read_matrix(args)
-    processors = [int(x) for x in args.processors.split(",")]
-    if any(p < 1 for p in processors):
-        raise InfeasibleParameters("processor counts must be >= 1")
     cfg = _decoder_config(args)
     cm, placements, targets = _cost_model(args)
     if args.calibrate:

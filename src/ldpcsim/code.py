@@ -310,22 +310,22 @@ def syndrome_ok(
 ) -> bool | np.ndarray:
     """True iff H . x^T = 0 over GF(2), i.e. every check has even parity.
 
-    `bits` is one word, shaped (n,), or a batch of words, shaped (B, n);
-    a batch gets one verdict per word, a (B,) bool array.  `scratch`, a
-    C-contiguous uint8 array shaped (max row degree + 1, m) plus the
-    batch's word axis, takes the per-slot bits and the row parities
-    instead of new arrays.
+    `bits` is a batch of B words, shaped (B, n), which gets one verdict
+    per word, a (B,) bool array; or one word, shaped (n,), checked as a
+    batch of one and answered with a bool.  `scratch`, a C-contiguous
+    uint8 array shaped (max row degree + 1, m, B), takes the per-slot
+    bits and the row parities instead of new arrays.
     """
     bits = np.asarray(bits)
     if bits.ndim not in (1, 2) or bits.shape[-1] != H.n:
         raise LengthMismatch(f"codeword shape {bits.shape} is not (n,) or (B, n), n={H.n}")
+    if bits.ndim == 1:
+        return bool(syndrome_ok(H, bits[None], scratch)[0])
     if scratch is None:
-        scratch = np.empty((H.slots.var.shape[0] + 1, H.m) + bits.shape[:-1], dtype=np.uint8)
+        scratch = np.empty((H.slots.var.shape[0] + 1, H.m, len(bits)), dtype=np.uint8)
     # Word axis trailing, so each slot gathers one contiguous row of words.
     parity, per_slot = scratch[0], scratch[1:]
-    bits = bits.T.astype(np.uint8, copy=False)
-    np.take(bits, H.slots.var, axis=0, out=per_slot, mode="clip")
+    np.take(bits.T.astype(np.uint8, copy=False), H.slots.var, axis=0, out=per_slot, mode="clip")
     if H.slots.pad_slot.size:
-        per_slot.reshape((-1,) + parity.shape[1:])[H.slots.pad_slot] = 0
-    odd = np.bitwise_xor.reduce(per_slot, axis=0, out=parity).any(axis=0)
-    return not odd if parity.ndim == 1 else ~odd
+        per_slot.reshape(-1, len(bits))[H.slots.pad_slot] = 0
+    return ~np.bitwise_xor.reduce(per_slot, axis=0, out=parity).any(axis=0)

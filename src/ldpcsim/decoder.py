@@ -14,13 +14,13 @@ difference d = total - msg.  One iteration is:
 
 `decode` runs a flooding schedule with this state layout on one word,
 priors shaped (n,), a batch of words, (B, n), or a stream of such batches,
-through one iteration loop.  A batch keeps the word axis last (totals
+through one iteration loop.  The state keeps the word axis last (totals
 (n, B), messages (dmax, m, B)), so every gather copies one contiguous row
-of words; one word is the same code with that axis absent.  A stream keeps
-as many words resident as its first chunk holds: when a word finishes
-(its syndrome passes under early exit, or it reaches max_iter), the next
-queued word takes its column, and only once the stream runs out are
-finished columns dropped from the state.  State and scratch live in one
+of words; one word is a batch of one, B = 1, unwrapped only in its
+result.  A stream keeps as many words resident as its first chunk holds:
+when a word finishes (its syndrome passes under early exit, or it
+reaches max_iter), the next queued word takes its column, and only once
+the stream runs out are finished columns dropped from the state.  State and scratch live in one
 workspace allocated once per `decode` call and written with out= ufuncs
 (the syndrome check included), so an iteration allocates nothing in
 proportion to the code and the batch but, once words finish, the copy of
@@ -125,13 +125,13 @@ def saturate(
 class DecoderState:
     """Per-variable totals plus per-edge check-to-variable messages.
 
-    One word keeps total and prior (n,) and msg (dmax, m), dmax the
-    largest row degree; a batch of B words adds a trailing word axis:
-    (n, B) and (dmax, m, B).  msg is in the slot-major row layout of
-    `ParityCheckMatrix.slots`: msg[k, c] is the message of check c's k-th
-    edge, and padding slots hold values that no update reads.  `check_msg`
-    reads the messages in edge order, (E,) or (E, B), as a read-only copy,
-    and assigning to it writes them back.
+    A state of B words keeps total and prior (n, B) and msg (dmax, m, B),
+    dmax the largest row degree; one word is a batch of one, B = 1.  msg
+    is in the slot-major row layout of `ParityCheckMatrix.slots`:
+    msg[k, c] is the message of check c's k-th edge, and padding slots
+    hold values that no update reads.  `check_msg` reads the messages in
+    edge order, (E, B), as a read-only copy, and assigning to it writes
+    them back.
     `workspace` holds the decode's buffers, which every kernel writes
     into; `init_state` sets it.
     """
@@ -158,10 +158,11 @@ class DecoderState:
 class DecodeResult:
     """Outcome of a decode.
 
-    For one word, bits is (n,), converged a bool, iterations_used an int
-    and word_iterations the same count as a numpy scalar.  For a batch of
-    B words, or a stream of B words in all, bits is (B, n) uint8, converged
-    (B,) and word_iterations (B,), with iterations_used their int sum.
+    For a batch of B words, or a stream of B words in all, bits is (B, n)
+    uint8, converged (B,) and word_iterations (B,), with iterations_used
+    their int sum.  One word, decoded as a batch of one, returns that
+    batch's row 0: bits (n,), converged a bool, iterations_used an int and
+    word_iterations the same count as a numpy scalar.
     """
 
     bits: np.ndarray
@@ -171,10 +172,10 @@ class DecodeResult:
 
 
 # Leading shape (as a function of H) and dtype of every buffer a decode
-# uses; each also has the word axis last when it decodes a batch.  The
-# slot buffers hold the whole code's rows in the slot-major layout;
-# msg_flat holds them flat, then the zero slot that `RowSlots.col` pads
-# with, and col the messages gathered by column.
+# uses, each followed by the word axis.  The slot buffers hold the whole
+# code's rows in the slot-major layout; msg_flat holds them flat, then the
+# zero slot that `RowSlots.col` pads with, and col the messages gathered
+# by column.
 _BUFFERS = (
     ("total", lambda H: (H.n,), np.float64),
     ("prior", lambda H: (H.n,), np.float64),
@@ -194,16 +195,15 @@ class _Workspace:
 
     One block holds all buffers, so the allocator reuses the same pages
     from one decode call to the next.  The arrays handed out are views of
-    each buffer's leading entries, shaped (*lead, width) for a batch or
-    (*lead,) for one word (width None), so a batch that drops words keeps
-    its memory; every kernel writes into these views with out= ufuncs.
+    each buffer's leading entries, shaped (*lead, width) for `width` words,
+    one word included, so a batch that drops words keeps its memory; every
+    kernel writes into these views with out= ufuncs.
     """
 
-    def __init__(self, H: ParityCheckMatrix, width: int | None):
+    def __init__(self, H: ParityCheckMatrix, width: int):
         self.H = H
         sizes = [
-            math.prod(lead(H)) * (width or 1) * np.dtype(dt).itemsize
-            for _, lead, dt in _BUFFERS
+            math.prod(lead(H)) * width * np.dtype(dt).itemsize for _, lead, dt in _BUFFERS
         ]
         spans = [-(-size // 64) * 64 for size in sizes]
         block = np.empty(sum(spans), dtype=np.uint8)
@@ -214,23 +214,16 @@ class _Workspace:
         }
         self.resize(width)
 
-    def resize(self, width: int | None) -> None:
-        """Re-view every buffer for `width` words (None: one word)."""
-        H = self.H
-        self.words = () if width is None else (width,)
+    def resize(self, width: int) -> None:
+        """Re-view every buffer for `width` words."""
         for name, lead, _ in _BUFFERS:
-            self._view(name, lead(H))
+            shape = lead(self.H) + (width,)
+            setattr(self, name, self._flat[name][: math.prod(shape)].reshape(shape))
         self.msg = self.msg_flat[:-1].reshape(self.diff.shape)
         self.diff_flat = self.diff.reshape(self.msg_flat[:-1].shape)
         self.diff_slots = list(self.diff)
         self.mag_slots = list(self.mag)
         self.col_slots = list(self.col)
-
-    def _view(self, name: str, lead: tuple) -> np.ndarray:
-        shape = lead + self.words
-        view = self._flat[name][: math.prod(shape)].reshape(shape)
-        setattr(self, name, view)
-        return view
 
 
 def _validate(H: ParityCheckMatrix, prior: np.ndarray) -> np.ndarray:
@@ -250,11 +243,11 @@ def _validate(H: ParityCheckMatrix, prior: np.ndarray) -> np.ndarray:
 def init_state(H: ParityCheckMatrix, prior: np.ndarray, cfg: DecoderConfig) -> DecoderState:
     """Totals start at the (saturated) priors; all check messages at zero.
 
-    `prior` is one word (n,) or a batch (B, n); the state of a batch holds
-    the word axis last.
+    `prior` is one word (n,) or a batch (B, n); the state holds the word
+    axis last, one word as a batch of one: total (n, 1).
     """
-    prior = _validate(H, prior)
-    ws = _Workspace(H, prior.shape[0] if prior.ndim == 2 else None)
+    prior = _validate(H, prior).reshape(-1, H.n)
+    ws = _Workspace(H, len(prior))
     ws.prior[...] = prior.T
     cfg.saturate(ws.prior, in_place=True)
     ws.total[...] = ws.prior
@@ -263,7 +256,7 @@ def init_state(H: ParityCheckMatrix, prior: np.ndarray, cfg: DecoderConfig) -> D
 
 
 def _drop_words(state: DecoderState, keep: np.ndarray) -> None:
-    """Remove the words not in `keep` from a batch state, in its buffers.
+    """Remove the words not in `keep` from a state, in its buffers.
 
     Each buffer's kept columns pass through the diff buffer, which holds
     the row slots of every word the workspace was made for; so the
@@ -292,11 +285,11 @@ def check_node_update_block(
 ) -> None:
     """Update every check node from the previous totals.
 
-    Vectorized exclusion-minimum update, for one word or every word of a
-    batch, on H's padded slot-major row layout, which state.msg shares:
-    the k-th edges of all rows form one contiguous slice, so each step
-    over the rows is one ufunc, and the saturated messages overwrite the
-    ones they were formed from.  Only selections and sign flips of finite
+    Vectorized exclusion-minimum update, for every word of the state, on
+    H's padded slot-major row layout, which state.msg shares: the k-th
+    edges of all rows form one contiguous slice, so each step over the
+    rows is one ufunc, and the saturated messages overwrite the ones they
+    were formed from.  Only selections and sign flips of finite
     values: results match the scalar kernel
     `parsim.workers.check_block_messages` bit for bit.
     """
@@ -304,7 +297,8 @@ def check_node_update_block(
     d, mag = ws.diff, ws.mag
     np.take(state.total, H.slots.var, axis=0, out=d, mode="clip")
     np.subtract(d, state.msg, out=d)
-    ws.diff_flat[H.slots.pad_slot] = _PAD
+    if H.slots.pad_slot.size:
+        ws.diff_flat[H.slots.pad_slot] = _PAD
     np.less(d, 0.0, out=ws.neg)
     np.absolute(d, out=d)
     # Slot k gets min(prefix[k-1], suffix[k+1]), the least |d| of the other
@@ -376,11 +370,13 @@ def decode(
     """Flooding-schedule decode: all check nodes, all variables, decision.
 
     `prior` is one word (n,), a batch (B, n) or any other iterable of
-    (B_i, n) chunks, read as it is needed; all three run this one loop.  The
-    workspace holds the words of the array, or of the first chunk.  Stops
-    a word at its first valid syndrome when early_exit is set, else after
-    max_iter iterations; the next word of the stream then takes its
-    column, and once the stream runs out the column leaves the batch.
+    (B_i, n) chunks, read as it is needed; all three run this one loop,
+    one word as a batch of one whose result is unwrapped to the one-word
+    `DecodeResult`.  The workspace holds the words of the array, or of
+    the first chunk.  Stops a word at its first valid syndrome when
+    early_exit is set, else after max_iter iterations; the next word of
+    the stream then takes its column, and once the stream runs out the
+    column leaves the batch.
     The hard decision and syndrome run only on iterations where a word can
     stop: every one under early exit, else where a word reaches max_iter.
     Deterministic for identical inputs, and each word decodes exactly as
@@ -390,10 +386,10 @@ def decode(
     LengthMismatch.
 
     `check_update(state)` is each iteration's check-node update, called
-    once per iteration before the variable update, on one word or on a
-    batch holding every word decoding this iteration in column order; it
-    must write the saturated message of every edge into its slot of
-    state.msg (flat: `workspace.msg_flat[H.slots.edge_slot]`).
+    once per iteration before the variable update, on a state holding
+    every word decoding this iteration in column order (one word: totals
+    (n, 1)); it must write the saturated message of every edge into its
+    slot of state.msg (flat: `workspace.msg_flat[H.slots.edge_slot]`).
     By default it is `check_node_update_block(state, H, cfg)`, looked up
     at each call.  The state's arrays are the decode's buffers and change
     in place, so copy what must outlive the call.
@@ -403,17 +399,16 @@ def decode(
         def check_update(state):
             check_node_update_block(state, H, cfg)
     if isinstance(prior, np.ndarray):
-        chunks = iter(())
+        chunks, one_word = iter(()), prior.ndim == 1
         state = init_state(H, prior, cfg)
     else:
-        chunks = iter(prior)
+        chunks, one_word = iter(prior), False
         first = next(chunks, None)
         if first is None:
             raise LengthMismatch(f"prior stream holds no chunk of (B, n) priors, n={H.n}")
         state = init_state(H, _queued(H, first, cfg), cfg)
     ws = state.workspace
-    batch = state.total.ndim == 2
-    width = state.total.shape[1] if batch else 1
+    width = state.total.shape[1]
     # Result index of the word in each column, and the iteration before
     # it started; without early exit no word can stop before iteration due.
     active = np.arange(width)
@@ -430,13 +425,13 @@ def decode(
         if not cfg.early_exit and j < due:
             continue
         bits = hard_decision(state)
-        ok = np.atleast_1d(syndrome_ok(H, bits.T, ws.syndrome))
+        ok = syndrome_ok(H, bits.T, ws.syndrome)
         done = start == j - cfg.max_iter
         if cfg.early_exit:
             done |= ok
         if not done.any():
             continue
-        finished.append((active[done], bits.reshape(H.n, -1).T[done], ok[done], j - start[done]))
+        finished.append((active[done], bits.T[done], ok[done], j - start[done]))
         free = np.flatnonzero(done)
         while len(queue) < len(free) and (chunk := next(chunks, None)) is not None:
             queue = np.concatenate([queue, _queued(H, chunk, cfg)])
@@ -462,7 +457,7 @@ def decode(
     for index, *outcome in finished:
         bits_out[index], converged[index], word_iterations[index] = outcome
     iterations_used = int(word_iterations.sum())
-    if not batch:
+    if one_word:
         bits_out, converged, word_iterations = bits_out[0], bool(converged[0]), word_iterations[0]
     return DecodeResult(
         bits=bits_out,

@@ -288,8 +288,9 @@ def _timed_decode(
     report of a run on `processors` processors.
 
     decode's check update gathers the differences total - msg of every
-    edge block in `slices`, through each edge's variable and message slot
-    (`H.slots.edge_slot`), and hands them to `exchange`, which returns the
+    edge block in `slices` from the word's column of the state, through
+    each edge's variable and message slot (`H.slots.edge_slot`), as a 1-D
+    float64 block, and hands them to `exchange`, which returns the
     blocks' check messages and the seconds it spent messaging; each
     block's messages go back to its slots.  The report's breakdown is in
     seconds summed over the reps, like extras["total_seconds"], which it
@@ -300,8 +301,8 @@ def _timed_decode(
 
     def check_update(state):
         nonlocal messaging
-        msg = state.workspace.msg_flat
-        replies, seconds = exchange(state.total[var] - msg[slot] for var, slot in blocks)
+        total, msg = state.total[:, 0], state.workspace.msg_flat[:, 0]
+        replies, seconds = exchange(total[var] - msg[slot] for var, slot in blocks)
         messaging += seconds
         for (_, slot), msgs in zip(blocks, replies):
             msg[slot] = msgs

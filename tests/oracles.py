@@ -115,10 +115,11 @@ def recording(kernel: str, record):
 
 def traced_pair(H, prior, cfg):
     """`decode` and `decode_minsum_reference` on one word, each with a copy
-    of its check messages after every iteration: decode's own, taken after
-    each call of its default check update."""
+    of its check messages after every iteration: decode's own, column 0
+    of its batch of one, taken after each call of its default check
+    update."""
     ours, theirs = [], []
-    with recording("check_node_update_block", lambda s: ours.append(s.check_msg.copy())):
+    with recording("check_node_update_block", lambda s: ours.append(s.check_msg[:, 0].copy())):
         reduced = decode(H, prior, cfg)
     ref = decode_minsum_reference(H, prior, cfg, observe=lambda r: theirs.append(r.copy()))
     return reduced, ref, ours, theirs

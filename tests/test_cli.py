@@ -420,6 +420,15 @@ def test_non_finite_ebno_exits_2(capsys, command, ebno):
 
 
 class TestScale:
+    @pytest.mark.parametrize("processors", ["1,a", "", "1,,3", "0", "1,2.5"])
+    def test_bad_processors_exit_2_naming_the_flag(self, capsys, processors):
+        assert main(["scale", "--gen", "48", "3", "6", f"--processors={processors}"]) == 2
+        message = ("--processors expects comma-separated processor counts >= 1, "
+                   f"e.g. 1,3,5, got {processors!r}")
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_default_costmodel_sweep(self, fixture_alist, capsys):
         rc = main(["scale", "--matrix", str(fixture_alist), "--seed", "1"])
         assert rc == 0

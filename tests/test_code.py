@@ -459,7 +459,7 @@ class TestSyndrome:
         words = np.array(list(itertools.product((0, 1), repeat=5)), dtype=np.uint8)
         scratch = np.ones((5, 3, 32), dtype=np.uint8)
         assert np.array_equal(syndrome_ok(H, words, scratch), syndrome_ok(H, words))
-        one = np.ones((5, 3), dtype=np.uint8)
+        one = np.ones((5, 3, 1), dtype=np.uint8)
         assert [syndrome_ok(H, w, one) for w in words] == [syndrome_ok(H, w) for w in words]
 
     @pytest.mark.parametrize("shape", [(3, 6), (3, 8), (2, 3, 7), (7, 3)])

@@ -23,7 +23,7 @@ NO_CLAMP = DecoderConfig(clamp=None)
 
 
 def state_with_differences(values):
-    """Single-check state whose edge differences equal `values`."""
+    """Single-check one-word state whose edge differences equal `values`."""
     H = ParityCheckMatrix([list(range(len(values)))], len(values))
     state = init_state(H, np.asarray(values, dtype=np.float64), NO_CLAMP)
     return H, state
@@ -44,8 +44,9 @@ def row_messages(values):
 
 
 def differences(state, H):
-    """Per-edge differences total - check_msg, as the kernels form them."""
-    return (state.total[H.edge_var] - state.check_msg).tolist()
+    """Per-edge differences total - check_msg of a one-word state (its
+    column 0), as the kernels form them."""
+    return (state.total[H.edge_var, 0] - state.check_msg[:, 0]).tolist()
 
 
 def scalar_messages(state, H, cfg):
@@ -98,7 +99,7 @@ class TestCheckNodeUpdate:
         rng = np.random.default_rng(seed)
         H = generate_regular(24, 3, 6, seed=seed)
         state = init_state(H, rng.normal(0, 3, 24), NO_CLAMP)
-        state.check_msg = rng.normal(0, 1, H.edges)
+        state.check_msg = rng.normal(0, 1, (H.edges, 1))
         d = differences(state, H)
         expected = []
         for c in range(H.m):
@@ -112,7 +113,7 @@ class TestCheckNodeUpdate:
         rng = np.random.default_rng(100 + seed)
         H = generate_regular(24, 3, 4, seed=seed)
         state = init_state(H, rng.normal(0, 3, 24), NO_CLAMP)
-        state.check_msg = rng.normal(0, 1, H.edges)
+        state.check_msg = rng.normal(0, 1, (H.edges, 1))
         scalar = scalar_messages(state, H, NO_CLAMP)
         check_node_update_block(state, H, NO_CLAMP)
         assert state.check_msg.tobytes() == scalar.tobytes()
@@ -126,7 +127,7 @@ class TestCheckNodeUpdate:
         assert len(set(H.row_degrees().tolist())) > 1
         for cfg in (NO_CLAMP, DecoderConfig(clamp=2.0), DecoderConfig(qformat=QFormat(6, 2))):
             prior = rng.normal(0, 3, H.n)
-            msgs = rng.normal(0, 1, H.edges)
+            msgs = rng.normal(0, 1, (H.edges, 1))
             msgs[::5] = 0.0  # ties and zero differences
             state = init_state(H, prior, cfg)
             state.check_msg = msgs
@@ -166,7 +167,7 @@ def test_scalar_and_block_kernels_saturate_alike(cfg, code, data):
          ParityCheckMatrix([[0, 1], [0, 1, 2, 3, 4]], 5)][code]
     d = data.draw(st.lists(DIFFERENCE, min_size=H.edges, max_size=H.edges))
     state = init_state(H, np.zeros(H.n), cfg)
-    state.check_msg = np.negative(d)  # total 0, so each difference is d
+    state.check_msg = np.negative(d)[:, None]  # total 0, so each difference is d
     assert differences(state, H) == d
     scalar = scalar_messages(state, H, cfg)
     check_node_update_block(state, H, cfg)
@@ -207,15 +208,15 @@ class TestInitState:
     def test_totals_equal_priors_and_messages_zero(self, hamming74):
         prior = np.arange(7, dtype=np.float64) - 3.0
         state = init_state(hamming74, prior, NO_CLAMP)
-        assert state.total.tolist() == prior.tolist()
+        assert state.total[:, 0].tolist() == prior.tolist()
         assert not state.check_msg.any()
-        assert state.check_msg.shape == (hamming74.edges,)
+        assert state.check_msg.shape == (hamming74.edges, 1)
 
     def test_priors_saturated_on_entry(self, hamming74):
         cfg = DecoderConfig(clamp=8.0)
         state = init_state(hamming74, np.full(7, 100.0), cfg)
-        assert state.total.tolist() == [8.0] * 7
-        assert state.prior.tolist() == [8.0] * 7
+        assert state.total[:, 0].tolist() == [8.0] * 7
+        assert state.prior[:, 0].tolist() == [8.0] * 7
 
 
 class TestVariableNodeUpdate:
@@ -223,33 +224,33 @@ class TestVariableNodeUpdate:
         prior = np.arange(7, dtype=np.float64) - 3.0
         state = init_state(hamming74, prior, NO_CLAMP)
         variable_node_update(state, hamming74, NO_CLAMP)
-        assert state.total.tolist() == prior.tolist()
+        assert state.total[:, 0].tolist() == prior.tolist()
 
     def test_direct_sum(self):
         H = ParityCheckMatrix([[0, 1], [0, 1]], 2)
         state = init_state(H, np.array([1.0, 0.0]), NO_CLAMP)
-        state.check_msg = np.array([0.5, 0.0, -2.0, 0.0])
+        state.check_msg = np.array([[0.5], [0.0], [-2.0], [0.0]])
         variable_node_update(state, H, NO_CLAMP)
-        assert state.total[0] == -0.5
+        assert state.total[0, 0] == -0.5
 
     def test_saturation_at_clamp(self):
         cfg = DecoderConfig(clamp=8.0)
         H = ParityCheckMatrix([[0, 1], [0, 1]], 2)
         state = init_state(H, np.array([7.0, 0.0]), cfg)
-        state.check_msg = np.array([5.0, 0.0, 0.0, 0.0])
+        state.check_msg = np.array([[5.0], [0.0], [0.0], [0.0]])
         variable_node_update(state, H, cfg)
-        assert state.total[0] == 8.0
+        assert state.total[0, 0] == 8.0
 
 
 def bincount_totals(state, H, cfg):
     """Saturated prior + incoming messages, each variable's summed from
     +0.0 in ascending edge order by a weighted np.bincount per word."""
-    msgs = state.check_msg.reshape(H.edges, -1)
+    msgs = state.check_msg
     incoming = np.stack(
         [np.bincount(H.edge_var, weights=msgs[:, b], minlength=H.n) for b in range(msgs.shape[1])],
         axis=1,
     )
-    return cfg.saturate(np.add(state.prior, incoming.reshape(state.total.shape)))
+    return cfg.saturate(np.add(state.prior, incoming))
 
 
 class TestColumnSum:
@@ -258,7 +259,7 @@ class TestColumnSum:
         # begins at +0.0, as bincount's bins do, so the total is +0.0.
         H = ParityCheckMatrix([[0, 1], [0, 1]], 2)
         state = init_state(H, np.array([-0.0, 0.5]), NO_CLAMP)
-        state.check_msg = np.array([-0.0, 1.0, -0.0, -0.25])
+        state.check_msg = np.array([[-0.0], [1.0], [-0.0], [-0.25]])
         expected = bincount_totals(state, H, NO_CLAMP)
         variable_node_update(state, H, NO_CLAMP)
         assert state.total.tobytes() == expected.tobytes() == as_bytes([0.0, 1.25])
@@ -272,7 +273,7 @@ class TestColumnSum:
             shape = (H.n,) if words is None else (words, H.n)
             prior = rng.choice([-0.0, 0.0, -0.01, 0.75, -1.5], size=shape)
             state = init_state(H, prior, cfg)
-            mshape = (H.edges,) if words is None else (H.edges, words)
+            mshape = (H.edges, words or 1)
             state.check_msg = rng.choice([-0.0, 0.0, 0.5, -2.0, 1e-3], size=mshape)
             expected = bincount_totals(state, H, cfg)
             variable_node_update(state, H, cfg)
@@ -301,18 +302,18 @@ class TestHardDecision:
     def test_zero_total_decides_zero(self):
         H = ParityCheckMatrix([[0, 1, 2]], 3)
         state = init_state(H, np.array([3.0, -1.0, 0.0]), NO_CLAMP)
-        assert hard_decision(state).tolist() == [0, 1, 0]
+        assert hard_decision(state)[:, 0].tolist() == [0, 1, 0]
 
     def test_all_positive(self):
         H = ParityCheckMatrix([[0, 1, 2]], 3)
         state = init_state(H, np.array([1.0, 2.0, 3.0]), NO_CLAMP)
-        assert hard_decision(state).tolist() == [0, 0, 0]
+        assert hard_decision(state)[:, 0].tolist() == [0, 0, 0]
 
     def test_antisymmetric_off_boundary(self):
         H = ParityCheckMatrix([[0, 1, 2]], 3)
         totals = np.array([3.0, -1.0, 2.0])
-        a = hard_decision(init_state(H, totals, NO_CLAMP))
-        b = hard_decision(init_state(H, -totals, NO_CLAMP))
+        a = hard_decision(init_state(H, totals, NO_CLAMP))[:, 0]
+        b = hard_decision(init_state(H, -totals, NO_CLAMP))[:, 0]
         assert np.array_equal(a ^ b, np.ones(3, dtype=np.uint8))
 
 
@@ -475,13 +476,43 @@ class TestBatchDecode:
                 decode(H, prior[b], cfg)
             assert [m[:, b].tobytes() for m in batch] == [m.tobytes() for m in alone]
 
-    def test_one_word_batch_keeps_batch_shapes(self, fixture252):
-        prior = noisy_prior(fixture252, ebno_db=2.0, seed=3)
-        one = decode(fixture252, prior[None, :])
-        alone = decode(fixture252, prior)
+    @pytest.mark.parametrize("case", ["early exit", "worst case", "Q8.4", "check update"])
+    def test_one_word_batch_keeps_batch_shapes(self, fixture252, case):
+        # One word decodes as a batch of one; only its result is unwrapped,
+        # to row 0 of the batch's, with Python scalars for the verdict and
+        # the count.
+        H = fixture252
+        prior = noisy_prior(H, ebno_db=2.0, seed=3)
+        cfg = {
+            "early exit": DecoderConfig(),
+            "worst case": DecoderConfig(early_exit=False),
+            "Q8.4": DecoderConfig(qformat=QFormat(8, 4)),
+            "check update": DecoderConfig(max_iter=12, clamp=6.0),
+        }[case]
+        update, shapes = None, []
+        if case == "check update":
+            def update(state):
+                shapes.append(state.total.shape)
+                check_node_update_block(state, H, cfg)
+        one = decode(H, prior[None, :], cfg, update)
+        alone = decode(H, prior, cfg, update)
+        assert set(shapes) == ({(H.n, 1)} if update else set())
         assert one.bits.shape == (1, 504) and one.converged.shape == (1,)
+        assert alone.bits.shape == (504,) and alone.bits.dtype == np.uint8
+        assert type(alone.converged) is bool and type(alone.iterations_used) is int
+        assert alone.word_iterations.shape == () and alone.word_iterations.dtype == np.int64
+        assert alone.word_iterations == alone.iterations_used
         assert np.array_equal(one.bits[0], alone.bits)
+        assert alone.converged == one.converged[0]
+        assert alone.word_iterations == one.word_iterations[0]
         assert one.iterations_used == alone.iterations_used == int(alone.word_iterations)
+        if case == "worst case":
+            assert alone.iterations_used == 30
+        verdict = syndrome_ok(H, alone.bits)
+        assert type(verdict) is bool and verdict == alone.converged
+        verdicts = syndrome_ok(H, np.stack([alone.bits, alone.bits ^ 1, alone.bits]))
+        assert verdicts.shape == (3,) and verdicts.dtype == np.bool_
+        assert verdicts.tolist() == [verdict, syndrome_ok(H, alone.bits ^ 1), verdict]
 
     @pytest.mark.parametrize("shape", [(2, 8), (2, 6), (2, 3, 7), (0, 7)])
     def test_prior_of_wrong_shape(self, hamming74, shape):

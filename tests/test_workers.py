@@ -19,7 +19,7 @@ from ldpcsim.parsim.workers import (
     run_parallel_workers,
     run_sequential_baseline,
 )
-from ldpcsim.partition import Partition, make_partition
+from ldpcsim.partition import Partition, attach_edge_counts, make_partition
 
 from conftest import irregular_code, noisy_prior
 from oracles import recording
@@ -63,9 +63,9 @@ class TestScalarKernel:
         prior = rng.normal(0, 2, 48)
         cfg = DecoderConfig()
         state = init_state(small_code, prior, cfg)
-        state.check_msg = rng.normal(0, 1, small_code.edges)
+        state.check_msg = rng.normal(0, 1, (small_code.edges, 1))
         d = [
-            float(state.total[v] - state.check_msg[e])
+            float(state.total[v, 0] - state.check_msg[e, 0])
             for e, v in enumerate(small_code.edge_var)
         ]
         scalar = check_block_messages(
@@ -386,12 +386,15 @@ class TestParallelWorkers:
         import ldpcsim.parsim.workers as workers_mod
 
         calls = {"pack_llrs": 0, "unpack_llrs": 0}
+        packed = []  # shape and dtype of each block the master packs
 
         def counting(name):
             original = getattr(workers_mod, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
+                if name == "pack_llrs":
+                    packed.append((args[0].shape, args[0].dtype))
                 return original(*args, **kwargs)
 
             return wrapper
@@ -400,15 +403,40 @@ class TestParallelWorkers:
             monkeypatch.setattr(workers_mod, name, counting(name))
         reps = 2
         prior = noisy_prior(small_code, ebno_db=2.0, seed=10)
+        part = make_partition(small_code.m, slaves)
         result, _ = run_parallel_workers(
-            small_code, prior, DecoderConfig(), make_partition(small_code.m, slaves),
-            reps=reps, worst_case=True,
+            small_code, prior, DecoderConfig(), part, reps=reps, worst_case=True,
         )
         assert result.iterations_used == 30
         assert calls == {
             "pack_llrs": slaves * 30 * reps,
             "unpack_llrs": slaves * 30 * reps,
         }
+        # The master hands each slave its block as one flat float64 array
+        # of the block's edges, taken from the word's column of the state.
+        bounds = attach_edge_counts(part, small_code).edge_bounds
+        blocks = [((hi - lo,), np.dtype(np.float64)) for lo, hi in zip(bounds, bounds[1:])]
+        assert packed == blocks * 30 * reps
+
+    def test_baseline_hands_the_scalar_kernel_one_flat_block(self, small_code, monkeypatch):
+        # The baseline's one block is every edge's difference as a flat
+        # list of floats, taken from the word's column of the state.
+        import ldpcsim.parsim.workers as workers_mod
+
+        blocks = []
+        original = workers_mod.check_block_messages
+
+        def recording_kernel(d, *args):
+            blocks.append((len(d), {type(x) for x in d}))
+            return original(d, *args)
+
+        monkeypatch.setattr(workers_mod, "check_block_messages", recording_kernel)
+        prior = noisy_prior(small_code, ebno_db=2.0, seed=10)
+        result, _ = run_sequential_baseline(
+            small_code, prior, DecoderConfig(), reps=2, worst_case=True
+        )
+        assert result.iterations_used == 30
+        assert blocks == [(small_code.edges, {float})] * 30 * 2
 
     @pytest.mark.parametrize("slaves", [1, 2])
     def test_one_unacknowledged_frame_each_way_per_block(
