@@ -24,10 +24,17 @@ class ChannelConfig:
     llr_clamp: float = 64.0
 
     def __post_init__(self):
-        if not math.isfinite(self.ebno_db):
-            raise ValueError(f"ebno_db must be finite, got {self.ebno_db}")
         if not 0.0 < self.rate < 1.0:
             raise ValueError(f"rate must be in (0,1), got {self.rate}")
+        try:  # nan, +-inf and finite dB values out of range all fail here
+            in_range = 0.0 < self.sigma2 < math.inf
+        except (OverflowError, ZeroDivisionError):  # 10^(ebno_db/10) overflows or is 0
+            in_range = False
+        if not in_range:
+            raise ValueError(
+                f"ebno_db must be finite, with a noise variance 1 / (2 * rate * "
+                f"10^(ebno_db/10)) that is finite and > 0, got {self.ebno_db}"
+            )
 
     @property
     def sigma2(self) -> float:

@@ -126,13 +126,11 @@ def _cost_model(args) -> tuple[CostModel, dict[int, MeshPlacement], dict[int, fl
     """Cost model, placement overrides and calibration targets from a
     "key = value" file: cost fields by name, "placement_5 = 3x2@1,0",
     "target_5 = 1.25"."""
-    cm = CostModel()
-    placements: dict[int, MeshPlacement] = {}
-    targets: dict[int, float] = {}
-    if getattr(args, "cost_config", None):
+    overrides, placements, targets = {}, {}, {}
+
+    def parse(text: str) -> None:
         names = {f.name for f in fields(CostModel)}
-        overrides = {}
-        for line in _read_input("--cost-config", args.cost_config, str.splitlines):
+        for line in text.splitlines():
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -148,8 +146,10 @@ def _cost_model(args) -> tuple[CostModel, dict[int, MeshPlacement], dict[int, fl
                 overrides[key] = float(value)
             else:
                 raise InfeasibleParameters(f"unknown cost model key {key!r}")
-        cm = replace(cm, **overrides)
-    return cm, placements, targets
+
+    if getattr(args, "cost_config", None):
+        _read_input("--cost-config", args.cost_config, parse)
+    return replace(CostModel(), **overrides), placements, targets
 
 
 def cmd_gen(args) -> int:
@@ -166,11 +166,11 @@ def cmd_decode(args) -> int:
     return 0
 
 
-# Most words resident in a share's workspace in `ber_sweep`.  A batch shares
+# Most words resident in a share's decoder state in `ber_sweep`.  A batch shares
 # numpy's per-call cost over its words.  On the 504-bit (3,6) code a 2-point,
 # 100k-bit sweep ran 2.5x faster than one word at a time with 8 words
 # (+1.0 MB peak RSS), 3.4x with 16 (+1.7 MB) and 4.1x with 32 (+3.1 MB);
-# 16 keeps the growth under 5% of the 40 MB process.  The workspace grows
+# 16 keeps the growth under 5% of the 40 MB process.  The state grows
 # with the words times H's padded row slots and column slots (`H.slots`,
 # 1,512 of each on that code); `ber_batch_width` scales the words by both,
 # so larger codes get fewer words, the same memory.
@@ -179,7 +179,7 @@ _BATCH_SLOTS = BER_BATCH * (1512 + 1512)
 
 
 def ber_batch_width(H: ParityCheckMatrix) -> int:
-    """Words resident in a share's workspace in `ber_sweep` on H, and
+    """Words resident in a share's decoder state in `ber_sweep` on H, and
     words per chunk of noise: BER_BATCH, scaled down on codes with more
     than 3,024 row and column slots, and at least one."""
     return max(1, min(BER_BATCH, _BATCH_SLOTS // (H.slots.var.size + H.slots.col.size)))
@@ -213,7 +213,7 @@ def _sweep_share(
 ) -> list[tuple[int, int, int]]:
     """(bit errors, frame errors, iterations) per point, summed over the
     chunks i with i % procs == rank, whose words one `decode` call streams
-    through one workspace.  A point's words are a contiguous run of the
+    through one decoder state.  A point's words are a contiguous run of the
     result."""
     result = decode(H, _share_priors(H, channels, sizes, rank, procs), cfg)
     words = sum(sizes[rank::procs])

@@ -20,11 +20,12 @@ of words; one word is a batch of one, B = 1, unwrapped only in its
 result.  A stream keeps as many words resident as its first chunk holds:
 when a word finishes (its syndrome passes under early exit, or it
 reaches max_iter), the next queued word takes its column, and only once
-the stream runs out are finished columns dropped from the state.  State and scratch live in one
-workspace allocated once per `decode` call and written with out= ufuncs
-(the syndrome check included), so an iteration allocates nothing in
-proportion to the code and the batch but, once words finish, the copy of
-their bits into the result and the next chunk read from a stream.
+the stream runs out are finished columns dropped from the state.  One
+`DecoderState`, allocated once per `decode` call, holds the state and
+every kernel's scratch, written with out= ufuncs (the syndrome check
+included), so an iteration allocates nothing in proportion to the code
+and the batch but, once words finish, the copy of their bits into the
+result and the next chunk read from a stream.
 The messages live in the check-node update's own layout: the code's rows
 padded to the largest row degree dmax and stored slot-major
 (`ParityCheckMatrix.slots`), where each per-row reduction is one
@@ -42,7 +43,7 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -121,83 +122,21 @@ def saturate(
     return np.minimum(out, clamp, out=out)
 
 
-@dataclass
 class DecoderState:
-    """Per-variable totals plus per-edge check-to-variable messages.
+    """Per-variable totals plus per-edge check-to-variable messages, and
+    the scratch every kernel writes into, in one allocation.
 
     A state of B words keeps total and prior (n, B) and msg (dmax, m, B),
     dmax the largest row degree; one word is a batch of one, B = 1.  msg
     is in the slot-major row layout of `ParityCheckMatrix.slots`:
     msg[k, c] is the message of check c's k-th edge, and padding slots
-    hold values that no update reads.  `check_msg` reads the messages in
-    edge order, (E, B), as a read-only copy, and assigning to it writes
-    them back.
-    `workspace` holds the decode's buffers, which every kernel writes
-    into; `init_state` sets it.
-    """
-
-    total: np.ndarray
-    msg: np.ndarray
-    prior: np.ndarray
-    workspace: "_Workspace | None" = field(default=None, repr=False, compare=False)
-
-    @property
-    def check_msg(self) -> np.ndarray:
-        ws = self.workspace
-        out = np.take(ws.msg_flat, ws.H.slots.edge_slot, axis=0)
-        out.flags.writeable = False
-        return out
-
-    @check_msg.setter
-    def check_msg(self, values) -> None:
-        ws = self.workspace
-        ws.msg_flat[ws.H.slots.edge_slot] = values
-
-
-@dataclass
-class DecodeResult:
-    """Outcome of a decode.
-
-    For a batch of B words, or a stream of B words in all, bits is (B, n)
-    uint8, converged (B,) and word_iterations (B,), with iterations_used
-    their int sum.  One word, decoded as a batch of one, returns that
-    batch's row 0: bits (n,), converged a bool, iterations_used an int and
-    word_iterations the same count as a numpy scalar.
-    """
-
-    bits: np.ndarray
-    converged: bool | np.ndarray
-    iterations_used: int
-    word_iterations: np.ndarray | None = None
-
-
-# Leading shape (as a function of H) and dtype of every buffer a decode
-# uses, each followed by the word axis.  The slot buffers hold the whole
-# code's rows in the slot-major layout; msg_flat holds them flat, then the
-# zero slot that `RowSlots.col` pads with, and col the messages gathered
-# by column.
-_BUFFERS = (
-    ("total", lambda H: (H.n,), np.float64),
-    ("prior", lambda H: (H.n,), np.float64),
-    ("msg_flat", lambda H: (H.slots.var.size + 1,), np.float64),
-    ("col", lambda H: H.slots.col.shape, np.float64),
-    ("bits", lambda H: (H.n,), np.uint8),
-    ("diff", lambda H: H.slots.var.shape, np.float64),
-    ("mag", lambda H: H.slots.var.shape, np.float64),
-    ("neg", lambda H: H.slots.var.shape, np.bool_),
-    ("parity", lambda H: (H.m,), np.bool_),
-    ("syndrome", lambda H: (H.slots.var.shape[0] + 1, H.m), np.uint8),
-)
-
-
-class _Workspace:
-    """Every state and scratch array of one decode, in one allocation.
-
-    One block holds all buffers, so the allocator reuses the same pages
-    from one decode call to the next.  The arrays handed out are views of
-    each buffer's leading entries, shaped (*lead, width) for `width` words,
-    one word included, so a batch that drops words keeps its memory; every
-    kernel writes into these views with out= ufuncs.
+    hold values that no update reads; msg_flat views it flat, then the
+    zero slot.  `check_msg` reads the messages in edge order, (E, B), as
+    a read-only copy, and assigning to it writes them back.
+    One block holds every buffer of `_BUFFERS`, so the allocator reuses
+    the same pages from one decode call to the next.  Each attribute views
+    its buffer's leading entries, shaped (*lead, B), so a state that drops
+    words keeps its memory; `init_state` fills a new one.
     """
 
     def __init__(self, H: ParityCheckMatrix, width: int):
@@ -225,6 +164,52 @@ class _Workspace:
         self.mag_slots = list(self.mag)
         self.col_slots = list(self.col)
 
+    @property
+    def check_msg(self) -> np.ndarray:
+        out = np.take(self.msg_flat, self.H.slots.edge_slot, axis=0)
+        out.flags.writeable = False
+        return out
+
+    @check_msg.setter
+    def check_msg(self, values) -> None:
+        self.msg_flat[self.H.slots.edge_slot] = values
+
+
+@dataclass
+class DecodeResult:
+    """Outcome of a decode.
+
+    For a batch of B words, or a stream of B words in all, bits is (B, n)
+    uint8, converged (B,) and word_iterations (B,), with iterations_used
+    their int sum.  One word, decoded as a batch of one, returns that
+    batch's row 0: bits (n,), converged a bool, iterations_used an int and
+    word_iterations the same count as a numpy scalar.
+    """
+
+    bits: np.ndarray
+    converged: bool | np.ndarray
+    iterations_used: int
+    word_iterations: np.ndarray
+
+
+# Leading shape (as a function of H) and dtype of every buffer a decode
+# uses, each followed by the word axis.  The slot buffers hold the whole
+# code's rows in the slot-major layout; msg_flat holds them flat, then the
+# zero slot that `RowSlots.col` pads with, and col the messages gathered
+# by column.
+_BUFFERS = (
+    ("total", lambda H: (H.n,), np.float64),
+    ("prior", lambda H: (H.n,), np.float64),
+    ("msg_flat", lambda H: (H.slots.var.size + 1,), np.float64),
+    ("col", lambda H: H.slots.col.shape, np.float64),
+    ("bits", lambda H: (H.n,), np.uint8),
+    ("diff", lambda H: H.slots.var.shape, np.float64),
+    ("mag", lambda H: H.slots.var.shape, np.float64),
+    ("neg", lambda H: H.slots.var.shape, np.bool_),
+    ("parity", lambda H: (H.m,), np.bool_),
+    ("syndrome", lambda H: (H.slots.var.shape[0] + 1, H.m), np.uint8),
+)
+
 
 def _validate(H: ParityCheckMatrix, prior: np.ndarray) -> np.ndarray:
     prior = np.asarray(prior, dtype=np.float64)
@@ -241,38 +226,37 @@ def _validate(H: ParityCheckMatrix, prior: np.ndarray) -> np.ndarray:
 
 
 def init_state(H: ParityCheckMatrix, prior: np.ndarray, cfg: DecoderConfig) -> DecoderState:
-    """Totals start at the (saturated) priors; all check messages at zero.
+    """A new state whose totals start at the (saturated) priors and whose
+    check messages, the zero slot included, start at +0.0.
 
     `prior` is one word (n,) or a batch (B, n); the state holds the word
     axis last, one word as a batch of one: total (n, 1).
     """
     prior = _validate(H, prior).reshape(-1, H.n)
-    ws = _Workspace(H, len(prior))
-    ws.prior[...] = prior.T
-    cfg.saturate(ws.prior, in_place=True)
-    ws.total[...] = ws.prior
-    ws.msg_flat.fill(0.0)
-    return DecoderState(total=ws.total, msg=ws.msg, prior=ws.prior, workspace=ws)
+    state = DecoderState(H, len(prior))
+    state.prior[...] = prior.T
+    cfg.saturate(state.prior, in_place=True)
+    state.total[...] = state.prior
+    state.msg_flat.fill(0.0)
+    return state
 
 
 def _drop_words(state: DecoderState, keep: np.ndarray) -> None:
     """Remove the words not in `keep` from a state, in its buffers.
 
     Each buffer's kept columns pass through the diff buffer, which holds
-    the row slots of every word the workspace was made for; so the
-    messages move without their zero slot, which is written +0.0 again.
+    the row slots of every word the state was made for; so the messages
+    move without their zero slot, which is written +0.0 again.
     """
-    ws = state.workspace
     kept = np.flatnonzero(keep)
-    moves = (("total", ws.total), ("prior", ws.prior), ("msg_flat", ws.msg_flat[:-1]))
+    moves = (("total", state.total), ("prior", state.prior), ("msg_flat", state.msg_flat[:-1]))
     for name, old in moves:
         shape = (old.shape[0], len(kept))
-        moved = ws._flat["diff"][: shape[0] * shape[1]].reshape(shape)
+        moved = state._flat["diff"][: shape[0] * shape[1]].reshape(shape)
         np.take(old, kept, axis=1, out=moved, mode="clip")
-        ws._flat[name][: moved.size].reshape(shape)[...] = moved
-    ws.resize(len(kept))
-    ws.msg_flat[-1] = 0.0
-    state.total, state.prior, state.msg = ws.total, ws.prior, ws.msg
+        state._flat[name][: moved.size].reshape(shape)[...] = moved
+    state.resize(len(kept))
+    state.msg_flat[-1] = 0.0
 
 
 # Magnitude that fills the padding slots of short rows: no real |d| exceeds
@@ -293,17 +277,16 @@ def check_node_update_block(
     values: results match the scalar kernel
     `parsim.workers.check_block_messages` bit for bit.
     """
-    ws = state.workspace
-    d, mag = ws.diff, ws.mag
+    d, mag, neg = state.diff, state.mag, state.neg
     np.take(state.total, H.slots.var, axis=0, out=d, mode="clip")
     np.subtract(d, state.msg, out=d)
     if H.slots.pad_slot.size:
-        ws.diff_flat[H.slots.pad_slot] = _PAD
-    np.less(d, 0.0, out=ws.neg)
+        state.diff_flat[H.slots.pad_slot] = _PAD
+    np.less(d, 0.0, out=neg)
     np.absolute(d, out=d)
     # Slot k gets min(prefix[k-1], suffix[k+1]), the least |d| of the other
     # slots: prefix minima fill mag[1:-1]; mag[0] folds the suffix minimum.
-    dk, mk = ws.diff_slots, ws.mag_slots
+    dk, mk = state.diff_slots, state.mag_slots
     last = len(dk) - 1
     prefix = [dk[0]] + mk[1:last]
     for k in range(1, last):
@@ -315,9 +298,9 @@ def check_node_update_block(
         np.minimum(mk[0], dk[k], out=mk[0])
     # Sign: negative when the row's other slots hold an odd number of
     # negative differences.
-    np.bitwise_xor.reduce(ws.neg, axis=0, out=ws.parity)
-    np.not_equal(ws.neg, ws.parity, out=ws.neg)
-    np.multiply(ws.neg, -2.0, out=d)
+    np.bitwise_xor.reduce(neg, axis=0, out=state.parity)
+    np.not_equal(neg, state.parity, out=neg)
+    np.multiply(neg, -2.0, out=d)
     np.add(d, 1.0, out=d)
     np.multiply(mag, d, out=state.msg)
     cfg.saturate(state.msg, in_place=True)
@@ -334,9 +317,9 @@ def variable_node_update(
     order.  A sum begun at +0.0 is never -0.0, so the zero slot's +0.0
     padding changes no sum.
     """
-    ws, total = state.workspace, state.total
-    np.take(ws.msg_flat, H.slots.col, axis=0, out=ws.col, mode="clip")
-    first, *rest = ws.col_slots
+    total = state.total
+    np.take(state.msg_flat, H.slots.col, axis=0, out=state.col, mode="clip")
+    first, *rest = state.col_slots
     np.add(first, 0.0, out=total)
     for slot in rest:
         np.add(total, slot, out=total)
@@ -350,7 +333,7 @@ def hard_decision(state: DecoderState) -> np.ndarray:
     Returns the state's bit buffer (shaped like total), which the next
     call overwrites.
     """
-    return np.less(state.total, 0.0, out=state.workspace.bits)
+    return np.less(state.total, 0.0, out=state.bits)
 
 
 def _queued(H: ParityCheckMatrix, chunk, cfg: DecoderConfig) -> np.ndarray:
@@ -372,8 +355,8 @@ def decode(
     `prior` is one word (n,), a batch (B, n) or any other iterable of
     (B_i, n) chunks, read as it is needed; all three run this one loop,
     one word as a batch of one whose result is unwrapped to the one-word
-    `DecodeResult`.  The workspace holds the words of the array, or of
-    the first chunk.  Stops a word at its first valid syndrome when
+    `DecodeResult`.  The state holds the words of the array, or of the
+    first chunk.  Stops a word at its first valid syndrome when
     early_exit is set, else after max_iter iterations; the next word of
     the stream then takes its column, and once the stream runs out the
     column leaves the batch.
@@ -389,7 +372,7 @@ def decode(
     once per iteration before the variable update, on a state holding
     every word decoding this iteration in column order (one word: totals
     (n, 1)); it must write the saturated message of every edge into its
-    slot of state.msg (flat: `workspace.msg_flat[H.slots.edge_slot]`).
+    slot of state.msg (flat: `state.msg_flat[H.slots.edge_slot]`).
     By default it is `check_node_update_block(state, H, cfg)`, looked up
     at each call.  The state's arrays are the decode's buffers and change
     in place, so copy what must outlive the call.
@@ -407,7 +390,6 @@ def decode(
         if first is None:
             raise LengthMismatch(f"prior stream holds no chunk of (B, n) priors, n={H.n}")
         state = init_state(H, _queued(H, first, cfg), cfg)
-    ws = state.workspace
     width = state.total.shape[1]
     # Result index of the word in each column, and the iteration before
     # it started; without early exit no word can stop before iteration due.
@@ -425,7 +407,7 @@ def decode(
         if not cfg.early_exit and j < due:
             continue
         bits = hard_decision(state)
-        ok = syndrome_ok(H, bits.T, ws.syndrome)
+        ok = syndrome_ok(H, bits.T, state.syndrome)
         done = start == j - cfg.max_iter
         if cfg.early_exit:
             done |= ok
@@ -438,9 +420,9 @@ def decode(
         if len(queue):
             cols, queue_head = free[: len(queue)], queue[: len(free)]
             queue = queue[len(cols) :]
-            ws.prior[:, cols] = queue_head.T
-            ws.total[:, cols] = queue_head.T
-            ws.msg_flat[:, cols] = 0.0
+            state.prior[:, cols] = queue_head.T
+            state.total[:, cols] = queue_head.T
+            state.msg_flat[:, cols] = 0.0
             active[cols] = np.arange(count, count + len(cols))
             start[cols] = j
             done[cols] = False

@@ -159,11 +159,17 @@ class MeshPlacement:
 class SimReport:
     """Throughput/speedup record for one scenario.
 
-    breakdown partitions the total time exactly: compute_master (the
-    master's own computation), slave_stall (master idle on slaves, i.e. the
-    un-overlapped portion of slave compute) and communication (send plus
-    receive busy time).  extras carries non-additive diagnostics such as
-    the raw max slave compute.
+    breakdown partitions the total time exactly; its keys depend on the
+    producer.  The cost model (`simulate_sequential`, `simulate_parallel`)
+    writes modeled cycles, summing to modeled_cycles: compute_master (the
+    master's own computation), slave_stall (master idle on slaves, i.e.
+    the un-overlapped portion of slave compute) and communication (send
+    plus receive busy time).  The live executors
+    (`parsim.workers.run_sequential_baseline`, `run_parallel_workers`)
+    write wall seconds summed over the reps, summing to
+    extras["total_seconds"]: messaging (the master's time in the pipe
+    exchange) and compute_master (the rest).  extras carries non-additive
+    diagnostics such as the raw max slave compute.
     """
 
     processors: int

@@ -301,7 +301,7 @@ def _timed_decode(
 
     def check_update(state):
         nonlocal messaging
-        total, msg = state.total[:, 0], state.workspace.msg_flat[:, 0]
+        total, msg = state.total[:, 0], state.msg_flat[:, 0]
         replies, seconds = exchange(total[var] - msg[slot] for var, slot in blocks)
         messaging += seconds
         for (_, slot), msgs in zip(blocks, replies):

@@ -93,7 +93,12 @@ def decode_minsum_reference(H, prior, cfg=None, observe=None) -> DecodeResult:
         converged = syndrome_ok(H, bits)
         if cfg.early_exit and converged:
             break
-    return DecodeResult(bits=bits, converged=converged, iterations_used=iterations)
+    return DecodeResult(
+        bits=bits,
+        converged=converged,
+        iterations_used=iterations,
+        word_iterations=np.int64(iterations),
+    )
 
 
 @contextlib.contextmanager

@@ -65,10 +65,18 @@ class TestTransmit:
         with pytest.raises(ValueError):
             ChannelConfig(ebno_db=1.0, rate=1.5)
 
-    @pytest.mark.parametrize("ebno_db", [math.nan, math.inf, -math.inf])
+    # 1e5, -1e5 and -3090 are finite, but 10^(ebno_db/10) overflows,
+    # underflows to 0, or leaves sigma2 inf.
+    @pytest.mark.parametrize("ebno_db", [math.nan, math.inf, -math.inf, 1e5, -1e5, -3090.0])
     def test_non_finite_ebno_rejected(self, ebno_db):
-        with pytest.raises(ValueError, match="ebno_db must be finite"):
+        with pytest.raises(ValueError, match="ebno_db must be finite") as info:
             ChannelConfig(ebno_db=ebno_db, rate=0.5)
+        assert str(info.value).endswith(f"finite and > 0, got {ebno_db}")
+
+    @pytest.mark.parametrize("ebno_db", [3082.0, -3082.0])
+    def test_extreme_ebno_in_range_builds(self, ebno_db):
+        sigma2 = ChannelConfig(ebno_db=ebno_db, rate=0.5).sigma2
+        assert 0.0 < sigma2 < math.inf
 
     def test_shared_stream_advances_but_reproduces(self):
         cfg = ChannelConfig(ebno_db=2.0, rate=0.5, seed=13)

@@ -202,6 +202,16 @@ class TestBer:
         assert message in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("ebno", ["1e5", "-1e5", "-3090"])
+    def test_out_of_range_ebno_exits_2_before_any_fork(self, monkeypatch, capsys, ebno):
+        # Finite, but the point's noise variance is 0 or inf.
+        monkeypatch.setattr("ldpcsim.cli.fork_shares", None)  # a fork would fail
+        assert main(["ber", "--gen", "48", "3", "6", f"--ebno=1,{ebno}"]) == 2
+        captured = capsys.readouterr()
+        assert "ebno_db must be finite" in captured.err
+        assert captured.err.rstrip().endswith(f"got {float(ebno)}")
+        assert captured.out == ""
+
     def test_deterministic_per_seed(self, fixture_alist, capsys):
         outputs = []
         for _ in range(2):
@@ -410,12 +420,15 @@ def test_rows_do_not_depend_on_process_count(code48, seed, ebno_list, chunks, la
     assert mp.active_children() == []
 
 
-@pytest.mark.parametrize("ebno", ["nan", "inf", "-inf"])
+# 1e5, -1e5 and -3090 are finite, but 10^(ebno/10) overflows, underflows
+# to 0, or leaves the noise variance inf.
+@pytest.mark.parametrize("ebno", ["nan", "inf", "-inf", "1e5", "-1e5", "-3090"])
 @pytest.mark.parametrize("command", [["decode"], ["scale", "--processors", "1,3"]])
 def test_non_finite_ebno_exits_2(capsys, command, ebno):
     assert main([*command, "--gen", "48", "3", "6", f"--ebno={ebno}"]) == 2
     captured = capsys.readouterr()
     assert "ebno_db must be finite" in captured.err
+    assert captured.err.rstrip().endswith(f"got {float(ebno)}")
     assert captured.out == ""
 
 
@@ -567,6 +580,19 @@ class TestScale:
         assert main(["scale", "--matrix", str(fixture_alist),
                      "--cost-config", str(missing)]) == 2
         assert f"--cost-config {missing}: cannot read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["placement_abc = 2x2@0,0", "target_x = 1.2",
+                                      "cycles_per_hop = fast", "cycles_per_hop"])
+    def test_unparsable_cost_line_exits_2_naming_the_flag_and_file(self, tmp_path, capsys,
+                                                                    line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        rc = main(["scale", "--gen", "48", "3", "6", "--seed", "1",
+                   "--processors", "1,3", "--cost-config", str(cfg)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert f"--cost-config {cfg}: ValueError: " in captured.err
+        assert captured.out == ""
 
     def test_unknown_cost_key_exits_2(self, fixture_alist, tmp_path):
         cfg = tmp_path / "cm.cfg"

@@ -286,16 +286,24 @@ class TestColumnSum:
         H = hamming74 if code == "hamming74" else irregular_code(40, 80, 3)
         rng = np.random.default_rng(11)
         prior = rng.uniform(0.2, 3.0, size=(30, 1)) + rng.normal(0.0, 1.5, size=(30, H.n))
-        zero_slots, widths = [], []
+        zero_slots, widths, shapes = [], [], []
 
         def record(state):
-            zero_slots.append(state.workspace.msg_flat[-1].tobytes())
+            zero_slots.append(state.msg_flat[-1].tobytes())
             widths.append(state.total.shape[1])
+            views = (state.prior, state.msg, state.check_msg, hard_decision(state))
+            shapes.append(tuple(view.shape for view in views))
 
         with recording("variable_node_update", record):
             decode(H, iter(np.split(prior, [20, 24, 27])), DecoderConfig(max_iter=12))
         assert zero_slots == [as_bytes(np.zeros(w)) for w in widths]
         assert widths[0] == 20 and len(set(widths)) > 2
+        # Every view of the state has the current width, across refills
+        # and drops.
+        dmax = int(H.row_degrees().max())
+        assert shapes == [
+            ((H.n, w), (dmax, H.m, w), (H.edges, w), (H.n, w)) for w in widths
+        ]
 
 
 class TestHardDecision:
