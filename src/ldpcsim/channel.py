@@ -65,5 +65,6 @@ def transmit(
 
 def llr_init(y: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
     """A-priori LLRs for BPSK/AWGN: 2*y/sigma^2, clamped to +-llr_clamp."""
-    llr = 2.0 * np.asarray(y, dtype=np.float64) / cfg.sigma2
+    with np.errstate(over="ignore"):  # a tiny sigma^2 gives +-inf, clamped below
+        llr = 2.0 * np.asarray(y, dtype=np.float64) / cfg.sigma2
     return np.clip(llr, -cfg.llr_clamp, cfg.llr_clamp)

@@ -87,12 +87,8 @@ def _decoder_config(args) -> DecoderConfig:
     )
 
 
-def _channel_for(H: ParityCheckMatrix, ebno_db: float, seed: int) -> ChannelConfig:
-    return ChannelConfig(ebno_db=ebno_db, rate=CodeInfo.from_matrix(H).rate, seed=seed)
-
-
 def _prior_from_args(H: ParityCheckMatrix, args) -> np.ndarray:
-    if args.llr_file:
+    if getattr(args, "llr_file", None):
         values = _read_input(
             "--llr-file",
             args.llr_file,
@@ -101,7 +97,7 @@ def _prior_from_args(H: ParityCheckMatrix, args) -> np.ndarray:
         if len(values) != H.n:
             raise InfeasibleParameters(f"--llr-file holds {len(values)} LLRs, need n={H.n}")
         return np.asarray(values, dtype=np.float64)
-    ch = _channel_for(H, args.ebno, args.seed)
+    ch = ChannelConfig(ebno_db=args.ebno, rate=CodeInfo.from_matrix(H).rate, seed=args.seed)
     return llr_init(transmit(modulate(np.zeros(H.n, dtype=np.uint8)), ch), ch)
 
 
@@ -384,13 +380,14 @@ def _scale_csv(rows: list[dict]) -> str:
 def cmd_scale(args) -> int:
     processors = _flag_list("--processors", args.processors, int, lambda p: p >= 1,
                             "processor counts >= 1, e.g. 1,3,5")
+    if args.reps < 1:
+        raise InfeasibleParameters(f"--reps must be at least 1, got {args.reps}")
     H = _read_matrix(args)
     cfg = _decoder_config(args)
     cm, placements, targets = _cost_model(args)
     if args.calibrate:
         cm = calibrate(cm, targets or DEFAULT_SPEEDUP_TARGETS, H)
-    ch = _channel_for(H, args.ebno, args.seed)
-    prior = llr_init(transmit(modulate(np.zeros(H.n, dtype=np.uint8)), ch), ch)
+    prior = _prior_from_args(H, args)
     rows, reports = scale_rows(
         H,
         processors,
@@ -413,8 +410,7 @@ def cmd_scale(args) -> int:
     else:
         _emit(_scale_csv(rows), args.out)
     if args.plot_out:
-        with open(args.plot_out, "w", encoding="ascii") as fh:
-            fh.write(plot_csv(reports))
+        _emit(plot_csv(reports), args.plot_out)
     return 0
 
 

@@ -30,7 +30,10 @@ The messages live in the check-node update's own layout: the code's rows
 padded to the largest row degree dmax and stored slot-major
 (`ParityCheckMatrix.slots`), where each per-row reduction is one
 elementwise ufunc per slot.  The variable update gathers them by column
-(`RowSlots.col`) and adds each variable's slots in ascending edge order.
+(`RowSlots.col`) and adds each variable's slots in ascending edge order;
+the check update forms its minima in the message slots themselves.  The
+slots are the decoder's own: a check update passed to `decode` maps one
+word's differences to its messages, both in edge order.
 
 Values are float64 with a configurable saturating clamp, or, with
 `DecoderConfig.qformat` set, on a saturating Q-format fixed-point grid
@@ -133,8 +136,9 @@ class DecoderState:
     hold values that no update reads; msg_flat views it flat, then the
     zero slot.  `check_msg` reads the messages in edge order, (E, B), as
     a read-only copy, and assigning to it writes them back.
-    One block holds every buffer of `_BUFFERS`, so the allocator reuses
-    the same pages from one decode call to the next.  Each attribute views
+    One block holds every buffer of `_BUFFERS` (the check update's
+    minima go into msg itself), so the allocator reuses the same pages
+    from one decode call to the next.  Each attribute views
     its buffer's leading entries, shaped (*lead, B), so a state that drops
     words keeps its memory; `init_state` fills a new one.
     """
@@ -161,7 +165,7 @@ class DecoderState:
         self.msg = self.msg_flat[:-1].reshape(self.diff.shape)
         self.diff_flat = self.diff.reshape(self.msg_flat[:-1].shape)
         self.diff_slots = list(self.diff)
-        self.mag_slots = list(self.mag)
+        self.msg_slots = list(self.msg)
         self.col_slots = list(self.col)
 
     @property
@@ -204,7 +208,6 @@ _BUFFERS = (
     ("col", lambda H: H.slots.col.shape, np.float64),
     ("bits", lambda H: (H.n,), np.uint8),
     ("diff", lambda H: H.slots.var.shape, np.float64),
-    ("mag", lambda H: H.slots.var.shape, np.float64),
     ("neg", lambda H: H.slots.var.shape, np.bool_),
     ("parity", lambda H: (H.m,), np.bool_),
     ("syndrome", lambda H: (H.slots.var.shape[0] + 1, H.m), np.uint8),
@@ -277,7 +280,7 @@ def check_node_update_block(
     values: results match the scalar kernel
     `parsim.workers.check_block_messages` bit for bit.
     """
-    d, mag, neg = state.diff, state.mag, state.neg
+    d, neg = state.diff, state.neg
     np.take(state.total, H.slots.var, axis=0, out=d, mode="clip")
     np.subtract(d, state.msg, out=d)
     if H.slots.pad_slot.size:
@@ -285,8 +288,9 @@ def check_node_update_block(
     np.less(d, 0.0, out=neg)
     np.absolute(d, out=d)
     # Slot k gets min(prefix[k-1], suffix[k+1]), the least |d| of the other
-    # slots: prefix minima fill mag[1:-1]; mag[0] folds the suffix minimum.
-    dk, mk = state.diff_slots, state.mag_slots
+    # slots, formed in the message slots, whose old values d has read:
+    # prefix minima fill msg[1:-1]; msg[0] folds the suffix minimum.
+    dk, mk = state.diff_slots, state.msg_slots
     last = len(dk) - 1
     prefix = [dk[0]] + mk[1:last]
     for k in range(1, last):
@@ -302,7 +306,7 @@ def check_node_update_block(
     np.not_equal(neg, state.parity, out=neg)
     np.multiply(neg, -2.0, out=d)
     np.add(d, 1.0, out=d)
-    np.multiply(mag, d, out=state.msg)
+    np.multiply(state.msg, d, out=state.msg)
     cfg.saturate(state.msg, in_place=True)
 
 
@@ -348,7 +352,7 @@ def decode(
     H: ParityCheckMatrix,
     prior: np.ndarray | Iterable[np.ndarray],
     cfg: DecoderConfig | None = None,
-    check_update: Callable[[DecoderState], None] | None = None,
+    check_update: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> DecodeResult:
     """Flooding-schedule decode: all check nodes, all variables, decision.
 
@@ -368,19 +372,16 @@ def decode(
     raises when it is read, as the array does; an empty stream raises
     LengthMismatch.
 
-    `check_update(state)` is each iteration's check-node update, called
-    once per iteration before the variable update, on a state holding
-    every word decoding this iteration in column order (one word: totals
-    (n, 1)); it must write the saturated message of every edge into its
-    slot of state.msg (flat: `state.msg_flat[H.slots.edge_slot]`).
-    By default it is `check_node_update_block(state, H, cfg)`, looked up
-    at each call.  The state's arrays are the decode's buffers and change
-    in place, so copy what must outlive the call.
+    `check_update(d)`, when given, is one word's check-node update: it
+    maps the word's differences total - msg in edge order, (E,) float64,
+    a temporary it may keep, to its saturated check messages in edge
+    order.  Each iteration, before the variable update, decode calls it
+    once per resident word, in column order.  By default every word is
+    updated at once by `check_node_update_block(state, H, cfg)`, looked
+    up at each call.
     """
     cfg = cfg or DecoderConfig()
-    if check_update is None:
-        def check_update(state):
-            check_node_update_block(state, H, cfg)
+    var, slot = H.edge_var, H.slots.edge_slot
     if isinstance(prior, np.ndarray):
         chunks, one_word = iter(()), prior.ndim == 1
         state = init_state(H, prior, cfg)
@@ -402,7 +403,11 @@ def decode(
     finished = []  # (result index, bits, converged, iterations) of finished words
     while True:
         j += 1
-        check_update(state)
+        if check_update is None:
+            check_node_update_block(state, H, cfg)
+        else:
+            for total, msg in zip(state.total.T, state.msg_flat.T):
+                msg[slot] = check_update(total[var] - msg[slot])
         variable_node_update(state, H, cfg)
         if not cfg.early_exit and j < due:
             continue

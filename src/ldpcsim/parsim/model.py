@@ -371,14 +371,13 @@ def _speedups(edges: int, cm: CostModel, total):
 def modeled_speedups(
     H: ParityCheckMatrix, cm: CostModel, slave_counts: list[int]
 ) -> dict[int, float]:
-    """Closed-form speedup per scenario (iteration counts cancel)."""
-    totals = [
-        parallel_iteration_cost(
-            H.edges, *_scenario_geometry(H, make_partition(H.m, s)), cm
-        ).total
-        for s in slave_counts
-    ]
-    speedups = _speedups(H.edges, cm, np.array(totals)).tolist()
+    """Closed-form speedup per scenario (iteration counts cancel), every
+    scenario priced in one broadcast over their `_stacked` geometries."""
+    if not slave_counts:
+        return {}
+    stacked = _stacked([_scenario_geometry(H, make_partition(H.m, s)) for s in slave_counts])
+    total = parallel_iteration_cost(H.edges, *stacked, cm).total
+    speedups = _speedups(H.edges, cm, total).tolist()
     return dict(zip([s + 1 for s in slave_counts], speedups))
 
 

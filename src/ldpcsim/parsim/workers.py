@@ -14,8 +14,9 @@ and the master reads results only after it has put every block.
 
 The master of the parallel run and of its sequential baseline alike is
 `decoder.decode` itself, timed by `_timed_decode`, with only its check
-update passed in: each iteration that update gathers each edge block's
-differences in one step and writes back the block's check messages,
+update passed in: each iteration that update cuts the word's edge-order
+differences into the edge blocks and returns their check messages,
+joined in edge order, for decode to write into its own message slots,
 while decode runs its own variable update, hard decision, syndrome check
 and stopping rule.  The check messages come from the scalar kernel
 `check_block_messages` (a per-edge loop over plain Python floats, the
@@ -23,7 +24,7 @@ array decoder's results byte for byte): in the slaves, and in process on
 the whole code for the baseline.  It reads its block as a list, the one
 `.tolist()` left on the worker path, and returns the messages saturated
 by `decoder.saturate` as a float64 array, which the slave hands to
-`pack_llrs` and the baseline assigns into the message slots as is.  So slave
+`pack_llrs` and the baseline returns as is.  So slave
 compute scales with edge count rather than with array-dispatch overhead,
 and speedups compare like with like.  Outputs are bit-identical to
 `decoder.decode`.
@@ -287,25 +288,21 @@ def _timed_decode(
     """`reps` timed decodes of the one word `prior` under `eff`, and the
     report of a run on `processors` processors.
 
-    decode's check update gathers the differences total - msg of every
-    edge block in `slices` from the word's column of the state, through
-    each edge's variable and message slot (`H.slots.edge_slot`), as a 1-D
-    float64 block, and hands them to `exchange`, which returns the
-    blocks' check messages and the seconds it spent messaging; each
-    block's messages go back to its slots.  The report's breakdown is in
-    seconds summed over the reps, like extras["total_seconds"], which it
-    sums to: `messaging` and `compute_master` (the rest).
+    decode's check update cuts the word's edge-order differences into
+    the edge blocks of `slices`, 1-D float64 views, and hands them to
+    `exchange`, which returns the blocks' check messages and the seconds
+    it spent messaging; the blocks' messages, joined in edge order, are
+    the update's result.  The report's breakdown is in seconds summed
+    over the reps, like extras["total_seconds"], which it sums to:
+    `messaging` and `compute_master` (the rest).
     """
     messaging = 0.0
-    blocks = [(H.edge_var[lo:hi], H.slots.edge_slot[lo:hi]) for lo, hi in slices]
 
-    def check_update(state):
+    def check_update(d):
         nonlocal messaging
-        total, msg = state.total[:, 0], state.msg_flat[:, 0]
-        replies, seconds = exchange(total[var] - msg[slot] for var, slot in blocks)
+        replies, seconds = exchange(d[lo:hi] for lo, hi in slices)
         messaging += seconds
-        for (_, slot), msgs in zip(blocks, replies):
-            msg[slot] = msgs
+        return np.concatenate(replies)
 
     times = []
     for _ in range(reps):
@@ -358,7 +355,7 @@ def run_sequential_baseline(
 
 
 def _slave_exchange(conns: list, wire: dict, blocks) -> tuple[list, float]:
-    """Pack and put each block as it comes, so block s+1 is gathered and
+    """Pack and put each block as it comes, so block s+1 is cut and
     packed while slave s computes, then read every slave's reply in slave
     order and unpack it.  One frame goes each way per slave and none is
     acknowledged: a put returns once the pipe has taken the frame, and

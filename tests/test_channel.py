@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,17 @@ class TestLlrInit:
         cfg = ChannelConfig(ebno_db=30.0, rate=0.5, llr_clamp=64.0)
         llr = llr_init(np.array([100.0, -100.0]), cfg)
         assert llr.tolist() == [64.0, -64.0]
+
+    def test_overflowing_quotient_clamps_without_warning(self):
+        # At 3082 dB sigma^2 is about 6e-309: 2*y/sigma^2 overflows to
+        # +-inf, which the clamp brings back to +-llr_clamp.
+        cfg = ChannelConfig(ebno_db=3082.0, rate=0.5, seed=3)
+        bits = np.random.default_rng(3).integers(0, 2, size=200).astype(np.uint8)
+        symbols = modulate(bits)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            llr = llr_init(transmit(symbols, cfg), cfg)
+        assert llr.tolist() == (64.0 * symbols).tolist()
 
 
 def test_high_snr_converges_first_iteration(fixture252):

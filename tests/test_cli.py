@@ -442,6 +442,17 @@ class TestScale:
         assert message in captured.err
         assert captured.out == ""
 
+    # Checked before the matrix is read: the missing file is never opened.
+    @pytest.mark.parametrize("mode", ["costmodel", "threads"])
+    @pytest.mark.parametrize("reps", ["0", "-2"])
+    def test_reps_below_1_exit_2_naming_the_flag(self, tmp_path, capsys, mode, reps):
+        missing = str(tmp_path / "missing.alist")
+        assert main(["scale", "--matrix", missing, "--mode", mode, f"--reps={reps}"]) == 2
+        captured = capsys.readouterr()
+        assert f"--reps must be at least 1, got {reps}" in captured.err
+        assert "--matrix" not in captured.err
+        assert captured.out == ""
+
     def test_default_costmodel_sweep(self, fixture_alist, capsys):
         rc = main(["scale", "--matrix", str(fixture_alist), "--seed", "1"])
         assert rc == 0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -202,6 +204,31 @@ def test_scalar_kernel_bytes_equal_block_kernel(cfg, degs, data):
     scalar = scalar_messages(state, H, cfg)
     check_node_update_block(state, H, cfg)
     assert state.check_msg.tobytes() == scalar.tobytes()
+
+
+@pytest.mark.parametrize("cfg", [NO_CLAMP, DecoderConfig(qformat=QFormat(8, 4))],
+                         ids=["float64", "q8.4"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_padding_message_slots_are_inert(cfg, seed):
+    # The check update forms its minima in every message slot, padding
+    # included, so no update may read a padding slot: poisoned padding
+    # must leave every message and total as an unpoisoned state's.
+    H = irregular_code(18, 30, seed)
+    rng = np.random.default_rng(seed)
+    prior = rng.normal(0.5, 2.0, size=(3, H.n))
+    msgs = rng.normal(0.0, 1.0, size=(H.edges, 3))
+    clean, poisoned = init_state(H, prior, cfg), init_state(H, prior, cfg)
+    clean.check_msg = poisoned.check_msg = msgs
+    pad = poisoned.msg_flat[H.slots.pad_slot]
+    assert pad.size
+    poisoned.msg_flat[H.slots.pad_slot] = np.resize([np.nan, np.inf, -np.inf, 1e300], pad.shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for state in (clean, poisoned):
+            check_node_update_block(state, H, cfg)
+            variable_node_update(state, H, cfg)
+    assert poisoned.check_msg.tobytes() == clean.check_msg.tobytes()
+    assert poisoned.total.tobytes() == clean.total.tobytes()
 
 
 class TestInitState:
@@ -499,12 +526,16 @@ class TestBatchDecode:
         }[case]
         update, shapes = None, []
         if case == "check update":
-            def update(state):
-                shapes.append(state.total.shape)
-                check_node_update_block(state, H, cfg)
+            degs = H.row_degrees().tolist()
+
+            def update(d):
+                shapes.append((d.shape, d.dtype))
+                return check_block_messages(d.tolist(), degs, cfg.clamp, cfg.qformat)
         one = decode(H, prior[None, :], cfg, update)
         alone = decode(H, prior, cfg, update)
-        assert set(shapes) == ({(H.n, 1)} if update else set())
+        assert set(shapes) == ({((H.edges,), np.dtype(np.float64))} if update else set())
+        if update:
+            assert len(shapes) == one.iterations_used + alone.iterations_used
         assert one.bits.shape == (1, 504) and one.converged.shape == (1,)
         assert alone.bits.shape == (504,) and alone.bits.dtype == np.uint8
         assert type(alone.converged) is bool and type(alone.iterations_used) is int
@@ -574,11 +605,13 @@ class TestStreamDecode:
     @pytest.mark.parametrize("qformat", [None, QFormat(8, 4)], ids=["float64", "q8.4"])
     @pytest.mark.parametrize("form", ["word", "batch", "stream"])
     def test_passed_check_update_decodes_as_the_default(self, fixture252, form, qformat):
-        # The default check update passed in as decode's hook: words of
-        # unequal strength finish at different iterations, so the hook sees
-        # the batch shrink and, in a stream, columns change words.
+        # The scalar kernel on the whole code passed in as decode's hook:
+        # words of unequal strength finish at different iterations, so the
+        # batch shrinks and, in a stream, columns change words, while the
+        # hook sees one word's edge-order differences per resident word.
         H = fixture252
         cfg = DecoderConfig(qformat=qformat)
+        degs = H.row_degrees().tolist()
         words = np.stack([noisy_prior(H, ebno_db, seed)
                           for seed, ebno_db in enumerate([1.0, 3.0, 1.5, 4.0, 2.0])])
 
@@ -586,8 +619,16 @@ class TestStreamDecode:
             return {"word": words[0], "batch": words,
                     "stream": iter(np.split(words, [2, 3]))}[form]
 
-        hooked = decode(H, prior(), cfg, lambda s: check_node_update_block(s, H, cfg))
+        shapes = []
+
+        def update(d):
+            shapes.append((d.shape, d.dtype))
+            return check_block_messages(d.tolist(), degs, cfg.clamp, cfg.qformat)
+
+        hooked = decode(H, prior(), cfg, update)
         plain = decode(H, prior(), cfg)
+        assert set(shapes) == {((H.edges,), np.dtype(np.float64))}
+        assert len(shapes) == plain.iterations_used
         assert np.array_equal(hooked.bits, plain.bits)
         assert np.array_equal(hooked.converged, plain.converged)
         assert np.array_equal(hooked.word_iterations, plain.word_iterations)

@@ -209,6 +209,25 @@ class TestParallelSimulation:
             assert speedups[slaves + 1] <= seq_iter / (master + max_slave) + 1e-12
             assert speedups[slaves + 1] <= slaves + 1
 
+    @pytest.mark.parametrize("cm", [CostModel(), UNIT_COMPUTE,
+                                    CostModel(cycles_packet_fixed=3255.0, cycles_per_hop=0.0)])
+    def test_speedups_equal_one_scenario_at_a_time(self, fixture252, cm):
+        # The one broadcast over every scenario prices each as its own
+        # parallel_iteration_cost call does, bit for bit.
+        H = fixture252
+        seq = sequential_iteration_cycles(H.edges, cm)
+        alone = {
+            s + 1: seq / parallel_iteration_cost(
+                H.edges, *_scenario_geometry(H, make_partition(H.m, s)), cm
+            ).total
+            for s in SCENARIO_SLAVES
+        }
+        speedups = modeled_speedups(H, cm, SCENARIO_SLAVES)
+        assert list(speedups) == list(alone)
+        got, want = (np.array(list(d.values())) for d in (speedups, alone))
+        assert got.tobytes() == want.tobytes()
+        assert modeled_speedups(H, cm, []) == {}
+
     def test_zero_cost_model_speedups_are_degenerate(self, fixture252):
         zero = CostModel(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(DegenerateCostModel):
