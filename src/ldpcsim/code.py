@@ -100,7 +100,6 @@ class ParityCheckMatrix:
         col = np.full((cdegs.max(), self.n), edge.size)
         col[k, self.edge_var[self.col_edge]] = edge_slot[self.col_edge]
         return RowSlots(
-            edge=edge,
             var=self.edge_var[edge],
             pad_slot=np.flatnonzero(np.arange(degs.max())[:, None] >= degs[None, :]),
             edge_slot=edge_slot,
@@ -161,12 +160,11 @@ class RowSlots:
     noted.  `col` reads the same flat slots by column: col[k, v] is the
     slot of variable v's k-th edge in ascending edge id, and a variable of
     degree below the largest, dv_max, points its remaining entries at the
-    zero slot `edge.size`, one past the last row slot, which a decoder
+    zero slot `var.size`, one past the last row slot, which a decoder
     holds at +0.0.
     """
 
-    edge: np.ndarray  # edge id; a padding slot repeats its row's first edge
-    var: np.ndarray  # variable of that edge
+    var: np.ndarray  # variable of each slot's edge, or of its row's first edge for padding
     pad_slot: np.ndarray  # flat slot of each padding slot (none when rows are regular)
     edge_slot: np.ndarray  # (E,) flat slot k * m + c of each edge
     col: np.ndarray  # (dv_max, n) flat slot of each variable's k-th edge

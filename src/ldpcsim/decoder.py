@@ -134,8 +134,7 @@ class DecoderState:
     is in the slot-major row layout of `ParityCheckMatrix.slots`:
     msg[k, c] is the message of check c's k-th edge, and padding slots
     hold values that no update reads; msg_flat views it flat, then the
-    zero slot.  `check_msg` reads the messages in edge order, (E, B), as
-    a read-only copy, and assigning to it writes them back.
+    zero slot.
     One block holds every buffer of `_BUFFERS` (the check update's
     minima go into msg itself), so the allocator reuses the same pages
     from one decode call to the next.  Each attribute views
@@ -167,16 +166,6 @@ class DecoderState:
         self.diff_slots = list(self.diff)
         self.msg_slots = list(self.msg)
         self.col_slots = list(self.col)
-
-    @property
-    def check_msg(self) -> np.ndarray:
-        out = np.take(self.msg_flat, self.H.slots.edge_slot, axis=0)
-        out.flags.writeable = False
-        return out
-
-    @check_msg.setter
-    def check_msg(self, values) -> None:
-        self.msg_flat[self.H.slots.edge_slot] = values
 
 
 @dataclass

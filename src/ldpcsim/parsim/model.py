@@ -35,7 +35,7 @@ import numpy as np
 
 from ..code import ParityCheckMatrix
 from ..decoder import DecodeResult
-from ..errors import DegenerateCostModel, LengthMismatch, NoFeasiblePoint
+from ..errors import DegenerateCostModel, LengthMismatch, NoFeasiblePoint, NotDivisible
 from ..partition import Partition, make_partition, plan_messages
 
 # Unused here; bench/tracer.py wraps each of these names in this module.
@@ -382,7 +382,8 @@ def modeled_speedups(
 
 
 class CalibrationWarning(UserWarning):
-    """Calibration landed on a degenerate (comm-free) boundary point."""
+    """Calibration landed on a degenerate (comm-free) boundary point, or
+    skipped the targets whose slave count does not divide the checks."""
 
 
 def _with_comm_costs(cm: CostModel, pf, hop, fixed) -> CostModel:
@@ -435,11 +436,14 @@ def calibrate(
     the rest of its sweep and their neighbours, in one call: that changes
     how often the formula runs, never an error or a decision.
 
+    A target whose slave count does not divide H.m is left out, as the
+    sweep skips its scenario, with a CalibrationWarning naming it.
     Raises ValueError when there is no target, or one for fewer than 2
-    processors or of a speedup that is not finite and > 0,
-    DegenerateCostModel when a scenario's modeled iteration time is zero,
-    and NoFeasiblePoint when the best fit misses some target by more than
-    `tolerance`.  Compute costs are taken from `cm` unchanged.
+    processors or of a speedup that is not finite and > 0, NotDivisible
+    when every target is left out, DegenerateCostModel when a scenario's
+    modeled iteration time is zero, and NoFeasiblePoint when the best fit
+    misses some target by more than `tolerance`.  Compute costs are taken
+    from `cm` unchanged.
     """
     if not targets:
         raise ValueError("calibration needs at least one target")
@@ -448,7 +452,13 @@ def calibrate(
             raise ValueError(f"target_{procs}: a target needs at least 2 processors")
         if not 0 < speedup < math.inf:
             raise ValueError(f"target_{procs} = {speedup}: a speedup must be finite and > 0")
-    slave_counts = [procs - 1 for procs in sorted(targets)]
+    slave_counts = [procs - 1 for procs in sorted(targets) if H.m % (procs - 1) == 0]
+    skipped = ", ".join(str(procs) for procs in sorted(targets) if H.m % (procs - 1))
+    if not slave_counts:
+        raise NotDivisible(f"{H.m} check nodes not divisible by any target's slave count")
+    if skipped:
+        warnings.warn(f"calibration skipped the targets for {skipped} processors: their slave "
+                      f"counts do not divide the {H.m} check nodes", CalibrationWarning)
     goal = np.array([targets[s + 1] for s in slave_counts])
     # The geometry does not depend on the fitted costs: build it once.
     stacked = _stacked(

@@ -30,7 +30,8 @@ and speedups compare like with like.  Outputs are bit-identical to
 `decoder.decode`.
 
 Wire payloads go through the 128-byte packetizer with 8-byte words in
-float mode (4-byte Q-format integers in fixed-point mode) so that
+float mode and Q-format integers in fixed-point mode, 4-byte words for a
+format of at most 32 bits and 8-byte words for a wider one, so that
 unpack(pack(x)) is exact and results stay bit-identical end to end.  Each
 block is encoded once per direction per iteration by `pack_llrs`, whose
 packets are slices of that one buffer; a frame is its type byte and those
@@ -397,7 +398,8 @@ def run_parallel_workers(
             f"{p.num_slaves} workers exceed {WORKER_CAP_ENV}={cap}"
         )
     degs = H.row_degrees().tolist()
-    wire = {"word_bytes": 8 if eff.qformat is None else 4, "qformat": eff.qformat}
+    qf = eff.qformat
+    wire = {"word_bytes": 4 if qf is not None and qf.total_bits <= 32 else 8, "qformat": qf}
     jobs = [(_slave_loop, (degs[lo:hi], eff.clamp, wire)) for lo, hi in p.group_bounds]
     with _forked(jobs) as conns:
         slices = list(zip(p.edge_bounds, p.edge_bounds[1:]))

@@ -26,8 +26,8 @@ PACKET_BYTES = 128
 @dataclass(frozen=True)
 class Partition:
     """Contiguous check blocks: slave s owns checks check_bounds[s]:check_bounds[s+1].
-    make_partition leaves edge_bounds empty; attach_edge_counts binds them to H
-    once, after which slave s owns edge ids edge_bounds[s]:edge_bounds[s+1]."""
+    make_partition leaves edge_bounds empty; each attach_edge_counts call binds
+    them to H, after which slave s owns edge ids edge_bounds[s]:edge_bounds[s+1]."""
 
     check_bounds: tuple[int, ...]
     edge_bounds: tuple[int, ...] = ()
@@ -55,11 +55,6 @@ class MessagePlan:
     word_bytes: int
     to_slave_bytes: tuple[int, ...]
     to_slave_packets: tuple[int, ...]
-
-    @property
-    def total_bytes(self) -> int:
-        """Bytes of one iteration, both directions."""
-        return 2 * sum(self.to_slave_bytes)
 
 
 def make_partition(m: int, num_slaves: int) -> Partition:

@@ -7,7 +7,8 @@ literal product/min over each exclusion set of one row.
 `uncoded_bpsk_ber` is the closed-form bit error rate the BER tests compare
 coded rows with.  `traced_pair` runs `decode` and the reference side by
 side and keeps each one's messages of every iteration; `recording` is how
-tests see decode's state at every iteration.
+tests see decode's state at every iteration, and `edge_messages` and
+`set_edge_messages` read and write that state's messages in edge order.
 """
 
 import contextlib
@@ -101,6 +102,20 @@ def decode_minsum_reference(H, prior, cfg=None, observe=None) -> DecodeResult:
     )
 
 
+def edge_messages(state) -> np.ndarray:
+    """The state's check messages in edge order, (E, B), as a read-only
+    copy gathered from its slot layout."""
+    out = np.take(state.msg_flat, state.H.slots.edge_slot, axis=0)
+    out.flags.writeable = False
+    return out
+
+
+def set_edge_messages(state, values) -> None:
+    """Write check messages given in edge order, (E, B), into the state's
+    message slots."""
+    state.msg_flat[state.H.slots.edge_slot] = values
+
+
 @contextlib.contextmanager
 def recording(kernel: str, record):
     """Within the block, wrap decode's kernel `ldpcsim.decoder.<kernel>`,
@@ -124,7 +139,7 @@ def traced_pair(H, prior, cfg):
     of its batch of one, taken after each call of its default check
     update."""
     ours, theirs = [], []
-    with recording("check_node_update_block", lambda s: ours.append(s.check_msg[:, 0].copy())):
+    with recording("check_node_update_block", lambda s: ours.append(edge_messages(s)[:, 0].copy())):
         reduced = decode(H, prior, cfg)
     ref = decode_minsum_reference(H, prior, cfg, observe=lambda r: theirs.append(r.copy()))
     return reduced, ref, ours, theirs

@@ -22,7 +22,7 @@ from ldpcsim.cli import (
 from ldpcsim.code import CodeInfo, ParityCheckMatrix, generate_regular
 from ldpcsim.decoder import DecoderConfig, decode
 from ldpcsim.errors import ConfigurationError, WorkerError
-from ldpcsim.parsim import WORKER_CAP_ENV, CostModel
+from ldpcsim.parsim import WORKER_CAP_ENV, CalibrationWarning, CostModel
 from ldpcsim.code import load_alist
 
 from conftest import DATA, irregular_code
@@ -638,6 +638,24 @@ class TestScale:
                    "--cost-config", str(cfg), "--calibrate"])
         assert rc == 1
         assert "DegenerateCostModel" in capsys.readouterr().err
+
+    def test_calibrate_skips_targets_the_checks_do_not_divide(self, capsys):
+        # 48 checks: the default targets of 8 and 10 processors are left
+        # out of the fit, which the other four targets meet.
+        with pytest.warns(CalibrationWarning, match="8, 10 processors"):
+            rc = main(["scale", "--gen", "96", "3", "6", "--seed", "1",
+                       "--processors", "1,3", "--calibrate"])
+        assert rc == 0
+        assert len(capsys.readouterr().out.strip().splitlines()) == 3
+
+    def test_calibrate_misses_the_targets_left_exits_1(self, capsys):
+        # 18 checks: 4 and 7 slaves are left out, and no fit of the other
+        # targets meets them within the tolerance.
+        with pytest.warns(CalibrationWarning, match="5, 8 processors"):
+            rc = main(["scale", "--gen", "36", "3", "6", "--seed", "2",
+                       "--processors", "1,3", "--calibrate"])
+        assert rc == 1
+        assert "NoFeasiblePoint" in capsys.readouterr().err
 
     def test_placement_override_changes_model(self, fixture_alist, tmp_path, capsys):
         def speedup_at_5(config_text):

@@ -301,7 +301,10 @@ def test_col_slots_list_each_variables_edges_in_ascending_id(code, request):
     for v in range(H.n):
         edges = np.flatnonzero(H.edge_var == v)
         own = slots.col[: len(edges), v]
-        assert slots.edge.flat[own].tolist() == edges.tolist()
+        # Edge e of check c sits in slot (e - row_ptr[c]) * m + c.
+        checks = np.searchsorted(H.row_ptr, edges, side="right") - 1
+        expected = (edges - H.row_ptr[checks]) * H.m + checks
+        assert slots.edge_slot[edges].tolist() == expected.tolist()
         assert own.tolist() == slots.edge_slot[edges].tolist()
         assert (slots.col[len(edges) :, v] == zero).all()
     # Every edge's slot is read once; only the padding reads the zero slot.

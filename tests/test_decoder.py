@@ -19,7 +19,14 @@ from ldpcsim.errors import ConfigurationError, LengthMismatch
 from ldpcsim.parsim.workers import check_block_messages
 
 from conftest import SMALL_REGULAR_PARAMS, adjacency, irregular_code, noisy_prior
-from oracles import check_row_oracle, decode_minsum_reference, recording, traced_pair
+from oracles import (
+    check_row_oracle,
+    decode_minsum_reference,
+    edge_messages,
+    recording,
+    set_edge_messages,
+    traced_pair,
+)
 
 NO_CLAMP = DecoderConfig(clamp=None)
 
@@ -42,13 +49,13 @@ def row_messages(values):
     H, state = state_with_differences(values)
     check_node_update_block(state, H, NO_CLAMP)
     scalar = check_block_messages(list(values), [len(values)], None, None)
-    return [as_bytes(state.check_msg), as_bytes(scalar), as_bytes(check_row_oracle(values))]
+    return [as_bytes(edge_messages(state)), as_bytes(scalar), as_bytes(check_row_oracle(values))]
 
 
 def differences(state, H):
-    """Per-edge differences total - check_msg of a one-word state (its
+    """Per-edge differences total - message of a one-word state (its
     column 0), as the kernels form them."""
-    return (state.total[H.edge_var, 0] - state.check_msg[:, 0]).tolist()
+    return (state.total[H.edge_var, 0] - edge_messages(state)[:, 0]).tolist()
 
 
 def scalar_messages(state, H, cfg):
@@ -101,24 +108,24 @@ class TestCheckNodeUpdate:
         rng = np.random.default_rng(seed)
         H = generate_regular(24, 3, 6, seed=seed)
         state = init_state(H, rng.normal(0, 3, 24), NO_CLAMP)
-        state.check_msg = rng.normal(0, 1, (H.edges, 1))
+        set_edge_messages(state, rng.normal(0, 1, (H.edges, 1)))
         d = differences(state, H)
         expected = []
         for c in range(H.m):
             expected += check_row_oracle(d[H.row_ptr[c] : H.row_ptr[c + 1]])
         assert scalar_messages(state, H, NO_CLAMP).tobytes() == as_bytes(expected)
         check_node_update_block(state, H, NO_CLAMP)
-        assert state.check_msg.tobytes() == as_bytes(expected)
+        assert edge_messages(state).tobytes() == as_bytes(expected)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_block_kernel_matches_scalar_exactly(self, seed):
         rng = np.random.default_rng(100 + seed)
         H = generate_regular(24, 3, 4, seed=seed)
         state = init_state(H, rng.normal(0, 3, 24), NO_CLAMP)
-        state.check_msg = rng.normal(0, 1, (H.edges, 1))
+        set_edge_messages(state, rng.normal(0, 1, (H.edges, 1)))
         scalar = scalar_messages(state, H, NO_CLAMP)
         check_node_update_block(state, H, NO_CLAMP)
-        assert state.check_msg.tobytes() == scalar.tobytes()
+        assert edge_messages(state).tobytes() == scalar.tobytes()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_block_kernel_on_rows_of_unequal_degree(self, seed):
@@ -132,10 +139,10 @@ class TestCheckNodeUpdate:
             msgs = rng.normal(0, 1, (H.edges, 1))
             msgs[::5] = 0.0  # ties and zero differences
             state = init_state(H, prior, cfg)
-            state.check_msg = msgs
+            set_edge_messages(state, msgs)
             scalar = scalar_messages(state, H, cfg)
             check_node_update_block(state, H, cfg)
-            assert state.check_msg.tobytes() == scalar.tobytes()
+            assert edge_messages(state).tobytes() == scalar.tobytes()
 
 
 # Saturation settings the scalar/block property covers.
@@ -169,11 +176,11 @@ def test_scalar_and_block_kernels_saturate_alike(cfg, code, data):
          ParityCheckMatrix([[0, 1], [0, 1, 2, 3, 4]], 5)][code]
     d = data.draw(st.lists(DIFFERENCE, min_size=H.edges, max_size=H.edges))
     state = init_state(H, np.zeros(H.n), cfg)
-    state.check_msg = np.negative(d)[:, None]  # total 0, so each difference is d
+    set_edge_messages(state, np.negative(d)[:, None])  # total 0, so each difference is d
     assert differences(state, H) == d
     scalar = scalar_messages(state, H, cfg)
     check_node_update_block(state, H, cfg)
-    assert state.check_msg.tobytes() == scalar.tobytes()
+    assert edge_messages(state).tobytes() == scalar.tobytes()
 
 
 # Ties and signed zeros come up often among these values.
@@ -203,7 +210,7 @@ def test_scalar_kernel_bytes_equal_block_kernel(cfg, degs, data):
     state = init_state(H, np.asarray(prior), cfg)
     scalar = scalar_messages(state, H, cfg)
     check_node_update_block(state, H, cfg)
-    assert state.check_msg.tobytes() == scalar.tobytes()
+    assert edge_messages(state).tobytes() == scalar.tobytes()
 
 
 @pytest.mark.parametrize("cfg", [NO_CLAMP, DecoderConfig(qformat=QFormat(8, 4))],
@@ -218,7 +225,8 @@ def test_padding_message_slots_are_inert(cfg, seed):
     prior = rng.normal(0.5, 2.0, size=(3, H.n))
     msgs = rng.normal(0.0, 1.0, size=(H.edges, 3))
     clean, poisoned = init_state(H, prior, cfg), init_state(H, prior, cfg)
-    clean.check_msg = poisoned.check_msg = msgs
+    set_edge_messages(clean, msgs)
+    set_edge_messages(poisoned, msgs)
     pad = poisoned.msg_flat[H.slots.pad_slot]
     assert pad.size
     poisoned.msg_flat[H.slots.pad_slot] = np.resize([np.nan, np.inf, -np.inf, 1e300], pad.shape)
@@ -227,7 +235,7 @@ def test_padding_message_slots_are_inert(cfg, seed):
         for state in (clean, poisoned):
             check_node_update_block(state, H, cfg)
             variable_node_update(state, H, cfg)
-    assert poisoned.check_msg.tobytes() == clean.check_msg.tobytes()
+    assert edge_messages(poisoned).tobytes() == edge_messages(clean).tobytes()
     assert poisoned.total.tobytes() == clean.total.tobytes()
 
 
@@ -236,8 +244,8 @@ class TestInitState:
         prior = np.arange(7, dtype=np.float64) - 3.0
         state = init_state(hamming74, prior, NO_CLAMP)
         assert state.total[:, 0].tolist() == prior.tolist()
-        assert not state.check_msg.any()
-        assert state.check_msg.shape == (hamming74.edges, 1)
+        assert not edge_messages(state).any()
+        assert edge_messages(state).shape == (hamming74.edges, 1)
 
     def test_priors_saturated_on_entry(self, hamming74):
         cfg = DecoderConfig(clamp=8.0)
@@ -256,7 +264,7 @@ class TestVariableNodeUpdate:
     def test_direct_sum(self):
         H = ParityCheckMatrix([[0, 1], [0, 1]], 2)
         state = init_state(H, np.array([1.0, 0.0]), NO_CLAMP)
-        state.check_msg = np.array([[0.5], [0.0], [-2.0], [0.0]])
+        set_edge_messages(state, np.array([[0.5], [0.0], [-2.0], [0.0]]))
         variable_node_update(state, H, NO_CLAMP)
         assert state.total[0, 0] == -0.5
 
@@ -264,7 +272,7 @@ class TestVariableNodeUpdate:
         cfg = DecoderConfig(clamp=8.0)
         H = ParityCheckMatrix([[0, 1], [0, 1]], 2)
         state = init_state(H, np.array([7.0, 0.0]), cfg)
-        state.check_msg = np.array([[5.0], [0.0], [0.0], [0.0]])
+        set_edge_messages(state, np.array([[5.0], [0.0], [0.0], [0.0]]))
         variable_node_update(state, H, cfg)
         assert state.total[0, 0] == 8.0
 
@@ -272,7 +280,7 @@ class TestVariableNodeUpdate:
 def bincount_totals(state, H, cfg):
     """Saturated prior + incoming messages, each variable's summed from
     +0.0 in ascending edge order by a weighted np.bincount per word."""
-    msgs = state.check_msg
+    msgs = edge_messages(state)
     incoming = np.stack(
         [np.bincount(H.edge_var, weights=msgs[:, b], minlength=H.n) for b in range(msgs.shape[1])],
         axis=1,
@@ -286,7 +294,7 @@ class TestColumnSum:
         # begins at +0.0, as bincount's bins do, so the total is +0.0.
         H = ParityCheckMatrix([[0, 1], [0, 1]], 2)
         state = init_state(H, np.array([-0.0, 0.5]), NO_CLAMP)
-        state.check_msg = np.array([[-0.0], [1.0], [-0.0], [-0.25]])
+        set_edge_messages(state, np.array([[-0.0], [1.0], [-0.0], [-0.25]]))
         expected = bincount_totals(state, H, NO_CLAMP)
         variable_node_update(state, H, NO_CLAMP)
         assert state.total.tobytes() == expected.tobytes() == as_bytes([0.0, 1.25])
@@ -301,7 +309,7 @@ class TestColumnSum:
             prior = rng.choice([-0.0, 0.0, -0.01, 0.75, -1.5], size=shape)
             state = init_state(H, prior, cfg)
             mshape = (H.edges, words or 1)
-            state.check_msg = rng.choice([-0.0, 0.0, 0.5, -2.0, 1e-3], size=mshape)
+            set_edge_messages(state, rng.choice([-0.0, 0.0, 0.5, -2.0, 1e-3], size=mshape))
             expected = bincount_totals(state, H, cfg)
             variable_node_update(state, H, cfg)
             assert state.total.tobytes() == expected.tobytes()
@@ -318,7 +326,7 @@ class TestColumnSum:
         def record(state):
             zero_slots.append(state.msg_flat[-1].tobytes())
             widths.append(state.total.shape[1])
-            views = (state.prior, state.msg, state.check_msg, hard_decision(state))
+            views = (state.prior, state.msg, edge_messages(state), hard_decision(state))
             shapes.append(tuple(view.shape for view in views))
 
         with recording("variable_node_update", record):
@@ -501,13 +509,13 @@ class TestBatchDecode:
         cfg = DecoderConfig(max_iter=12, early_exit=False, **saturation)
         prior = np.random.default_rng(seed).normal(0.8, 2.0, size=(words, H.n))
         batch = []
-        with recording("check_node_update_block", lambda s: batch.append(s.check_msg.copy())):
+        with recording("check_node_update_block", lambda s: batch.append(edge_messages(s).copy())):
             decode(H, prior, cfg)
         assert len(batch) == cfg.max_iter
         for b in range(words):
             alone = []
             with recording("check_node_update_block",
-                           lambda s: alone.append(s.check_msg.copy())):
+                           lambda s: alone.append(edge_messages(s).copy())):
                 decode(H, prior[b], cfg)
             assert [m[:, b].tobytes() for m in batch] == [m.tobytes() for m in alone]
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ldpcsim.cli import scale_rows
 from ldpcsim.code import generate_regular
 from ldpcsim.decoder import DecoderConfig, decode, worst_case_config
-from ldpcsim.errors import DegenerateCostModel, LengthMismatch, NoFeasiblePoint
+from ldpcsim.errors import DegenerateCostModel, LengthMismatch, NoFeasiblePoint, NotDivisible
 from ldpcsim.parsim.model import (
     DEFAULT_SPEEDUP_TARGETS,
     CalibrationWarning,
@@ -414,9 +414,31 @@ class TestCalibrate:
             assert abs(speedups[procs] - target) <= 0.10
 
     def test_fitted_point_pinned(self, fixture252):
-        fitted = calibrate(CostModel(), DEFAULT_SPEEDUP_TARGETS, fixture252)
+        # 252 checks divide among every default target's slaves: no
+        # target is skipped, and nothing warns.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CalibrationWarning)
+            fitted = calibrate(CostModel(), DEFAULT_SPEEDUP_TARGETS, fixture252)
         point = (fitted.cycles_packet_fixed, fitted.cycles_per_hop, fitted.cycles_iter_fixed)
         assert point == (2859.75, 0.0, 3255.0)
+
+    def test_targets_whose_slaves_do_not_divide_the_checks_are_skipped(self):
+        # 48 checks: the targets of 8 and 10 processors (7 and 9 slaves)
+        # are left out, and the fit is the fit of the other four alone.
+        H = generate_regular(96, 3, 6, seed=1)
+        with pytest.warns(CalibrationWarning, match=r"targets for 8, 10 processors"):
+            fitted = calibrate(CostModel(), DEFAULT_SPEEDUP_TARGETS, H)
+        point = (fitted.cycles_packet_fixed, fitted.cycles_per_hop, fitted.cycles_iter_fixed)
+        assert point == (1418.25, 616.125, 17887.0)
+        kept = {procs: DEFAULT_SPEEDUP_TARGETS[procs] for procs in (3, 4, 5, 7)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CalibrationWarning)
+            assert calibrate(CostModel(), kept, H) == fitted
+
+    def test_no_target_left_is_not_divisible(self):
+        H = generate_regular(96, 3, 6, seed=1)
+        with pytest.raises(NotDivisible):
+            calibrate(CostModel(), {8: 1.24, 10: 1.22}, H)
 
     def test_idempotent(self, fixture252):
         once = calibrate(CostModel(), DEFAULT_SPEEDUP_TARGETS, fixture252)

@@ -121,7 +121,7 @@ class TestPlanMessages:
     def test_total_payload_conservation(self, fixture252):
         for slaves in [1, 2, 3, 4, 6, 7, 9, 12]:
             plan = plan_messages(fixture252, make_partition(252, slaves))
-            assert plan.total_bytes == 2 * fixture252.edges * 4
+            assert 2 * sum(plan.to_slave_bytes) == 2 * fixture252.edges * 4
 
     def test_edge_counts_attached(self, fixture252):
         p = attach_edge_counts(make_partition(252, 6), fixture252)
@@ -158,7 +158,7 @@ def test_edge_geometry_agrees_for_every_divisor(params, seed, word_bytes):
         counts = attach_edge_counts(p, H).edge_counts
         assert counts == tuple(hi - lo for lo, hi in slices)
         plan = plan_messages(H, p, word_bytes=word_bytes)
-        assert plan.total_bytes == 2 * H.edges * word_bytes
+        assert 2 * sum(plan.to_slave_bytes) == 2 * H.edges * word_bytes
         assert plan.to_slave_bytes == tuple(c * word_bytes for c in counts)
         assert plan.to_slave_packets == tuple(
             -(-b // PACKET_BYTES) for b in plan.to_slave_bytes

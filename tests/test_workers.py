@@ -22,7 +22,7 @@ from ldpcsim.parsim.workers import (
 from ldpcsim.partition import Partition, attach_edge_counts, make_partition
 
 from conftest import irregular_code, noisy_prior
-from oracles import recording
+from oracles import edge_messages, recording, set_edge_messages
 
 
 @contextlib.contextmanager
@@ -63,16 +63,17 @@ class TestScalarKernel:
         prior = rng.normal(0, 2, 48)
         cfg = DecoderConfig()
         state = init_state(small_code, prior, cfg)
-        state.check_msg = rng.normal(0, 1, (small_code.edges, 1))
+        set_edge_messages(state, rng.normal(0, 1, (small_code.edges, 1)))
+        msgs = edge_messages(state)
         d = [
-            float(state.total[v, 0] - state.check_msg[e, 0])
+            float(state.total[v, 0] - msgs[e, 0])
             for e, v in enumerate(small_code.edge_var)
         ]
         scalar = check_block_messages(
             d, small_code.row_degrees().tolist(), cfg.clamp, None
         )
         check_node_update_block(state, small_code, cfg)
-        assert scalar.tobytes() == state.check_msg.tobytes()
+        assert scalar.tobytes() == edge_messages(state).tobytes()
 
     @pytest.mark.parametrize(
         "cfg",
@@ -98,7 +99,7 @@ class TestScalarKernel:
             array_trace, states = [], []
 
             def record(s):
-                array_trace.append(s.check_msg.tobytes())
+                array_trace.append(edge_messages(s).tobytes())
                 states.append(s)
 
             with recording("check_node_update_block", record):
@@ -375,6 +376,39 @@ class TestParallelWorkers:
         assert np.array_equal(result.bits, ref.bits)
         assert result.converged == ref.converged
         assert result.iterations_used == ref.iterations_used == 30
+
+    @pytest.mark.parametrize("slaves", [1, 2])
+    def test_wide_fixed_point_run_matches_decode(self, fixture252, slaves):
+        # Over 30 iterations the totals outgrow a 4-byte Q40.4 word, so a
+        # format wider than 32 bits travels in 8-byte words.
+        cfg = DecoderConfig(qformat=QFormat(40, 4))
+        prior = noisy_prior(fixture252, ebno_db=3.0, seed=1)
+        result, _ = run_parallel_workers(
+            fixture252, prior, cfg, make_partition(252, slaves), reps=1, worst_case=True
+        )
+        ref = decode(fixture252, prior, worst_case_config(cfg))
+        assert np.array_equal(result.bits, ref.bits)
+        assert result.converged == ref.converged
+        assert result.iterations_used == ref.iterations_used == 30
+
+    @pytest.mark.parametrize("qformat, word_bytes", [
+        (None, 8), (QFormat(8, 4), 4), (QFormat(32, 4), 4), (QFormat(33, 4), 8),
+    ])
+    def test_wire_word_holds_the_format(self, small_code, monkeypatch, qformat, word_bytes):
+        import ldpcsim.parsim.workers as workers_mod
+
+        sizes = set()
+        pack = workers_mod.pack_llrs
+
+        def sized(values, **wire):
+            sizes.add(wire["word_bytes"])
+            return pack(values, **wire)
+
+        monkeypatch.setattr(workers_mod, "pack_llrs", sized)
+        prior = noisy_prior(small_code, ebno_db=2.0, seed=10)
+        run_parallel_workers(small_code, prior, DecoderConfig(qformat=qformat),
+                             make_partition(small_code.m, 1), reps=1)
+        assert sizes == {word_bytes}
 
     @pytest.mark.parametrize("slaves", [1, 2])
     def test_wire_codec_called_once_per_block_per_direction(
