@@ -75,7 +75,10 @@ def _qformat(spec: str | None) -> QFormat | None:
     total, dot, frac = spec.partition(".")
     if not (dot and total.isdecimal() and frac.isdecimal()):
         raise ConfigurationError(f"--qformat expects TOTAL.FRAC, e.g. 8.4, got {spec!r}")
-    return QFormat(int(total), int(frac))
+    try:
+        return QFormat(int(total), int(frac))
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"--qformat {spec}: {exc}") from exc
 
 
 def _decoder_config(args) -> DecoderConfig:

@@ -31,6 +31,41 @@ def _duplicate_key(keys: np.ndarray) -> int | None:
     return int(s[hit[0]]) if hit.size else None
 
 
+def _repeats_in_a_row(rows: np.ndarray) -> bool:
+    """True iff some row of `rows`, shaped (m, w), holds a value twice."""
+    w = rows.shape[1]
+    return any((rows[:, i] == rows[:, j]).any() for i, j in itertools.combinations(range(w), 2))
+
+
+def _transpose_masks(masks: list[int], k: int) -> list[int]:
+    """The k row masks of the matrix whose column i is the k-bit int
+    masks[i]: bit i of row j is bit j of masks[i].  Unpacks 2048 columns
+    at a time, so at most 2048 * k bytes of bits are held at once."""
+    rows, nbytes = [0] * k, (k + 7) // 8
+    for lo in range(0, len(masks), 2048):
+        part = masks[lo : lo + 2048]
+        packed = np.frombuffer(b"".join(x.to_bytes(nbytes, "little") for x in part), np.uint8)
+        bits = np.unpackbits(packed.reshape(len(part), nbytes), axis=1, count=k, bitorder="little")
+        for j, word in enumerate(np.packbits(bits.T, axis=1, bitorder="little")):
+            rows[j] |= int.from_bytes(word.tobytes(), "little") << lo
+    return rows
+
+
+def _xor_basis_rank(rows: list[int]) -> int:
+    """GF(2) rank of the rows, each an int bit mask: each row is reduced by
+    an xor basis keyed by top bit, and whatever is left joins the basis."""
+    basis: dict[int, int] = {}
+    for row in rows:
+        while row:
+            top = row.bit_length() - 1
+            pivot = basis.get(top)
+            if pivot is None:
+                basis[top] = row
+                break
+            row ^= pivot
+    return len(basis)
+
+
 class ParityCheckMatrix:
     """Immutable sparse binary matrix, held as its Tanner graph's edge arrays.
 
@@ -108,33 +143,72 @@ class ParityCheckMatrix:
 
     @functools.cached_property
     def rank(self) -> int:
-        # Each row, as a Python-int bit mask, is reduced by an xor basis
-        # keyed by top bit; whatever is left joins the basis.  A reduction
-        # never sets a bit above the row's own top bit, and variables get
-        # lower bits the later their last check comes, so once row c is done
-        # the entries keyed at bits no later row meets are dropped.
-        last_check = self.edge_rows()[self.col_edge[self.col_ptr[1:] - 1]]
-        bit = np.empty(self.n, dtype=np.int64)
-        bit[np.argsort(last_check, kind="stable")] = np.arange(self.n - 1, -1, -1)
-        # Rows after row c meet only the bits below live[c].
-        live = (self.n - np.cumsum(np.bincount(last_check, minlength=self.m))).tolist()
-        var, ptr = bit[self.edge_var].tolist(), self.row_ptr.tolist()
-        basis: dict[int, int] = {}
-        rank, dead = 0, self.n
-        for c in range(self.m):
-            row = sum(1 << v for v in var[ptr[c] : ptr[c + 1]])
-            while row:
-                top = row.bit_length() - 1
-                pivot = basis.get(top)
-                if pivot is None:
-                    basis[top] = row
-                    rank += 1
+        # Greedy triangulation (Richardson & Urbanke, "Efficient encoding of
+        # low-density parity-check codes", 2001).  A live row with one live
+        # column pivots on it.  With no such row left, a live row of least
+        # live degree retires all its live columns but its last and then
+        # pivots.  A row that loses its last live column without a pivot
+        # joins the core.  Each pivot row meets only columns that died before
+        # its pivot, so the pivots form a unit lower-triangular block and the
+        # rank is their count plus the rank of the core rows once the pivot
+        # rows have cleared the core's pivot columns.
+        ptr, var = memoryview(self.row_ptr), memoryview(self.edge_var)
+        col_ptr, col_row = memoryview(self.col_ptr), memoryview(self.edge_rows()[self.col_edge])
+        deg = self.row_degrees().tolist()
+        live_row, live_col = bytearray(b"\x01") * self.m, bytearray(b"\x01") * self.n
+        # Rows by live degree; an entry whose row has since moved is skipped.
+        bucket: list[list[int]] = [[] for _ in range(max(deg) + 1)]
+        for r in range(self.m - 1, -1, -1):
+            bucket[deg[r]].append(r)
+        pivots: list[tuple[int, int]] = []
+        core: list[int] = []
+        least = 2  # no bucket below bucket[least] holds a live row of degree 2 or more
+        while True:
+            if bucket[1]:
+                r = bucket[1].pop()
+                if not live_row[r] or deg[r] != 1:
+                    continue
+                dying = [c for c in var[ptr[r] : ptr[r + 1]] if live_col[c]]
+                live_row[r] = 0
+                pivots.append((r, dying[0]))
+            else:
+                for d in range(least, len(bucket)):
+                    rows = bucket[d]
+                    while rows and not (live_row[rows[-1]] and deg[rows[-1]] == d):
+                        rows.pop()
+                    if rows:
+                        break
+                else:
                     break
-                row ^= pivot
-            for t in range(live[c], dead):
-                basis.pop(t, None)
-            dead = live[c]
-        return rank
+                least, r = d, bucket[d].pop()
+                dying = [c for c in var[ptr[r] : ptr[r + 1]] if live_col[c]][:-1]
+            for c in dying:
+                live_col[c] = 0
+                for r in col_row[col_ptr[c] : col_ptr[c + 1]]:
+                    if live_row[r]:
+                        d = deg[r] = deg[r] - 1
+                        if d:
+                            bucket[d].append(r)
+                            if d < least:
+                                least = d
+                        else:
+                            live_row[r] = 0
+                            core.append(r)
+        if not core:
+            return len(pivots)
+        # mask[c]: the core rows that meet column c, core row j at bit j.
+        # Clearing pivot p from the core adds its row to the core rows in
+        # mask[p]; walked in reverse, each pivot column is cleared after
+        # every later pivot row has added to it, and its own XOR zeroes it.
+        mask = [0] * self.n
+        for j, r in enumerate(core):
+            for c in var[ptr[r] : ptr[r + 1]]:
+                mask[c] |= 1 << j
+        for r, p in reversed(pivots):
+            if x := mask[p]:
+                for c in var[ptr[r] : ptr[r + 1]]:
+                    mask[c] ^= x
+        return len(pivots) + _xor_basis_rank(_transpose_masks([x for x in mask if x], len(core)))
 
     def row_degrees(self) -> np.ndarray:
         return np.diff(self.row_ptr)
@@ -291,12 +365,11 @@ def generate_regular(
             f"degrees infeasible for {m}x{n}: wr={wr} > n or wc={wc} > m"
         )
     rng = np.random.default_rng(seed)
-    row_sockets = np.repeat(np.arange(m), wr)
     col_sockets = np.repeat(np.arange(n), wc)
     for _ in range(max_attempts):
-        perm = rng.permutation(col_sockets)
-        if _duplicate_key(row_sockets * n + perm) is None:
-            return ParityCheckMatrix(perm.reshape(m, wr), n)
+        rows = rng.permutation(col_sockets).reshape(m, wr)
+        if not _repeats_in_a_row(rows):
+            return ParityCheckMatrix(rows, n)
     raise InfeasibleParameters(
         f"no duplicate-free edge assignment found in {max_attempts} attempts "
         f"for n={n} wc={wc} wr={wr}"

@@ -60,6 +60,8 @@ class QFormat:
 
     Values live on multiples of 2^-frac_bits and saturate symmetrically at
     +-(2^(total_bits-1) - 1) / 2^frac_bits.  Rounding is ties-to-even.
+    The values are float64, whose 53-bit significand holds such a grid
+    exactly only up to total_bits = 53.
     """
 
     total_bits: int = 8
@@ -69,6 +71,11 @@ class QFormat:
         if not 0 <= self.frac_bits < self.total_bits:
             raise ConfigurationError(
                 f"need 0 <= frac_bits < total_bits, got Q{self.total_bits}.{self.frac_bits}"
+            )
+        if self.total_bits > 53:
+            raise ConfigurationError(
+                f"need total_bits <= 53, which float64 holds exactly, "
+                f"got Q{self.total_bits}.{self.frac_bits}"
             )
 
     @property

@@ -4,7 +4,8 @@
 `decode_minsum_reference` is classic min-sum with explicit
 variable-to-check messages; its check update is `check_row_oracle`, the
 literal product/min over each exclusion set of one row.
-`uncoded_bpsk_ber` is the closed-form bit error rate the BER tests compare
+`gf2_rank_by_rows` is the GF(2) rank the tests hold `ParityCheckMatrix.rank`
+to.  `uncoded_bpsk_ber` is the closed-form bit error rate the BER tests compare
 coded rows with.  `traced_pair` runs `decode` and the reference side by
 side and keeps each one's messages of every iteration; `recording` is how
 tests see decode's state at every iteration, and `edge_messages` and
@@ -143,3 +144,37 @@ def traced_pair(H, prior, cfg):
         reduced = decode(H, prior, cfg)
     ref = decode_minsum_reference(H, prior, cfg, observe=lambda r: theirs.append(r.copy()))
     return reduced, ref, ours, theirs
+
+
+def gf2_rank_by_rows(H) -> int:
+    """GF(2) rank of H by an xor basis over whole rows, sharing no code
+    with `ParityCheckMatrix.rank`'s peeling.
+
+    Each row, as a Python-int bit mask, is reduced by an xor basis keyed
+    by top bit; whatever is left joins the basis.  A reduction never sets
+    a bit above the row's own top bit, and variables get lower bits the
+    later their last check comes, so once row c is done the entries keyed
+    at bits no later row meets are dropped.
+    """
+    last_check = H.edge_rows()[H.col_edge[H.col_ptr[1:] - 1]]
+    bit = np.empty(H.n, dtype=np.int64)
+    bit[np.argsort(last_check, kind="stable")] = np.arange(H.n - 1, -1, -1)
+    # Rows after row c meet only the bits below live[c].
+    live = (H.n - np.cumsum(np.bincount(last_check, minlength=H.m))).tolist()
+    var, ptr = bit[H.edge_var].tolist(), H.row_ptr.tolist()
+    basis: dict[int, int] = {}
+    rank, dead = 0, H.n
+    for c in range(H.m):
+        row = sum(1 << v for v in var[ptr[c] : ptr[c + 1]])
+        while row:
+            top = row.bit_length() - 1
+            pivot = basis.get(top)
+            if pivot is None:
+                basis[top] = row
+                rank += 1
+                break
+            row ^= pivot
+        for t in range(live[c], dead):
+            basis.pop(t, None)
+        dead = live[c]
+    return rank

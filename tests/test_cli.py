@@ -453,6 +453,17 @@ class TestScale:
         assert "--matrix" not in captured.err
         assert captured.out == ""
 
+    # A Q-format wider than float64's 53-bit significand is no exact grid;
+    # it is refused before the sweep, in either mode.
+    @pytest.mark.parametrize("mode", ["costmodel", "threads"])
+    def test_qformat_wider_than_float64_exits_2_naming_the_flag(self, capsys, mode):
+        argv = ["scale", "--gen", "504", "3", "6", "--seed", "1", "--mode", mode,
+                "--processors", "1,3", "--reps", "1", "--qformat", "64.60"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "--qformat 64.60: need total_bits <= 53" in captured.err
+        assert captured.out == ""
+
     def test_default_costmodel_sweep(self, fixture_alist, capsys):
         rc = main(["scale", "--matrix", str(fixture_alist), "--seed", "1"])
         assert rc == 0

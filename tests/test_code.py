@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from ldpcsim.code import (
     CodeInfo,
     ParityCheckMatrix,
+    _duplicate_key,
+    _repeats_in_a_row,
     generate_regular,
     load_alist,
     save_alist,
@@ -21,6 +23,7 @@ from ldpcsim.errors import (
 )
 
 from conftest import SMALL_REGULAR_PARAMS, DATA, adjacency, irregular_code
+from oracles import gf2_rank_by_rows
 
 FIXTURE252_SHA256 = "3f9135b416d3c8815fd818a3d9cb5c8b17bd1e584472e6b8e0879491bf63e7cb"
 LONG_CODE_SHA256 = "58b803950feb128fbcb3a78a237b6e4e8dade8c14f3320d93f18a3e1b66de63a"
@@ -246,6 +249,33 @@ class TestGenerateRegular:
         O = _list_generate_regular(n, wc, wr, seed=seed)
         assert np.array_equal(H.row_ptr, O.row_ptr)
         assert np.array_equal(H.edge_var, O.edge_var)
+
+    @pytest.mark.parametrize("where", ["first row", "last row", "none"])
+    def test_row_duplicate_test_rejects_what_the_edge_key_test_rejects(self, where):
+        # Rows of a (2, 4)-regular code over 24 variables, with one
+        # variable written twice into the first or the last row.
+        rows = generate_regular(24, 2, 4, seed=0).edge_var.reshape(12, 4)
+        if where == "first row":
+            rows[0, 1] = rows[0, 0]
+        elif where == "last row":
+            rows[-1, 3] = rows[-1, 2]
+        keys = np.repeat(np.arange(12), 4) * 24 + rows.ravel()
+        assert _repeats_in_a_row(rows) == (where != "none")
+        assert _repeats_in_a_row(rows) == (_duplicate_key(keys) is not None)
+
+    @pytest.mark.parametrize("n,wc,wr", SMALL_REGULAR_PARAMS + [(504, 3, 6)])
+    def test_row_duplicate_test_agrees_on_the_generators_draws(self, n, wc, wr):
+        m = n * wc // wr
+        rng = np.random.default_rng(0)
+        col_sockets = np.repeat(np.arange(n), wc)
+        verdicts = set()
+        for _ in range(50):
+            rows = rng.permutation(col_sockets).reshape(m, wr)
+            keys = np.repeat(np.arange(m), wr) * n + rows.ravel()
+            verdict = _repeats_in_a_row(rows)
+            assert verdict == (_duplicate_key(keys) is not None)
+            verdicts.add(verdict)
+        assert True in verdicts
 
     @pytest.mark.parametrize(
         "args,kwargs",
@@ -490,6 +520,55 @@ class TestCodeInfo:
         assert CodeInfo.from_matrix(H).k == 49
 
 
+def _gallager_code(n, wc, wr, seed):
+    """Gallager's construction: wc bands of n // wr rows, the first band
+    consecutive runs of wr columns, each other band a column permutation of
+    it.  Each band's rows sum to the all-ones row, so the rank is at most
+    m - wc + 1."""
+    rng = np.random.default_rng(seed)
+    band = np.arange(n).reshape(n // wr, wr)
+    rows = [band] + [np.sort(rng.permutation(n)[band], axis=1) for _ in range(wc - 1)]
+    return ParityCheckMatrix(np.concatenate(rows), n)
+
+
+@pytest.mark.parametrize(
+    "make,rank",
+    [
+        (lambda: generate_regular(96, 2, 4, seed=3), 47),
+        (lambda: generate_regular(2520, 3, 6, seed=0), None),
+        (lambda: generate_regular(2520, 3, 6, seed=1), None),
+        (lambda: generate_regular(2520, 3, 6, seed=2), None),
+        (lambda: _gallager_code(504, 3, 6, seed=1), 250),
+        (lambda: irregular_code(60, 120, 1), None),
+        (lambda: ParityCheckMatrix([[0, 2, 5], [1, 2], [3, 4, 5], [1, 2], [0, 4]], 6), 4),
+        (lambda: generate_regular(20160, 3, 6, seed=1), 10080),
+    ],
+    ids=["even-column-weight", "2520-seed0", "2520-seed1", "2520-seed2", "gallager",
+         "irregular", "repeated-row", "20160-seed1"],
+)
+def test_rank_matches_the_row_basis_oracle(make, rank):
+    H = make()
+    assert H.rank == gf2_rank_by_rows(H)
+    if rank is not None:
+        assert H.rank == rank
+
+
+def test_rank_memory_peak_on_the_long_code():
+    # The rank of the scale-model code holds at most a few MB at once: the
+    # per-column core masks and one block of unpacked bits, not a mask of
+    # every row or every column unpacked at once.
+    import tracemalloc
+
+    H = generate_regular(20160, 3, 6, seed=1)
+    tracemalloc.start()
+    try:
+        assert H.rank == 10080
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, f"rank peaked at {peak / 1e6:.2f} MB"
+
+
 def _dense(H):
     dense = np.zeros((H.m, H.n), dtype=np.uint8)
     dense[H.edge_rows(), H.edge_var] = 1
@@ -517,8 +596,8 @@ def _gf2_rank(dense):
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**16),
-    m=st.integers(1, 10),
-    n=st.integers(1, 14),
+    m=st.integers(1, 40),
+    n=st.integers(1, 60),
     sums=st.integers(0, 4),
 )
 def test_rank_matches_plain_elimination(seed, m, n, sums):

@@ -773,6 +773,13 @@ class TestFixedPoint:
         with pytest.raises(ConfigurationError):
             QFormat(4, 4)
 
+    def test_qformat_wider_than_float64_rejected(self):
+        for total in (54, 64):
+            with pytest.raises(ConfigurationError, match="total_bits <= 53"):
+                QFormat(total, 4)
+        q = QFormat(53, 4)
+        assert q.quantize(np.array([1e300]))[0] == q.max_value == (2.0**52 - 1) / 16
+
     def test_q84_saturation_bound(self):
         q = QFormat(8, 4)
         assert q.max_value == 7.9375
