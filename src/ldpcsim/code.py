@@ -86,10 +86,7 @@ class ParityCheckMatrix:
     """
 
     def __init__(self, rows: Sequence[Sequence[int]], n: int):
-        m = len(rows)
-        if m < 1 or n < 1:
-            raise MalformedAlist(f"matrix must be at least 1x1, got {m}x{n}")
-        degs = np.fromiter(map(len, rows), dtype=np.int64, count=m)
+        degs = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
         row_ptr = np.concatenate(([0], np.cumsum(degs)))
         try:
             edge_var = np.fromiter(
@@ -97,6 +94,22 @@ class ParityCheckMatrix:
             )
         except OverflowError as exc:
             raise MalformedAlist(f"variable index out of range: {exc}") from exc
+        self._set_csr(row_ptr, edge_var, n)
+
+    @classmethod
+    def _from_csr(cls, row_ptr: np.ndarray, edge_var: np.ndarray, n: int) -> "ParityCheckMatrix":
+        """The matrix whose row c holds the variables edge_var[row_ptr[c]:
+        row_ptr[c+1]], both int64 arrays, which it keeps; checked as the
+        rows given to the constructor are."""
+        H = cls.__new__(cls)
+        H._set_csr(row_ptr, edge_var, n)
+        return H
+
+    def _set_csr(self, row_ptr: np.ndarray, edge_var: np.ndarray, n: int) -> None:
+        m = row_ptr.size - 1
+        if m < 1 or n < 1:
+            raise MalformedAlist(f"matrix must be at least 1x1, got {m}x{n}")
+        degs = np.diff(row_ptr)
         # Faults are reported for the first row that has one, as a scan of
         # the rows in order would find them; uncovered columns come last.
         edge_row = np.repeat(np.arange(m), degs)
@@ -258,21 +271,99 @@ class CodeInfo:
         return cls(n=H.n, k=k, rate=k / H.n)
 
 
+# Byte classes of alist text.  The line breaks are those of str.splitlines
+# and the blanks those of str.split that ASCII holds.
+_BLANK, _BREAK, _DIGIT, _SIGN, _OTHER = range(5)
+_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_CLASS[list(b" \t\x1f")] = _BLANK
+_CLASS[list(b"\n\r\x0b\x0c\x1c\x1d\x1e")] = _BREAK
+_CLASS[list(b"0123456789")] = _DIGIT
+_CLASS[list(b"+-")] = _SIGN
+_INT64_DIGITS = 19  # 10**19 > 2**63
+
+
+def _tokens(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """The integer tokens of `text`, int64, and the token count of each of
+    its non-blank lines.
+
+    Tokens are separated by blanks and line breaks, and each must read
+    [+-]?[0-9]+ and fit int64.  Works on the bytes as arrays: no Python
+    object per token or per line.
+    """
+    if not text.isascii():
+        raise MalformedAlist("alist text must be ASCII")
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    kind = _CLASS[buf]
+    edge = np.diff((kind > _BREAK).view(np.int8), prepend=np.int8(0), append=np.int8(0))
+    starts, ends = np.flatnonzero(edge == 1), np.flatnonzero(edge == -1)
+    del edge
+
+    def token(pos: int) -> str:
+        i = np.searchsorted(starts, pos, side="right") - 1
+        return text[starts[i] : ends[i]]
+
+    bad = np.flatnonzero(kind == _OTHER)
+    if bad.size:
+        raise MalformedAlist(f"non-integer token {token(bad[0])!r}")
+    # A sign must open its token, and digits must follow it.
+    sign = np.flatnonzero(kind == _SIGN)
+    signed = kind[starts] == _SIGN
+    bad = np.concatenate((
+        sign[(sign > 0) & (kind[sign - 1] > _BREAK)],
+        starts[signed & (ends - starts == 1)],
+    ))
+    if bad.size:
+        raise MalformedAlist(f"non-integer token {token(bad.min())!r}")
+    # Tokens before each line break, and so on each line.
+    per_line = np.diff(
+        np.searchsorted(starts, np.flatnonzero(kind == _BREAK)), prepend=0, append=starts.size
+    )
+    del kind
+
+    places = ends - starts
+    places -= signed
+    # Places from the 20th up may hold only leading zeros.
+    long = np.flatnonzero(places > _INT64_DIGITS)
+    if long.size:
+        nonzero = np.concatenate(([0], np.cumsum(buf != ord("0"))))
+        over = long[nonzero[ends[long] - _INT64_DIGITS] > nonzero[starts[long] + signed[long]]]
+        if over.size:
+            raise MalformedAlist(f"integer token {token(starts[over[0]])!r} out of int64 range")
+    places = np.minimum(places, _INT64_DIGITS, out=places).astype(np.uint8)
+    # Horner's rule over the last 19 places, whose value is below 10**19
+    # and so fits uint64: pass k reads place k of every token, at
+    # ends - 1 - k, as 0 where the token has no place k.  `ends` steps
+    # from ends - top back to itself.
+    mag = np.zeros(starts.size, dtype=np.uint64)
+    top = int(places.max(initial=0))
+    ends -= top
+    for k in range(top - 1, -1, -1):
+        digit = buf[ends] - np.uint8(ord("0"))
+        digit *= places > k
+        mag *= np.uint64(10)
+        mag += digit
+        ends += 1
+    del places
+    neg = buf[starts] == ord("-")
+    over = np.flatnonzero((mag > np.uint64(2**63 - 1)) & ~(neg & (mag == np.uint64(2**63))))
+    if over.size:
+        raise MalformedAlist(f"integer token {token(starts[over[0]])!r} out of int64 range")
+    np.negative(mag, out=mag, where=neg)
+    return mag.view(np.int64), per_line[per_line > 0]
+
+
 def load_alist(text: str) -> ParityCheckMatrix:
     """Parse an alist document into a ParityCheckMatrix.
 
     Layout: "n m" / "max_col_deg max_row_deg" / column degrees / row degrees /
     n column adjacency lines / m row adjacency lines, indices 1-based.
-    Zero entries (padding) in adjacency lines are ignored.
+    Zero entries (padding) in adjacency lines are ignored.  The text must
+    be ASCII; tokens read [+-]?[0-9]+ within int64, separated by blanks
+    and line breaks, and blank lines are skipped.
     """
-    lines = [parts for parts in map(str.split, text.splitlines()) if parts]
-    try:
-        tokens = np.fromiter(map(int, itertools.chain.from_iterable(lines)), dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
-        raise MalformedAlist(f"non-integer token: {exc}") from exc
-    counts = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
+    tokens, counts = _tokens(text)
     starts = np.concatenate(([0], np.cumsum(counts)))
-    if len(lines) < 4:
+    if counts.size < 4:
         raise MalformedAlist("alist needs at least 4 header lines")
     header = [tokens[starts[i] : starts[i + 1]] for i in range(4)]
     if len(header[0]) != 2:
@@ -280,8 +371,8 @@ def load_alist(text: str) -> ParityCheckMatrix:
     n, m = header[0].tolist()
     if n < 1 or m < 1:
         raise MalformedAlist(f"non-positive dimensions n={n} m={m}")
-    if len(lines) != 4 + n + m:
-        raise MalformedAlist(f"expected {4 + n + m} lines for n={n} m={m}, got {len(lines)}")
+    if counts.size != 4 + n + m:
+        raise MalformedAlist(f"expected {4 + n + m} lines for n={n} m={m}, got {counts.size}")
     col_degs, row_degs = header[2], header[3]
     if len(col_degs) != n:
         raise MalformedAlist(f"expected {n} column degrees, got {len(col_degs)}")
@@ -310,9 +401,8 @@ def load_alist(text: str) -> ParityCheckMatrix:
         return owner, entry - 1
 
     col_of, col_check = block(4, col_degs, m, "check")
-    var = block(4 + n, row_degs, n, "variable")[1].tolist()
-    ptr = np.cumsum(row_degs).tolist()
-    H = ParityCheckMatrix([var[a:b] for a, b in zip([0, *ptr], ptr)], n)
+    var = block(4 + n, row_degs, n, "variable")[1]
+    H = ParityCheckMatrix._from_csr(np.concatenate(([0], np.cumsum(row_degs))), var, n)
     # Both adjacency blocks must describe the same edge set.
     keys = np.sort(H.edge_rows() * n + H.edge_var)
     if not np.array_equal(np.sort(col_check * n + col_of), keys):
@@ -320,26 +410,36 @@ def load_alist(text: str) -> ParityCheckMatrix:
     return H
 
 
-def _lines(values: np.ndarray, ptr: np.ndarray) -> list[str]:
-    """Line i holds values[ptr[i]:ptr[i+1]], space separated."""
-    tokens = list(map(str, values.tolist()))
-    ptr = ptr.tolist()
-    return [" ".join(tokens[a:b]) for a, b in zip(ptr[:-1], ptr[1:])]
+def _ascii_lines(values: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """The ASCII bytes, as uint8, of the lines whose line i holds the
+    non-negative values[ptr[i]:ptr[i+1]] in decimal, space separated and
+    ended by a newline.  Each value gets one column per decimal place and
+    one for its separator, and its leading zeros are masked out."""
+    width = len(str(int(values.max())))
+    cells = np.empty((values.size, width + 1), dtype=np.uint8)
+    keep = np.ones(cells.shape, dtype=bool)
+    for j in range(width):
+        place = 10 ** (width - 1 - j)
+        cells[:, j] = values // place % 10
+        if j < width - 1:
+            keep[:, j] = values >= place
+    cells[:, :width] += ord("0")
+    cells[:, width] = ord(" ")
+    cells[ptr[1:] - 1, width] = ord("\n")
+    return cells[keep]
 
 
 def save_alist(H: ParityCheckMatrix) -> str:
     """Serialize to canonical alist: adjacency lists ascending, no padding."""
     cdegs, rdegs = H.col_degrees(), H.row_degrees()
     edge_row = H.edge_rows()
-    lines = [
-        f"{H.n} {H.m}",
-        f"{int(cdegs.max())} {int(rdegs.max())}",
-        " ".join(map(str, cdegs.tolist())),
-        " ".join(map(str, rdegs.tolist())),
-        *_lines(edge_row[H.col_edge] + 1, H.col_ptr),
-        *_lines(np.sort(edge_row * H.n + H.edge_var) % H.n + 1, H.row_ptr),
-    ]
-    return "\n".join(lines) + "\n"
+    head = np.concatenate(([H.n, H.m, cdegs.max(), rdegs.max()], cdegs, rdegs))
+    text = np.concatenate((
+        _ascii_lines(head, np.array([0, 2, 4, 4 + H.n, 4 + H.n + H.m])),
+        _ascii_lines(edge_row[H.col_edge] + 1, H.col_ptr),
+        _ascii_lines(np.sort(edge_row * H.n + H.edge_var) % H.n + 1, H.row_ptr),
+    ))
+    return str(memoryview(text), "ascii")
 
 
 def generate_regular(
@@ -369,7 +469,7 @@ def generate_regular(
     for _ in range(max_attempts):
         rows = rng.permutation(col_sockets).reshape(m, wr)
         if not _repeats_in_a_row(rows):
-            return ParityCheckMatrix(rows, n)
+            return ParityCheckMatrix._from_csr(np.arange(m + 1) * wr, rows.ravel(), n)
     raise InfeasibleParameters(
         f"no duplicate-free edge assignment found in {max_attempts} attempts "
         f"for n={n} wc={wc} wr={wr}"

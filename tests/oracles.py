@@ -5,7 +5,10 @@
 variable-to-check messages; its check update is `check_row_oracle`, the
 literal product/min over each exclusion set of one row.
 `gf2_rank_by_rows` is the GF(2) rank the tests hold `ParityCheckMatrix.rank`
-to.  `uncoded_bpsk_ber` is the closed-form bit error rate the BER tests compare
+to.  `load_alist_by_split` and `save_alist_by_join` are the alist parser
+and writer built from `str.split`, `int` and `str.join`, one Python object
+per token, against which the array-based `load_alist` and `save_alist`
+are held.  `uncoded_bpsk_ber` is the closed-form bit error rate the BER tests compare
 coded rows with.  `traced_pair` runs `decode` and the reference side by
 side and keeps each one's messages of every iteration; `recording` is how
 tests see decode's state at every iteration, and `edge_messages` and
@@ -13,15 +16,16 @@ tests see decode's state at every iteration, and `edge_messages` and
 """
 
 import contextlib
+import itertools
 import math
 from unittest.mock import patch
 
 import numpy as np
 
 import ldpcsim.decoder
-from ldpcsim.code import syndrome_ok
+from ldpcsim.code import ParityCheckMatrix, syndrome_ok
 from ldpcsim.decoder import DecodeResult, DecoderConfig, _validate, decode
-from ldpcsim.errors import LengthMismatch
+from ldpcsim.errors import EmptyRowOrColumn, LengthMismatch, MalformedAlist
 
 
 def uncoded_bpsk_ber(ebno_db: float) -> float:
@@ -178,3 +182,82 @@ def gf2_rank_by_rows(H) -> int:
             basis.pop(t, None)
         dead = live[c]
     return rank
+
+
+def load_alist_by_split(text: str) -> ParityCheckMatrix:
+    """The alist parser as `str.splitlines`, `str.split` and `int` give it:
+    blank lines dropped, each token read by `int`, the rows handed to the
+    constructor as lists.  `int` also reads non-ASCII digits and
+    underscores between digits, which `load_alist` rejects; on ASCII text
+    whose tokens read [+-]?[0-9]+ the two agree."""
+    lines = [parts for parts in map(str.split, text.splitlines()) if parts]
+    try:
+        tokens = np.fromiter(map(int, itertools.chain.from_iterable(lines)), dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise MalformedAlist(f"non-integer token: {exc}") from exc
+    counts = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    if len(lines) < 4:
+        raise MalformedAlist("alist needs at least 4 header lines")
+    header = [tokens[starts[i] : starts[i + 1]] for i in range(4)]
+    if len(header[0]) != 2:
+        raise MalformedAlist("first line must be 'n m'")
+    n, m = header[0].tolist()
+    if n < 1 or m < 1:
+        raise MalformedAlist(f"non-positive dimensions n={n} m={m}")
+    if len(lines) != 4 + n + m:
+        raise MalformedAlist(f"expected {4 + n + m} lines for n={n} m={m}, got {len(lines)}")
+    col_degs, row_degs = header[2], header[3]
+    if len(col_degs) != n:
+        raise MalformedAlist(f"expected {n} column degrees, got {len(col_degs)}")
+    if len(row_degs) != m:
+        raise MalformedAlist(f"expected {m} row degrees, got {len(row_degs)}")
+    if not (col_degs.all() and row_degs.all()):
+        raise EmptyRowOrColumn("zero-degree row or column declared")
+    if header[1].tolist() != [col_degs.max(), row_degs.max()]:
+        raise MalformedAlist("second line must be the largest column and row degrees")
+
+    def block(first: int, degs: np.ndarray, upper: int, what: str):
+        owner = np.repeat(np.arange(len(degs)), counts[first : first + len(degs)])
+        entry = tokens[starts[first] : starts[first + len(degs)]]
+        owner, entry = owner[entry != 0], entry[entry != 0]
+        bad = entry[(entry < 1) | (entry > upper)]
+        if bad.size:
+            raise MalformedAlist(f"{what} index {bad[0]} out of range 1..{upper}")
+        found = np.bincount(owner, minlength=len(degs))
+        wrong = np.flatnonzero(found != degs)
+        if wrong.size:
+            i = wrong[0]
+            raise MalformedAlist(
+                f"line {first + i + 1}: declared degree {degs[i]}, found {found[i]}"
+            )
+        return owner, entry - 1
+
+    col_of, col_check = block(4, col_degs, m, "check")
+    var = block(4 + n, row_degs, n, "variable")[1].tolist()
+    ptr = np.cumsum(row_degs).tolist()
+    H = ParityCheckMatrix([var[a:b] for a, b in zip([0, *ptr], ptr)], n)
+    keys = np.sort(H.edge_rows() * n + H.edge_var)
+    if not np.array_equal(np.sort(col_check * n + col_of), keys):
+        raise MalformedAlist("column adjacency disagrees with row adjacency")
+    return H
+
+
+def save_alist_by_join(H) -> str:
+    """Canonical alist text built as one `str` per value, joined per line."""
+
+    def lines(values, ptr):
+        tokens = list(map(str, values.tolist()))
+        ptr = ptr.tolist()
+        return [" ".join(tokens[a:b]) for a, b in zip(ptr[:-1], ptr[1:])]
+
+    cdegs, rdegs = H.col_degrees(), H.row_degrees()
+    edge_row = H.edge_rows()
+    return "\n".join([
+        f"{H.n} {H.m}",
+        f"{int(cdegs.max())} {int(rdegs.max())}",
+        " ".join(map(str, cdegs.tolist())),
+        " ".join(map(str, rdegs.tolist())),
+        *lines(edge_row[H.col_edge] + 1, H.col_ptr),
+        *lines(np.sort(edge_row * H.n + H.edge_var) % H.n + 1, H.row_ptr),
+    ]) + "\n"

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from ldpcsim.errors import (
 )
 
 from conftest import SMALL_REGULAR_PARAMS, DATA, adjacency, irregular_code
-from oracles import gf2_rank_by_rows
+from oracles import gf2_rank_by_rows, load_alist_by_split, save_alist_by_join
 
 FIXTURE252_SHA256 = "3f9135b416d3c8815fd818a3d9cb5c8b17bd1e584472e6b8e0879491bf63e7cb"
 LONG_CODE_SHA256 = "58b803950feb128fbcb3a78a237b6e4e8dade8c14f3320d93f18a3e1b66de63a"
@@ -164,6 +165,54 @@ class TestLoadAlist:
         with pytest.raises(MalformedAlist, match="second line"):
             load_alist(self.THREE_EDGES.format(line2))
 
+    # THREE_EDGES with its first token and its last row given.
+    FIRST_AND_LAST = "{} 2\n2 2\n1 2\n2 1\n1\n1 2\n1 2\n{}\n"
+
+    @pytest.mark.parametrize(
+        "token,reason",
+        [(t, "non-integer token") for t in ("1-2", "1 - 2", "--1", "+", "1.5")]
+        + [(t, "out of int64 range") for t in ("99999999999999999999", "9223372036854775808",
+                                               "-9223372036854775809", "10000000000000000000002")],
+    )
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_token_outside_the_grammar_rejected(self, token, reason, where):
+        text = self.FIRST_AND_LAST.format(*((token, "2") if where == "first" else ("2", token)))
+        with pytest.raises(MalformedAlist, match=reason):
+            load_alist(text)
+        with pytest.raises(MalformedAlist):
+            load_alist_by_split(text)
+
+    @pytest.mark.parametrize("token", ["9223372036854775807", "-9223372036854775808"])
+    def test_int64_bounds_read_as_indices(self, token):
+        with pytest.raises(MalformedAlist, match=f"variable index {token} out of range"):
+            load_alist(self.FIRST_AND_LAST.format("2", token))
+
+    @pytest.mark.parametrize("token", ["+2", "0002", "0000000000000000000000002"])
+    def test_signed_and_zero_led_tokens_read_as_int_reads_them(self, token):
+        H = load_alist(self.FIRST_AND_LAST.format(token, token))
+        assert adjacency(H)[0] == ((0, 1), (1,))
+
+    def test_non_ascii_text_rejected(self):
+        # int() reads the Arabic-Indic digit two as 2, so the split parser
+        # takes this text; load_alist takes ASCII text only.
+        text = self.FIRST_AND_LAST.format("2", "\u0662")
+        assert load_alist_by_split(text).edges == 3
+        with pytest.raises(MalformedAlist, match="ASCII"):
+            load_alist(text)
+
+    def test_underscore_in_a_token_rejected(self):
+        # int() reads 0_2 as 2; the alist grammar has no underscores.
+        text = self.FIRST_AND_LAST.format("2", "0_2")
+        assert load_alist_by_split(text).edges == 3
+        with pytest.raises(MalformedAlist, match="0_2"):
+            load_alist(text)
+
+    def test_line_breaks_and_blanks_of_splitlines_and_split(self):
+        text = "2 2\r\n\r\n\t2\x1f2\x0c1 2\x0b2 1\x1c\x1d1\x1e1 2\r1 2\n\n \n2"
+        H = load_alist(text)
+        assert adjacency(H) == adjacency(load_alist_by_split(text))
+        assert adjacency(H)[0] == ((0, 1), (1,))
+
 
 class TestSaveAlist:
     def test_minimal_single_edge_matrix(self):
@@ -182,6 +231,16 @@ class TestSaveAlist:
     def test_round_trip_identity_on_252x504(self, fixture252):
         text = save_alist(fixture252)
         assert save_alist(load_alist(text)) == text
+
+    @pytest.mark.parametrize("m,n", [(700, 1500), (6000, 12000)], ids=["4-digit", "5-digit"])
+    def test_same_text_as_the_join_oracle_on_irregular_codes(self, m, n):
+        # Rows of unequal degree, each in shuffled order, so the writer
+        # sorts them; indices run to 4 and to 5 decimal places.
+        rng = np.random.default_rng(n)
+        rows = adjacency(irregular_code(m, n, seed=1))[0]
+        H = ParityCheckMatrix([rng.permutation(r).tolist() for r in rows], n)
+        assert len(str(H.n)) == len(str(n))
+        assert save_alist(H) == save_alist_by_join(H)
 
 
 class TestGenerateRegular:
@@ -385,6 +444,70 @@ def test_alist_round_trip_keeps_the_adjacency(params, seed, m, n, irregular):
         assert np.array_equal(getattr(again, name), getattr(R, name)), name
 
 
+_JUNK = ["x", ".", "_", "1.5", "1_0", "1-2", "--1", "+", "-", "+0", "-1", "007",
+         "99999999999999999999", "9223372036854775807", "9223372036854775808",
+         "-9223372036854775808", "00000000000000000000001", "10000000000000000000002"]
+_BLANKS = ["", " ", "  ", "\t", " \t"]
+_BREAKS = ["\n", "\r\n", "\x0c", "\n\n", "\r\n \r\n"]
+_TOKEN = re.compile(r"[+-]?[0-9]+")
+
+
+@st.composite
+def _alist_texts(draw):
+    """Text over digits, signs, blanks, line breaks, x, . and _: either
+    drawn freely, or the alist of a small random code with padding zeros,
+    junk tokens, changed or dropped entries and repeated or blank lines,
+    its lines split and ended by assorted blanks and breaks."""
+    if draw(st.booleans()):
+        pieces = st.sampled_from(list("0123456789+-x._") + _BLANKS[1:] + _BREAKS)
+        return "".join(draw(st.lists(pieces, max_size=40)))
+    n = draw(st.integers(1, 6))
+    H = ParityCheckMatrix(_random_rows(draw(st.integers(0, 2**16)), draw(st.integers(1, 6)), n), n)
+    lines = [line.split() for line in save_alist_by_join(H).splitlines()]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines[i])))
+        op = draw(st.sampled_from(["pad", "junk", "bump", "drop", "blank", "repeat"]))
+        if op == "pad":
+            lines[i].insert(j, draw(st.sampled_from(["0", "00", "+0", "-0"])))
+        elif op == "junk":
+            lines[i].insert(j, draw(st.sampled_from(_JUNK)))
+        elif op == "bump" and j < len(lines[i]):
+            lines[i][j] = str(int(lines[i][j]) + draw(st.sampled_from([-1, 1, n])))
+        elif op == "drop" and j < len(lines[i]):
+            del lines[i][j]
+        elif op == "blank":
+            lines.insert(i, [])
+        elif op == "repeat":
+            lines.insert(i, list(lines[i]))
+    return "".join(
+        draw(st.sampled_from(_BLANKS)) + draw(st.sampled_from(_BLANKS[1:])).join(tokens)
+        + draw(st.sampled_from(_BREAKS))
+        for tokens in lines
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_alist_texts())
+def test_load_alist_agrees_with_the_split_oracle(text):
+    # A token outside [+-]?[0-9]+ is malformed, even where int() reads it;
+    # otherwise both parsers build the same arrays or raise the same error.
+    if not all(map(_TOKEN.fullmatch, text.split())):
+        with pytest.raises(MalformedAlist):
+            load_alist(text)
+        return
+    try:
+        want = load_alist_by_split(text)
+    except (MalformedAlist, EmptyRowOrColumn) as exc:
+        with pytest.raises(type(exc)):
+            load_alist(text)
+        return
+    got = load_alist(text)
+    assert (got.m, got.n) == (want.m, want.n)
+    for name in ("row_ptr", "edge_var", "col_ptr", "col_edge"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 FAULTS = ("duplicate", "out_of_range", "empty_row", "uncovered_column", "no_rows")
 
 
@@ -430,6 +553,37 @@ def test_constructor_rejects_as_the_tuple_constructor(seed, m, n, faults):
 def test_constructor_rejects_an_index_beyond_int64():
     with pytest.raises(MalformedAlist):
         ParityCheckMatrix([[0, 2**70]], 3)
+
+
+def _csr(rows):
+    degs = [len(r) for r in rows]
+    row_ptr = np.concatenate(([0], np.cumsum(degs, dtype=np.int64)))
+    return row_ptr, np.array([v for r in rows for v in r], dtype=np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), m=st.integers(1, 12), n=st.integers(1, 12))
+@example(seed=0, m=1, n=1)
+def test_csr_entry_builds_what_the_rows_build(seed, m, n):
+    rows = _random_rows(seed, m, n)
+    H, C = ParityCheckMatrix(rows, n), ParityCheckMatrix._from_csr(*_csr(rows), n)
+    assert (C.m, C.n, C.edges) == (H.m, H.n, H.edges)
+    for name in ("row_ptr", "edge_var", "col_ptr", "col_edge"):
+        assert np.array_equal(getattr(C, name), getattr(H, name)), name
+        assert getattr(C, name).dtype == getattr(H, name).dtype == np.int64, name
+
+
+@pytest.mark.parametrize(
+    "rows,n,error",
+    [([[0, 1], [1, 1]], 2, MalformedAlist), ([[0], [2]], 2, MalformedAlist),
+     ([[0, 1], []], 2, EmptyRowOrColumn), ([[0], [0]], 2, EmptyRowOrColumn),
+     ([], 2, MalformedAlist), ([[0]], 0, MalformedAlist)],
+    ids=["duplicate", "out-of-range", "empty-row", "uncovered-column", "no-rows", "no-columns"],
+)
+def test_csr_entry_rejects_what_the_rows_reject(rows, n, error):
+    for build in (lambda: ParityCheckMatrix(rows, n), lambda: ParityCheckMatrix._from_csr(*_csr(rows), n)):
+        with pytest.raises(error):
+            build()
 
 
 class TestSyndrome:
@@ -567,6 +721,25 @@ def test_rank_memory_peak_on_the_long_code():
     finally:
         tracemalloc.stop()
     assert peak < 10e6, f"rank peaked at {peak / 1e6:.2f} MB"
+
+
+def test_alist_memory_peak_on_the_long_code():
+    # The alist writer and parser of the scale-model code hold byte and
+    # token arrays, not a Python str and int per token: the split parser
+    # and join writer they replace peaked at 20.3 and 8.8 MB.
+    import tracemalloc
+
+    H = generate_regular(20160, 3, 6, seed=1)
+    text = save_alist(H)
+    peaks = {}
+    for name, call in (("save_alist", lambda: save_alist(H)), ("load_alist", lambda: load_alist(text))):
+        tracemalloc.start()
+        try:
+            call()
+            peaks[name] = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+    assert peaks["save_alist"] < 4 and peaks["load_alist"] < 10, peaks
 
 
 def _dense(H):
