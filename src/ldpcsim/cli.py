@@ -90,16 +90,19 @@ def _decoder_config(args) -> DecoderConfig:
     )
 
 
+def _parse_llrs(text: str) -> np.ndarray:
+    values = np.array([float(line) for line in text.splitlines() if line.strip()])
+    if not np.isfinite(values).all():
+        raise ValueError("LLRs must be finite")
+    return values
+
+
 def _prior_from_args(H: ParityCheckMatrix, args) -> np.ndarray:
     if getattr(args, "llr_file", None):
-        values = _read_input(
-            "--llr-file",
-            args.llr_file,
-            lambda text: [float(line) for line in text.splitlines() if line.strip()],
-        )
+        values = _read_input("--llr-file", args.llr_file, _parse_llrs)
         if len(values) != H.n:
             raise InfeasibleParameters(f"--llr-file holds {len(values)} LLRs, need n={H.n}")
-        return np.asarray(values, dtype=np.float64)
+        return values
     ch = ChannelConfig(ebno_db=args.ebno, rate=CodeInfo.from_matrix(H).rate, seed=args.seed)
     return llr_init(transmit(modulate(np.zeros(H.n, dtype=np.uint8)), ch), ch)
 

@@ -180,16 +180,19 @@ class DecodeResult:
     """Outcome of a decode.
 
     For a batch of B words, or a stream of B words in all, bits is (B, n)
-    uint8, converged (B,) and word_iterations (B,), with iterations_used
-    their int sum.  One word, decoded as a batch of one, returns that
-    batch's row 0: bits (n,), converged a bool, iterations_used an int and
-    word_iterations the same count as a numpy scalar.
+    uint8, converged (B,) and word_iterations (B,).  One word, decoded as
+    a batch of one, returns that batch's row 0: bits (n,), converged a
+    bool and word_iterations its count as a numpy scalar.
+    iterations_used is the int sum of word_iterations.
     """
 
     bits: np.ndarray
     converged: bool | np.ndarray
-    iterations_used: int
     word_iterations: np.ndarray
+
+    @property
+    def iterations_used(self) -> int:
+        return int(np.sum(self.word_iterations))
 
 
 # Leading shape (as a function of H) and dtype of every buffer a decode
@@ -439,15 +442,9 @@ def decode(
     word_iterations = np.empty(count, dtype=np.int64)
     for index, *outcome in finished:
         bits_out[index], converged[index], word_iterations[index] = outcome
-    iterations_used = int(word_iterations.sum())
     if one_word:
         bits_out, converged, word_iterations = bits_out[0], bool(converged[0]), word_iterations[0]
-    return DecodeResult(
-        bits=bits_out,
-        converged=converged,
-        iterations_used=iterations_used,
-        word_iterations=word_iterations,
-    )
+    return DecodeResult(bits=bits_out, converged=converged, word_iterations=word_iterations)
 
 
 def worst_case_config(cfg: DecoderConfig) -> DecoderConfig:

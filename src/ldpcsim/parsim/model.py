@@ -101,23 +101,21 @@ DEFAULT_SPEEDUP_TARGETS: dict[int, float] = {
 
 @dataclass(frozen=True)
 class MeshPlacement:
-    """Star placement on a 2D mesh: master central, slaves around it."""
+    """Star placement on a 2D mesh: the master's cell and its slaves',
+    all distinct; a slave's hops are its Manhattan distance from the master."""
 
-    width: int
-    height: int
     master_xy: tuple[int, int]
     slave_xy: tuple[tuple[int, int], ...]
-    hops: tuple[int, ...]
 
     def __post_init__(self):
         cells = [self.master_xy, *self.slave_xy]
         if len(set(cells)) != len(cells):
             raise ValueError("placement cells must be distinct")
-        for x, y in cells:
-            if not (0 <= x < self.width and 0 <= y < self.height):
-                raise ValueError(f"cell ({x},{y}) outside {self.width}x{self.height} grid")
-        if any(h < 1 for h in self.hops):
-            raise ValueError("every slave must be at least one hop away")
+
+    @property
+    def hops(self) -> tuple[int, ...]:
+        mx, my = self.master_xy
+        return tuple(abs(x - mx) + abs(y - my) for x, y in self.slave_xy)
 
     @classmethod
     def star(cls, processors: int) -> "MeshPlacement":
@@ -132,27 +130,25 @@ class MeshPlacement:
 
     @classmethod
     def from_spec(cls, processors: int, text: str) -> "MeshPlacement":
-        """Parse a grid/master override like "4x3@1,1"; slaves are placed
-        on the remaining cells outward by Manhattan distance."""
+        """Parse a grid/master override like "4x3@1,1", master inside the
+        grid; slaves are placed on the other cells outward by Manhattan distance."""
         try:
             grid, master = text.strip().split("@")
             w, h = (int(t) for t in grid.lower().split("x"))
             mx, my = (int(t) for t in master.split(","))
         except ValueError as exc:
             raise ValueError(f"placement spec {text!r} is not WxH@mx,my") from exc
+        if not (0 <= mx < w and 0 <= my < h):
+            raise ValueError(f"placement spec {text!r}: master outside the {w}x{h} grid")
         if w * h < processors:
             raise ValueError(f"{w}x{h} grid cannot hold {processors} PEs")
         return cls._fill(processors, w, h, mx, my)
 
     @classmethod
     def _fill(cls, processors: int, w: int, h: int, mx: int, my: int) -> "MeshPlacement":
-        others = [
-            (x, y) for y in range(h) for x in range(w) if (x, y) != (mx, my)
-        ]
+        others = [(x, y) for y in range(h) for x in range(w) if (x, y) != (mx, my)]
         others.sort(key=lambda xy: (abs(xy[0] - mx) + abs(xy[1] - my), xy[1], xy[0]))
-        slaves = tuple(others[: processors - 1])
-        hops = tuple(abs(x - mx) + abs(y - my) for x, y in slaves)
-        return cls(width=w, height=h, master_xy=(mx, my), slave_xy=slaves, hops=hops)
+        return cls(master_xy=(mx, my), slave_xy=tuple(others[: processors - 1]))
 
 
 @dataclass

@@ -325,14 +325,13 @@ def _timed_decode(
 
 def _checked_config(
     H: ParityCheckMatrix, prior: np.ndarray, cfg: DecoderConfig, reps: int, worst_case: bool
-) -> DecoderConfig:
-    """The run's configuration, once its reps and its one word's prior
-    are checked as `decode` checks them."""
+) -> tuple[np.ndarray, DecoderConfig]:
+    """The run's one-word prior as a float64 array and its configuration,
+    once its reps and the prior are checked as `decode` checks them."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
     _require_one_word(prior)
-    _validate(H, prior)
-    return worst_case_config(cfg) if worst_case else cfg
+    return _validate(H, prior), worst_case_config(cfg) if worst_case else cfg
 
 
 def run_sequential_baseline(
@@ -345,7 +344,7 @@ def run_sequential_baseline(
     """Unpartitioned decode, timed over `reps` repetitions: `decode` with
     the scalar check kernel run in process on the whole code once per
     iteration."""
-    eff = _checked_config(H, prior, cfg, reps, worst_case)
+    prior, eff = _checked_config(H, prior, cfg, reps, worst_case)
     degs = H.row_degrees().tolist()
 
     def exchange(blocks):
@@ -390,7 +389,7 @@ def run_parallel_workers(
     Raises WorkerError on a LDPC_PARSIM_THREADS cap below the slave count
     and on a worker that fails, exits or stalls, stopping every worker.
     """
-    eff = _checked_config(H, prior, cfg, reps, worst_case)
+    prior, eff = _checked_config(H, prior, cfg, reps, worst_case)
     p = attach_edge_counts(p, H)
     cap = _worker_cap()
     if cap is not None and p.num_slaves > cap:

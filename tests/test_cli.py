@@ -127,9 +127,12 @@ class TestDecode:
          ("--matrix", "dir", "Is a directory"),
          ("--llr-file", None, "No such file"),
          ("--llr-file", "dir", "Is a directory"),
-         ("--llr-file", "8.0\nabc\n", "ValueError")],
+         ("--llr-file", "8.0\nabc\n", "ValueError"),
+         ("--llr-file", "8.0\nnan\n", "ValueError: LLRs must be finite"),
+         ("--llr-file", "8.0\n1e400\n", "ValueError: LLRs must be finite")],
         ids=["malformed", "empty-column", "missing-matrix", "unreadable-matrix",
-             "missing-llr-file", "unreadable-llr-file", "unparsable-llr-file"],
+             "missing-llr-file", "unreadable-llr-file", "unparsable-llr-file",
+             "nan-llr-file", "overflowing-llr-file"],
     )
     def test_bad_input_file_exits_2_naming_the_flag(self, tmp_path, capsys, flag, text,
                                                     message):

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from ldpcsim.code import ParityCheckMatrix, generate_regular, syndrome_ok
 from ldpcsim.decoder import (
+    DecodeResult,
     DecoderConfig,
     QFormat,
     check_node_update_block,
@@ -803,3 +805,26 @@ class TestFixedPoint:
         result = decode(fixture252, prior, cfg)
         assert result.converged
         assert not result.bits.any()
+
+
+class TestDecodeResult:
+    def test_holds_only_its_sources(self):
+        assert [f.name for f in fields(DecodeResult)] == ["bits", "converged", "word_iterations"]
+        result = DecodeResult(np.zeros(7, np.uint8), True, np.int64(3))
+        with pytest.raises(AttributeError):
+            result.iterations_used = 4
+
+    def test_iterations_used_sums_the_word_counts(self, fixture252):
+        # Words of unequal noise finish at different iterations.
+        prior = np.stack([noisy_prior(fixture252, ebno_db, seed)
+                          for seed, ebno_db in enumerate([1.0, 2.0, 3.0, 4.0])])
+        one = decode(fixture252, prior[0])
+        batch = decode(fixture252, prior)
+        stream = decode(fixture252, iter(np.split(prior, [1, 3])))
+        assert one.iterations_used == int(one.word_iterations) == batch.word_iterations[0]
+        assert type(one.iterations_used) is int
+        for result in (batch, stream):
+            assert result.iterations_used == result.word_iterations.sum()
+            assert type(result.iterations_used) is int
+        assert len(set(batch.word_iterations.tolist())) > 1
+        assert np.array_equal(stream.word_iterations, batch.word_iterations)

@@ -1,6 +1,7 @@
 import math
+import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -65,9 +66,29 @@ class TestMeshPlacement:
 
     def test_invalid_geometry_rejected(self):
         with pytest.raises(ValueError):
-            MeshPlacement(1, 1, (0, 0), ((0, 0),), (1,))
-        with pytest.raises(ValueError):
-            MeshPlacement(2, 1, (0, 0), ((1, 0),), (0,))
+            MeshPlacement((0, 0), ((0, 0),))
+
+    def test_holds_only_its_cells(self):
+        assert [f.name for f in fields(MeshPlacement)] == ["master_xy", "slave_xy"]
+        with pytest.raises(AttributeError):
+            MeshPlacement.star(5).hops = (1, 1, 1, 1)
+
+    def test_hops_come_from_the_cells(self, fixture252):
+        # A hand-built placement prices each slave at its distance from the
+        # master, here one slave two hops away and one a single hop away.
+        placement = MeshPlacement((0, 0), ((2, 0), (0, 1)))
+        assert placement.hops == (2, 1)
+        part = make_partition(fixture252.m, 2)
+        _, packets, hops = _scenario_geometry(fixture252, part, placement)
+        assert hops == (2, 1)
+        run = decode(fixture252, noisy_prior(fixture252, 2.0, 1), DecoderConfig(max_iter=3))
+        cm = CostModel()
+        near = simulate_parallel(fixture252, run, part, cm, MeshPlacement((0, 0), ((1, 0), (0, 1))))
+        far = simulate_parallel(fixture252, run, part, cm, placement)
+        # The first slave's extra hop, on its scatter and its gather.
+        assert far.breakdown["communication"] - near.breakdown["communication"] == (
+            run.iterations_used * 2 * packets[0] * cm.cycles_per_hop
+        )
 
     def test_from_spec_round_trip(self):
         pl = MeshPlacement.from_spec(5, "3x2@1,0")
@@ -81,6 +102,11 @@ class TestMeshPlacement:
             MeshPlacement.from_spec(5, "2x2@0,0")  # grid too small
         with pytest.raises(ValueError):
             MeshPlacement.from_spec(5, "nonsense")
+
+    @pytest.mark.parametrize("spec", ["3x2@5,5", "-1x-6@0,0", "3x2@-1,0", "3x2@0,2"])
+    def test_from_spec_rejects_a_master_outside_its_grid(self, spec):
+        with pytest.raises(ValueError, match=re.escape(repr(spec))):
+            MeshPlacement.from_spec(5, spec)
 
 
 class TestCostModel:

@@ -164,6 +164,24 @@ def _same_decode(result, ref):
     assert result.iterations_used == ref.iterations_used
 
 
+@pytest.mark.parametrize("slaves", [0, 1, 2])
+def test_list_prior_decodes_as_its_array(fixture252, slaves):
+    # The live runs decode the prior they checked: a list, which decode
+    # alone reads as a stream of scalar chunks, runs as its array does.
+    prior = noisy_prior(fixture252, ebno_db=2.0, seed=12)
+    cfg = DecoderConfig()
+
+    def run(word):
+        if slaves:
+            return run_parallel_workers(fixture252, word, cfg, make_partition(252, slaves),
+                                        reps=1)[0]
+        return run_sequential_baseline(fixture252, word, cfg, reps=1)[0]
+
+    listed, ref = run(prior.tolist()), run(prior)
+    _same_decode(listed, ref)
+    assert listed.iterations_used == 30
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_blocks_of_unequal_degree_match_decode(seed):
     # Three slave blocks of 5, 1 and 12 checks on rows of degree 2 to 7,
