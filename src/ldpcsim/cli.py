@@ -409,6 +409,7 @@ def cmd_scale(args) -> int:
         payload = {
             "mode": args.mode,
             "worst_case": args.worst_case,
+            "cost_model": asdict(cm),
             "rows": rows,
             "reports": [asdict(rep) for rep in reports],
         }

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -170,10 +171,10 @@ class ParityCheckMatrix:
         deg = self.row_degrees().tolist()
         live_row, live_col = bytearray(b"\x01") * self.m, bytearray(b"\x01") * self.n
         # Rows by live degree; an entry whose row has since moved is skipped.
-        bucket: list[list[int]] = [[] for _ in range(max(deg) + 1)]
+        bucket = [array("l") for _ in range(max(deg) + 1)]
         for r in range(self.m - 1, -1, -1):
             bucket[deg[r]].append(r)
-        pivots: list[tuple[int, int]] = []
+        pivot_rows, pivot_cols = array("l"), array("l")
         core: list[int] = []
         least = 2  # no bucket below bucket[least] holds a live row of degree 2 or more
         while True:
@@ -183,7 +184,8 @@ class ParityCheckMatrix:
                     continue
                 dying = [c for c in var[ptr[r] : ptr[r + 1]] if live_col[c]]
                 live_row[r] = 0
-                pivots.append((r, dying[0]))
+                pivot_rows.append(r)
+                pivot_cols.append(dying[0])
             else:
                 for d in range(least, len(bucket)):
                     rows = bucket[d]
@@ -208,7 +210,7 @@ class ParityCheckMatrix:
                             live_row[r] = 0
                             core.append(r)
         if not core:
-            return len(pivots)
+            return len(pivot_rows)
         # mask[c]: the core rows that meet column c, core row j at bit j.
         # Clearing pivot p from the core adds its row to the core rows in
         # mask[p]; walked in reverse, each pivot column is cleared after
@@ -217,11 +219,11 @@ class ParityCheckMatrix:
         for j, r in enumerate(core):
             for c in var[ptr[r] : ptr[r + 1]]:
                 mask[c] |= 1 << j
-        for r, p in reversed(pivots):
+        for r, p in zip(reversed(pivot_rows), reversed(pivot_cols)):
             if x := mask[p]:
                 for c in var[ptr[r] : ptr[r + 1]]:
                     mask[c] ^= x
-        return len(pivots) + _xor_basis_rank(_transpose_masks([x for x in mask if x], len(core)))
+        return len(pivot_rows) + _xor_basis_rank(_transpose_masks([x for x in mask if x], len(core)))
 
     def row_degrees(self) -> np.ndarray:
         return np.diff(self.row_ptr)

@@ -18,14 +18,19 @@ and one decode prices a whole scenario sweep.  The live workers
 (`parsim.workers`) are what execute the partitioned schedule.
 
 The cost formula is written once and prices one cost point or an array of
-them: `calibrate` prices its 31x7x11 grid of communication costs for every
-scenario in a few broadcast calls, then scans the errors in grid order and
-refines the best point by coordinate descent, with the same comparisons,
-and so the same fitted point, as a point-by-point search.
+them.  `calibrate` prices its 31x7x11 grid of communication costs for every
+scenario in one broadcast over an open mesh (packet fixed, per hop and
+iteration fixed each on an axis of its own), so the send/stall recurrence
+runs once per (packet fixed, per hop) pair and only the master phase spans
+the whole grid.  It scans the errors in grid order and refines the best
+point by coordinate descent, pricing a box of points around the current one
+per broadcast, with the same comparisons, and so the same fitted point, as
+a point-by-point search.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, fields, replace
@@ -62,9 +67,10 @@ class CostModel:
     hop.  Defaults are frozen from a calibration run against the bundled
     reference speedup curve (see DEFAULT_SPEEDUP_TARGETS).
 
-    A cost field may also hold an array, one value per cost point: the
-    cost formulas then broadcast over the points (calibrate prices its
-    grid this way).  The simulators and modeled_speedups price one point.
+    A cost field may also hold an array of values: the cost formulas then
+    broadcast over them, and arrays of different fields broadcast against
+    each other (calibrate prices an open mesh of its three fitted costs
+    this way).  The simulators and modeled_speedups price one point.
     """
 
     cycles_per_check_edge: float = 248.0
@@ -216,8 +222,8 @@ def parallel_iteration_cost(
     whenever the next slave is not done yet.  The live workers follow the
     same contract: one data frame out and one result frame back per slave,
     neither acknowledged, so only data packets are priced.  With
-    array-valued cost fields every phase is an array, one entry per cost
-    point, each equal bit for bit to the one-point call.
+    array-valued cost fields every phase is an array, broadcast over the
+    cost fields it reads, each entry equal bit for bit to the one-point call.
     """
     sends = [p * (cm.cycles_packet_fixed + h * cm.cycles_per_hop)
              for p, h in zip(packets, hops)]
@@ -228,21 +234,21 @@ def parallel_iteration_cost(
         done.append(t + e * cm.cycles_per_check_edge)
     scatter = t
     stall = 0.0
-    gather = 0.0
     for s, recv_cost in enumerate(sends):
         lag = done[s] - t
         # max(0, lag) for a float and for an array of points alike; a
         # negative lag gives -0.0, which leaves every sum it enters unchanged.
         wait = lag * (lag > 0.0)
         stall = stall + wait
-        gather = gather + recv_cost
         t = t + (wait + recv_cost)
     master = (
         edges * (cm.cycles_per_var_edge + cm.cycles_per_syndrome_edge)
         + cm.cycles_iter_fixed
     )
+    # The receives sum the same packet costs as the sends, from 0.0 and in
+    # the same order: the gather is the scatter, bit for bit.
     return IterationCost(
-        scatter=scatter, slave_stall=stall, gather=gather, master=master
+        scatter=scatter, slave_stall=stall, gather=scatter, master=master
     )
 
 
@@ -377,6 +383,12 @@ def modeled_speedups(
     return dict(zip([s + 1 for s in slave_counts], speedups))
 
 
+#: How far the descent looks ahead: when it meets a candidate it has not
+#: priced, it prices the box of points within this many repeated moves of
+#: its current point along each axis (5x5x5 points at 2) in one broadcast.
+_LOOKAHEAD = 2
+
+
 class CalibrationWarning(UserWarning):
     """Calibration landed on a degenerate (comm-free) boundary point, or
     skipped the targets whose slave count does not divide the checks."""
@@ -389,28 +401,32 @@ def _with_comm_costs(cm: CostModel, pf, hop, fixed) -> CostModel:
     )
 
 
-def _calibration_grid(scale: float) -> np.ndarray:
-    """The 31x7x11 search grid as (points, 3) rows (packet fixed, per hop,
-    iteration fixed), in the order the scan visits them."""
-    axes = (
-        np.linspace(0.0, 30.0 * scale, 31),
-        np.linspace(0.0, 3.0 * scale, 7),
-        np.linspace(0.0, 40.0 * scale, 11),
+def _calibration_axes(scale: float) -> tuple[list[float], list[float], list[float]]:
+    """The axes of the 31x7x11 search grid (packet fixed, per hop,
+    iteration fixed); the scan visits their product in itertools.product
+    order."""
+    return (
+        np.linspace(0.0, 30.0 * scale, 31).tolist(),
+        np.linspace(0.0, 3.0 * scale, 7).tolist(),
+        np.linspace(0.0, 40.0 * scale, 11).tolist(),
     )
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
-def _squared_errors(
-    edges: int, stacked: tuple, goal: np.ndarray, cm: CostModel, points: np.ndarray
+def _mesh_errors(
+    edges: int, stacked: tuple, goal: np.ndarray, cm: CostModel, axes: tuple
 ) -> np.ndarray:
-    """Squared speedup error against goal of each row of points, priced in
-    one broadcast: rows are (packet fixed, per hop, iteration fixed) and
-    the other costs come from cm."""
-    at = _with_comm_costs(cm, *points.T[:, :, None])
+    """Squared speedup error against goal of every point of the open mesh
+    of `axes` (packet fixed, per hop, iteration fixed values), flat in
+    itertools.product order and priced in one broadcast; the other costs
+    come from cm.  The send/stall recurrence reads only the packet and hop
+    costs, so it runs once per (packet fixed, per hop) pair, and the
+    iteration fixed cost enters the master phase and the sequential time."""
+    shapes = ((-1, 1, 1, 1), (1, -1, 1, 1), (1, 1, -1, 1))
+    at = _with_comm_costs(cm, *(np.reshape(a, s) for a, s in zip(axes, shapes)))
     total = parallel_iteration_cost(edges, *stacked, at).total
-    diff = _speedups(edges, at, total) - goal
-    # One BLAS dot per row: the call a single point's `diff @ diff` makes,
-    # so each row's error equals the one-point error bit for bit.
+    diff = (_speedups(edges, at, total) - goal).reshape(-1, goal.size)
+    # One BLAS dot per point: the call a single point's `diff @ diff` makes,
+    # so each point's error equals the one-point error bit for bit.
     return (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
 
 
@@ -424,13 +440,14 @@ def calibrate(
     target speedup-per-processor-count curve by deterministic grid search
     plus coordinate refinement, minimizing squared speedup error.
 
-    The errors of the 31x7x11 grid come from broadcasts of the cost
-    formula over slices of the grid; a strict scan of them in grid order
+    The errors of the 31x7x11 grid come from one broadcast of the cost
+    formula over the grid's open mesh; a strict scan of them in grid order
     picks the start, so ties resolve to the first point.  Coordinate
     descent then visits its candidates in a fixed order and moves to each
     one that improves.  It prices a candidate it has not seen together with
-    the rest of its sweep and their neighbours, in one call: that changes
-    how often the formula runs, never an error or a decision.
+    the box of points within _LOOKAHEAD moves of its current point along
+    each axis, in one broadcast: that changes how often the formula runs,
+    never an error or a decision.
 
     A target whose slave count does not divide H.m is left out, as the
     sweep skips its scenario, with a CalibrationWarning naming it.
@@ -461,29 +478,39 @@ def calibrate(
         [_scenario_geometry(H, make_partition(H.m, s)) for s in slave_counts]
     )
 
-    def errors(points) -> list[float]:
-        return _squared_errors(H.edges, stacked, goal, cm, np.array(points)).tolist()
+    def errors(axes) -> list[float]:
+        return _mesh_errors(H.edges, stacked, goal, cm, axes).tolist()
 
     scale = cm.cycles_per_check_edge
-    grid = _calibration_grid(scale)
-    # Eleven broadcasts of 217 points: the formula holds about thirty
-    # (points, scenarios) arrays at once, which for the whole grid would add
-    # 3 MB to the process's peak memory.
-    grid_errors = [e for rows in np.split(grid, 11) for e in errors(rows)]
+    axes = _calibration_axes(scale)
     best = None
     best_err = np.inf
-    for i, e in enumerate(grid_errors):
+    for i, e in enumerate(errors(axes)):
         if e < best_err - 1e-15:
             best_err = e
             best = i
     if best is None:
         raise DegenerateCostModel("no grid point has a finite speedup error")
-    point = tuple(grid[best].tolist())
+    point = next(itertools.islice(itertools.product(*axes), best, None))
 
     def neighbour(origin, axis, delta):
         cand = list(origin)
         cand[axis] = max(0.0, cand[axis] + delta)
         return tuple(cand)
+
+    def box(origin, step):
+        # Per axis, the values within _LOOKAHEAD repeated moves of origin,
+        # each move computed as neighbour computes it.
+        sides = []
+        for v in origin:
+            values = {v}
+            for delta in (step, -step):
+                w = v
+                for _ in range(_LOOKAHEAD):
+                    w = max(0.0, w + delta)
+                    values.add(w)
+            sides.append(sorted(values))
+        return sides
 
     # Coordinate descent with shrinking steps, deterministic.
     known = {point: best_err}
@@ -492,15 +519,11 @@ def calibrate(
         moves = [(axis, delta) for axis in range(3) for delta in (step, -step)]
         for _ in range(40):
             improved = False
-            for k, move in enumerate(moves):
+            for move in moves:
                 cand = neighbour(point, *move)
                 if cand not in known:
-                    # The rest of this sweep and the neighbours of each of
-                    # its candidates are where the descent looks next.
-                    ahead = [neighbour(point, *m) for m in moves[k:]]
-                    ahead += [neighbour(c, *m) for c in ahead for m in moves]
-                    batch = [c for c in dict.fromkeys(ahead) if c not in known]
-                    known.update(zip(batch, errors(batch)))
+                    ahead = box(point, step)
+                    known.update(zip(itertools.product(*ahead), errors(ahead)))
                 e = known[cand]
                 if e < best_err - 1e-15:
                     best_err = e

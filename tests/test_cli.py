@@ -3,6 +3,7 @@ import multiprocessing as mp
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
@@ -22,7 +23,9 @@ from ldpcsim.cli import (
 from ldpcsim.code import CodeInfo, ParityCheckMatrix, generate_regular
 from ldpcsim.decoder import DecoderConfig, decode
 from ldpcsim.errors import ConfigurationError, WorkerError
-from ldpcsim.parsim import WORKER_CAP_ENV, CalibrationWarning, CostModel
+from ldpcsim.parsim import (
+    DEFAULT_SPEEDUP_TARGETS, WORKER_CAP_ENV, CalibrationWarning, CostModel, calibrate,
+)
 from ldpcsim.code import load_alist
 
 from conftest import DATA, irregular_code
@@ -525,6 +528,22 @@ class TestScale:
         plot_lines = plot.read_text().strip().splitlines()
         assert plot_lines[0] == "nS,Par,Seq"
         assert len(plot_lines) == 8
+
+    def test_json_names_the_cost_model_it_priced(self, fixture_alist, tmp_path, capsys):
+        # The --cost-config overrides, and under --calibrate the fitted
+        # costs; the CSV carries neither.
+        cfg = tmp_path / "cm.cfg"
+        cfg.write_text("cycles_per_hop = 0\ncycles_per_var_edge = 55.5\n")
+        scale = ["scale", "--matrix", str(fixture_alist), "--seed", "1",
+                 "--processors", "1,3", "--cost-config", str(cfg)]
+        assert main([*scale, "--format", "json"]) == 0
+        cm = json.loads(capsys.readouterr().out)["cost_model"]
+        assert cm == {**asdict(CostModel()), "cycles_per_hop": 0.0, "cycles_per_var_edge": 55.5}
+        assert main([*scale, "--format", "json", "--calibrate"]) == 0
+        fitted = calibrate(CostModel(**cm), DEFAULT_SPEEDUP_TARGETS, load_alist(fixture_alist.read_text()))
+        assert json.loads(capsys.readouterr().out)["cost_model"] == asdict(fitted)
+        assert main([*scale, "--calibrate"]) == 0
+        assert "cycles" not in capsys.readouterr().out
 
     def test_cost_config_overrides(self, fixture_alist, tmp_path, capsys):
         cfg = tmp_path / "cm.cfg"

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import warnings
@@ -12,14 +13,15 @@ from ldpcsim.cli import scale_rows
 from ldpcsim.code import generate_regular
 from ldpcsim.decoder import DecoderConfig, decode, worst_case_config
 from ldpcsim.errors import DegenerateCostModel, LengthMismatch, NoFeasiblePoint, NotDivisible
+from ldpcsim.parsim import model
 from ldpcsim.parsim.model import (
     DEFAULT_SPEEDUP_TARGETS,
     CalibrationWarning,
     CostModel,
     MeshPlacement,
-    _calibration_grid,
+    _calibration_axes,
+    _mesh_errors,
     _scenario_geometry,
-    _squared_errors,
     _stacked,
     calibrate,
     modeled_speedups,
@@ -398,10 +400,21 @@ def _oracle_fit(edges, geometries, goal, cm, points, grid_errors):
     return tuple(point)
 
 
-@pytest.mark.parametrize("name", TARGET_SETS)
-def test_broadcast_matches_point_by_point_oracle(fixture252, name):
+# Compute costs whose descent steps do not sum exactly, and the point the
+# point-by-point search fits to the reference curve at each.
+UNEVEN_STEPS = {
+    247.3: (2828.4937499999933, 11.592187499999959, 3245.8125),
+    100 / 3: (217.70833333333346, 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("name, check_edge", [
+    *((name, 248.0) for name in TARGET_SETS),
+    *(("reference", check_edge) for check_edge in UNEVEN_STEPS),
+])
+def test_broadcast_matches_point_by_point_oracle(fixture252, name, check_edge):
     targets = TARGET_SETS[name]
-    cm = CostModel()
+    cm = CostModel(cycles_per_check_edge=check_edge)
     slave_counts = [procs - 1 for procs in sorted(targets)]
     goal = np.array([targets[s + 1] for s in slave_counts])
     geometries = [
@@ -414,16 +427,18 @@ def test_broadcast_matches_point_by_point_oracle(fixture252, name):
         for hop in np.linspace(0.0, 3.0 * scale, 7).tolist()
         for fx in np.linspace(0.0, 40.0 * scale, 11).tolist()
     ]
-    grid = _calibration_grid(scale)
-    assert grid.tolist() == points
+    axes = _calibration_axes(scale)
+    assert [list(p) for p in itertools.product(*axes)] == points
     oracle = [_oracle_error(fixture252.edges, geometries, goal, cm, p) for p in points]
-    broadcast = _squared_errors(fixture252.edges, _stacked(geometries), goal, cm, grid)
+    broadcast = _mesh_errors(fixture252.edges, _stacked(geometries), goal, cm, axes)
     assert broadcast.shape == (31 * 7 * 11,)
     assert broadcast.tolist() == oracle  # bit for bit, every grid point
 
     pf, hop, fixed = _oracle_fit(
         fixture252.edges, geometries, goal, cm, points, oracle
     )
+    if check_edge in UNEVEN_STEPS:
+        assert (pf, hop, fixed) == UNEVEN_STEPS[check_edge]
     expected = replace(cm, cycles_packet_fixed=pf, cycles_per_hop=hop,
                        cycles_iter_fixed=fixed)
     # An infinite tolerance returns the high set's fit instead of raising.
@@ -447,6 +462,30 @@ class TestCalibrate:
             fitted = calibrate(CostModel(), DEFAULT_SPEEDUP_TARGETS, fixture252)
         point = (fitted.cycles_packet_fixed, fitted.cycles_per_hop, fitted.cycles_iter_fixed)
         assert point == (2859.75, 0.0, 3255.0)
+
+    def test_reference_fit_takes_few_broadcasts(self, fixture252, monkeypatch):
+        # One broadcast prices the grid and one each descent box; the fitted
+        # point's check prices the scenarios once more.
+        calls = []
+        real = model.parallel_iteration_cost
+        monkeypatch.setattr(model, "parallel_iteration_cost",
+                            lambda *args: calls.append(None) or real(*args))
+        calibrate(CostModel(), DEFAULT_SPEEDUP_TARGETS, fixture252)
+        assert len(calls) - 1 <= 65
+
+    def test_memory_peak(self, fixture252):
+        # The open mesh holds (31, 7, 1) recurrence arrays and a few
+        # (31, 7, 11) ones per scenario; the grid priced as rows, about
+        # thirty (points, scenarios) arrays at once, would hold 3 MB.
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            calibrate(CostModel(), DEFAULT_SPEEDUP_TARGETS, fixture252)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, f"calibrate peaked at {peak / 1e6:.2f} MB"
 
     def test_targets_whose_slaves_do_not_divide_the_checks_are_skipped(self):
         # 48 checks: the targets of 8 and 10 processors (7 and 9 slaves)
